@@ -1,11 +1,11 @@
 """Matrix-free training of differentiable models under hard output constraints.
 
 Subpackages by layer: ``linops`` (vectors, implicit operators), ``krylov``
-(MINRES / MINRES-QLP), ``autodiff`` (gradient / rop / lop over flat
-parameters), ``kkt`` (saddle-point systems and steps), ``constraints``
-(data-dependent constraint pools and active sets), ``trainers`` (soft and
-hard outer loops), ``benchmarks`` (synthetic problems and metrics), ``cli``
-(experiment runner).
+(MINRES / MINRES-QLP), ``autodiff`` (gradient and linearize -> value, jvp,
+vjp over flat parameters), ``kkt`` (saddle-point systems and steps),
+``constraints`` (data-dependent constraint pools and active sets),
+``trainers`` (soft and hard outer loops), ``benchmarks`` (synthetic
+problems and metrics), ``cli`` (experiment runner).
 """
 
 __version__ = "0.1.0"

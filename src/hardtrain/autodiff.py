@@ -1,12 +1,15 @@
 """Differentiation over flat parameter vectors.
 
-Provides exactly the three directional products the saddle-point matvecs
-need -- gradient, Jacobian-times-vector (``rop``) and vector-times-Jacobian
-(``lop``) -- for functions built from affine layers, ReLUs and a few fixed
-heads.  ``rop`` propagates (value, tangent) pairs forward; ``lop`` and
-``gradient`` run a reverse sweep over activations taped during the forward
-pass.  Parameters always live in a single flat float64 vector; each model
-keeps a layout registry mapping layers to slices of it.
+Provides exactly what the saddle-point matvecs need: a function's
+linearization at one parameter vector -- its value together with the
+Jacobian-times-vector (``jvp``) and vector-times-Jacobian (``vjp``)
+products there -- for functions built from affine layers, ReLUs and a few
+fixed heads.  Everything that depends only on the parameters (the MLP
+tape, a head's unit vectors) is computed once by ``linearize`` and held by
+the two closures, so a step's many products reuse it.  ``jvp`` propagates
+tangents forward through the tape; ``vjp`` and ``gradient`` run a reverse
+sweep over it.  Parameters always live in a single flat float64 vector;
+each model keeps a layout registry mapping layers to slices of it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,6 +104,12 @@ class Mlp:
                 a = z
         return MlpTape(acts, masks, a)
 
+    def linearize(self, w: Vector, X: np.ndarray):
+        """(outputs, jvp, vjp) over one tape of the batch X."""
+        tape = self.tape(w, X)
+        return (tape.out, lambda v: self.jvp(w, X, v, tape),
+                lambda U: self.vjp(w, X, U, tape))
+
     def jvp(self, w: Vector, X: np.ndarray, v: Vector, tape: MlpTape | None = None) -> np.ndarray:
         """Directional derivative of the batched output along parameter tangent v."""
         tape = tape or self.tape(w, X)
@@ -144,25 +153,33 @@ class IdentityOffset:
     def forward(self, w: Vector, X: np.ndarray) -> np.ndarray:
         return w[None, :] - np.atleast_2d(X)
 
-    def tape(self, w, X):
-        return None
-
-    def jvp(self, w: Vector, X: np.ndarray, v: Vector, tape=None) -> np.ndarray:
-        n = np.atleast_2d(X).shape[0]
-        return np.broadcast_to(v, (n, self.n_params))
-
-    def vjp(self, w: Vector, X: np.ndarray, U: np.ndarray, tape=None) -> Vector:
-        return np.atleast_2d(U).sum(axis=0)
+    def linearize(self, w: Vector, X: np.ndarray):
+        """(outputs, jvp, vjp): every sample's output moves with w itself."""
+        Y = self.forward(w, X)
+        return (Y, lambda v: np.broadcast_to(v, Y.shape),
+                lambda U: np.atleast_2d(U).sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
 # DiffFunction: a vector-valued map of the flat parameters with exact
-# forward and adjoint directional products.
+# forward and adjoint directional products at a linearization point.
 # ---------------------------------------------------------------------------
 
 
+class Linearization(NamedTuple):
+    """A function at one parameter vector w: f(w), v -> J v, u -> u^T J."""
+
+    value: Vector
+    jvp: Callable[[Vector], Vector]
+    vjp: Callable[[Vector], Vector]
+
+
 class DiffFunction:
-    """Interface: value(w), rop(w, v) = J v, lop(w, u) = u^T J."""
+    """Interface: value(w), and linearize(w) -> (value, jvp, vjp).
+
+    The closures ``linearize`` returns hold whatever depends only on w, so
+    they cost one product each however often they are called.
+    """
 
     n_params: int
     n_outputs: int
@@ -171,10 +188,7 @@ class DiffFunction:
     def value(self, w: Vector) -> Vector:
         raise NotImplementedError
 
-    def rop(self, w: Vector, v: Vector) -> Vector:
-        raise NotImplementedError
-
-    def lop(self, w: Vector, u: Vector) -> Vector:
+    def linearize(self, w: Vector):
         raise NotImplementedError
 
 
@@ -186,47 +200,34 @@ def value(f: DiffFunction, w: Vector) -> Vector:
     return out
 
 
-def rop(f: DiffFunction, w: Vector, v: Vector) -> Vector:
+def linearize(f: DiffFunction, w: Vector) -> Linearization:
+    """Linearize f at w, validating w once; the returned closures check
+    only their operand's length."""
     w = as_vector(w, "params")
-    v = as_vector(v, "direction")
     check_length(w, f.n_params, "params")
-    check_length(v, f.n_params, "direction")
-    return np.atleast_1d(np.asarray(f.rop(w, v), dtype=np.float64))
+    y, f_jvp, f_vjp = f.linearize(w)
+    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    check_length(y, f.n_outputs, "output")
 
+    def jvp(v: Vector) -> Vector:
+        check_length(v, f.n_params, "direction")
+        return np.atleast_1d(np.asarray(f_jvp(v), dtype=np.float64))
 
-def lop(f: DiffFunction, w: Vector, u: Vector) -> Vector:
-    w = as_vector(w, "params")
-    u = as_vector(u, "adjoint")
-    check_length(w, f.n_params, "params")
-    check_length(u, f.n_outputs, "adjoint")
-    return np.asarray(f.lop(w, u), dtype=np.float64)
+    def vjp(u: Vector) -> Vector:
+        check_length(u, f.n_outputs, "adjoint")
+        return np.asarray(f_vjp(u), dtype=np.float64)
+
+    return Linearization(y, jvp, vjp)
 
 
 def gradient(f: DiffFunction, w: Vector) -> Vector:
     """Reverse-mode gradient of a scalar function."""
     if f.n_outputs != 1:
         raise ValueError(f"gradient needs a scalar function, got {f.n_outputs} outputs")
-    return lop(f, w, np.ones(1))
+    return linearize(f, w).vjp(np.ones(1))
 
 
-class _Taped:
-    """Mixin caching one model tape per parameter vector.
-
-    Saddle-point matvecs call rop/lop many times at a fixed w; re-taping
-    every call would double the work of每 every product.
-    """
-
-    def _tape_for(self, w: Vector):
-        cached = getattr(self, "_tape_w", None)
-        if cached is not None and cached.shape == w.shape and np.array_equal(cached, w):
-            return self._tape_cache
-        tape = self.model.tape(w, self.X)
-        self._tape_w = w.copy()
-        self._tape_cache = tape
-        return tape
-
-
-class ModelOutputs(_Taped, DiffFunction):
+class ModelOutputs(DiffFunction):
     """Stacked model outputs over a fixed input batch, flattened sample-major."""
 
     def __init__(self, model, X):
@@ -239,15 +240,13 @@ class ModelOutputs(_Taped, DiffFunction):
     def value(self, w):
         return self.model.forward(w, self.X).ravel()
 
-    def rop(self, w, v):
-        return self.model.jvp(w, self.X, v, self._tape_for(w)).ravel()
-
-    def lop(self, w, u):
-        U = u.reshape(self.X.shape[0], self.model.out_dim)
-        return self.model.vjp(w, self.X, U, self._tape_for(w))
+    def linearize(self, w):
+        Y, jvp, vjp = self.model.linearize(w, self.X)
+        return (Y.ravel(), lambda v: jvp(v).ravel(),
+                lambda u: vjp(u.reshape(Y.shape)))
 
 
-class SquaredErrorRisk(_Taped, DiffFunction):
+class SquaredErrorRisk(DiffFunction):
     """Mean squared coordinate error over a labeled batch (scalar).
 
     Equals the average over samples of ||pred - y||^2 / out_dim.
@@ -268,19 +267,15 @@ class SquaredErrorRisk(_Taped, DiffFunction):
         diff = self.model.forward(w, self.X) - self.Y
         return np.array([np.mean(diff * diff)])
 
-    def rop(self, w, v):
-        tape = self._tape_for(w)
-        diff = self.model.forward(w, self.X) - self.Y
-        dpred = self.model.jvp(w, self.X, v, tape)
-        return np.array([2.0 * np.sum(diff * dpred) / diff.size])
-
-    def lop(self, w, u):
-        tape = self._tape_for(w)
-        diff = self.model.forward(w, self.X) - self.Y
-        return self.model.vjp(w, self.X, (2.0 / diff.size) * diff, tape) * u[0]
+    def linearize(self, w):
+        pred, jvp, vjp = self.model.linearize(w, self.X)
+        diff = pred - self.Y
+        return (np.array([np.mean(diff * diff)]),
+                lambda v: np.array([2.0 * np.sum(diff * jvp(v)) / diff.size]),
+                lambda u: vjp((2.0 / diff.size) * diff) * u[0])
 
 
-class ScaledResiduals(_Taped, DiffFunction):
+class ScaledResiduals(DiffFunction):
     """Flattened prediction residuals scaled so ||r||^2 equals the mean risk."""
 
     def __init__(self, model, X, Y):
@@ -295,12 +290,11 @@ class ScaledResiduals(_Taped, DiffFunction):
     def value(self, w):
         return (self.model.forward(w, self.X) - self.Y).ravel() * self.scale
 
-    def rop(self, w, v):
-        return self.model.jvp(w, self.X, v, self._tape_for(w)).ravel() * self.scale
-
-    def lop(self, w, u):
-        U = u.reshape(self.Y.shape) * self.scale
-        return self.model.vjp(w, self.X, U, self._tape_for(w))
+    def linearize(self, w):
+        pred, jvp, vjp = self.model.linearize(w, self.X)
+        return ((pred - self.Y).ravel() * self.scale,
+                lambda v: jvp(v).ravel() * self.scale,
+                lambda u: vjp(u.reshape(self.Y.shape) * self.scale))
 
 
 class LinearMap(DiffFunction):
@@ -316,11 +310,8 @@ class LinearMap(DiffFunction):
     def value(self, w):
         return self.A @ w + self.shift
 
-    def rop(self, w, v):
-        return self.A @ v
-
-    def lop(self, w, u):
-        return u @ self.A
+    def linearize(self, w):
+        return self.value(w), lambda v: self.A @ v, lambda u: u @ self.A
 
 
 class QuadraticDistance(DiffFunction):
@@ -337,11 +328,9 @@ class QuadraticDistance(DiffFunction):
         d = w - self.x0
         return np.array([0.5 * (d @ d)])
 
-    def rop(self, w, v):
-        return np.array([(w - self.x0) @ v])
-
-    def lop(self, w, u):
-        return u[0] * (w - self.x0)
+    def linearize(self, w):
+        d = w - self.x0
+        return np.array([0.5 * (d @ d)]), lambda v: np.array([d @ v]), lambda u: u[0] * d
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +354,10 @@ def load_params(path, expect_hash: int | None = None) -> Vector:
         magic = fh.read(8)
         if magic != _CKPT_MAGIC:
             raise ValueError(f"not a parameter checkpoint: bad magic {magic!r}")
-        n, h = struct.unpack("<QQ", fh.read(16))
+        header = fh.read(16)
+        if len(header) != 16:
+            raise ValueError("truncated checkpoint")
+        n, h = struct.unpack("<QQ", header)
         if expect_hash is not None and h != (expect_hash & 0xFFFFFFFFFFFFFFFF):
             raise ValueError(f"layout hash mismatch: file has {h:#x}, expected {expect_hash:#x}")
         data = np.frombuffer(fh.read(8 * n), dtype="<f8")

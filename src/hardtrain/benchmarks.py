@@ -84,11 +84,8 @@ class _AnchorResiduals(ad.DiffFunction):
     def value(self, w):
         return (w - self.x0) * self._s
 
-    def rop(self, w, v):
-        return v * self._s
-
-    def lop(self, w, u):
-        return u * self._s
+    def linearize(self, w):
+        return self.value(w), lambda v: v * self._s, lambda u: u * self._s
 
 
 @dataclass
@@ -124,10 +121,11 @@ class SphereProblem:
 
     def pool_median_violation(self, w) -> float:
         # chunked so the full-scale dimension never materializes an
-        # (n_constraints, dim) temporary
+        # (n_constraints, dim) temporary; 8 rows keep the chunk's two
+        # temporaries below a step's own working set
         vals = []
-        for lo in range(0, self.n_constraints, 32):
-            vals.append(cs.hypersphere_residuals(w, self.centers[lo:lo + 32], self.radius))
+        for lo in range(0, self.n_constraints, 8):
+            vals.append(cs.hypersphere_residuals(w, self.centers[lo:lo + 8], self.radius))
         return median_violation(np.concatenate(vals))
 
     def spec_dict(self) -> dict:

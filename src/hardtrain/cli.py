@@ -97,6 +97,17 @@ _SCHEMAS = {
 }
 
 
+# value constraints, checked as each key is parsed: (predicate, requirement)
+_VALUE_CHECKS = {
+    "method": (lambda v: v in tr.METHODS, f"one of {', '.join(tr.METHODS)}"),
+    "lr": (lambda v: v > 0, "> 0"),
+    "dim": (lambda v: v >= 2, ">= 2"),
+    "hidden": (lambda v: all(h >= 1 for h in v), "a list of widths >= 1"),
+    "n_active": (lambda v: v >= 1, ">= 1"),
+    "iterations": (lambda v: v >= 0, ">= 0"),
+}
+
+
 def parse_config(path) -> dict:
     """Strict key=value parser; unknown keys and bad values are errors."""
     raw = {}
@@ -130,6 +141,9 @@ def parse_config(path) -> dict:
             cfg[key] = parse(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}")
+        if key in _VALUE_CHECKS and not _VALUE_CHECKS[key][0](cfg[key]):
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: "
+                              f"{value!r}, expected {_VALUE_CHECKS[key][1]}")
     return cfg
 
 

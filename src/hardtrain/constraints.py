@@ -91,9 +91,20 @@ def hypersphere_residuals(w: Vector, centers, radius: float) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# Constraint heads: batched residuals of the model output with exact
-# forward/adjoint directional products.
+# Constraint heads: batched residuals of the model output.  ``value(Y)``
+# maps outputs (n, out_dim) to residuals (n, n_constraints);
+# ``linearize(Y)`` returns them with jvp (dY -> dC) and vjp (U -> dY)
+# closures that hold everything depending on Y alone.
 # ---------------------------------------------------------------------------
+
+
+def _incidence(first, second, n_joints: int) -> np.ndarray:
+    """Signed (rows x joints) matrix with +1 at first[j], -1 at second[j]."""
+    m = np.zeros((len(first), n_joints))
+    rows = np.arange(len(first))
+    m[rows, first] = 1.0
+    m[rows, second] = -1.0
+    return m
 
 
 class SymmetryHead:
@@ -106,6 +117,10 @@ class SymmetryHead:
         self.table = table or JointIndexTable.default()
         rows = np.asarray(self.table.rows)
         self._a, self._b, self._c, self._d = rows.T
+        # transposed incidence of the two bone vectors of every row:
+        # the vjp scatters (n, 6, 3) bone cotangents back onto 17 joints
+        self._inc1_t = _incidence(self._a, self._b, len(JOINT_NAMES)).T
+        self._inc2_t = _incidence(self._c, self._d, len(JOINT_NAMES)).T
 
     def _units(self, Y):
         y = Y.reshape(-1, 17, 3)
@@ -121,25 +136,21 @@ class SymmetryHead:
         n1, n2, _, _ = self._units(Y)
         return n1 - n2
 
-    def jvp(self, Y, dY):
-        _, _, u1, u2 = self._units(Y)
-        dy = np.asarray(dY).reshape(-1, 17, 3)
-        t1 = np.sum(u1 * (dy[:, self._a] - dy[:, self._b]), axis=2)
-        t2 = np.sum(u2 * (dy[:, self._c] - dy[:, self._d]), axis=2)
-        return t1 - t2
+    def linearize(self, Y):
+        n1, n2, u1, u2 = self._units(Y)
 
-    def vjp(self, Y, U):
-        _, _, u1, u2 = self._units(Y)
-        n = u1.shape[0]
-        out = np.zeros((n, 17, 3))
-        contrib1 = U[:, :, None] * u1                # (n, 6, 3)
-        contrib2 = U[:, :, None] * u2
-        for j in range(6):
-            out[:, self._a[j]] += contrib1[:, j]
-            out[:, self._b[j]] -= contrib1[:, j]
-            out[:, self._c[j]] -= contrib2[:, j]
-            out[:, self._d[j]] += contrib2[:, j]
-        return out.reshape(n, 51)
+        def jvp(dY):
+            dy = np.asarray(dY).reshape(-1, 17, 3)
+            t1 = np.sum(u1 * (dy[:, self._a] - dy[:, self._b]), axis=2)
+            t2 = np.sum(u2 * (dy[:, self._c] - dy[:, self._d]), axis=2)
+            return t1 - t2
+
+        def vjp(U):
+            out = (self._inc1_t @ (U[:, :, None] * u1)
+                   - self._inc2_t @ (U[:, :, None] * u2))    # (n, 17, 3)
+            return out.reshape(-1, 51)
+
+        return n1 - n2, jvp, vjp
 
 
 class SphereRadiusHead:
@@ -158,11 +169,15 @@ class SphereRadiusHead:
     def value(self, Y):
         return (self._norms(Y) - self.radius)[:, None]
 
-    def jvp(self, Y, dY):
-        return (np.einsum("nd,nd->n", Y, dY) / self._norms(Y))[:, None]
+    def directions(self, Y):
+        """(residuals (n, 1), unit rows Y / ||Y||): the head's Jacobian."""
+        norms = self._norms(Y)
+        return (norms - self.radius)[:, None], Y / norms[:, None]
 
-    def vjp(self, Y, U):
-        return (U[:, 0] / self._norms(Y))[:, None] * Y
+    def linearize(self, Y):
+        C, units = self.directions(Y)
+        return (C, lambda dY: np.einsum("nd,nd->n", units, dY)[:, None],
+                lambda U: U[:, :1] * units)
 
 
 class BoundHead:
@@ -177,13 +192,13 @@ class BoundHead:
     def value(self, Y):
         return Y[:, self.coords] - self.caps
 
-    def jvp(self, Y, dY):
-        return np.asarray(dY)[:, self.coords]
+    def linearize(self, Y):
+        def vjp(U):
+            out = np.zeros_like(Y)
+            out[:, self.coords] = U
+            return out
 
-    def vjp(self, Y, U):
-        out = np.zeros_like(Y)
-        out[:, self.coords] = U
-        return out
+        return self.value(Y), lambda dY: np.asarray(dY)[:, self.coords], vjp
 
 
 # ---------------------------------------------------------------------------
@@ -334,42 +349,52 @@ class StackedConstraints(ad.DiffFunction):
         self.model = model
         self.active = active
         self._uniq, self._rows = np.unique(active.sample_indices, return_inverse=True)
-        self.X = pool.samples[self._uniq]
         self._cols = active.constraint_indices
+        # flat positions of the active pairs in the (samples, constraints) grid
+        self._flat = self._rows * pool.n_constraints + self._cols
         self.n_params = model.n_params
         self.n_outputs = active.n_pairs
         self.structure = (f"constraints[{active.n_pairs} pairs / "
                           f"{len(self._uniq)} samples]")
-        self._tape_w = None
 
-    def _y_and_tape(self, w):
-        # one cached tape per parameter vector: saddle-point matvecs call
-        # rop/lop many times at the same w
-        if self._tape_w is None or not np.array_equal(self._tape_w, w):
-            self._tape = self.model.tape(w, self.X)
-            self._tape_w = w.copy()
-        tape = self._tape
-        y = tape.out if tape is not None else self.model.forward(w, self.X)
-        return y, tape
+    @property
+    def X(self) -> np.ndarray:
+        """The active samples, gathered on use so no copy outlives a call."""
+        return self.pool.samples[self._uniq]
+
+    def _gather(self, C) -> Vector:
+        return np.atleast_2d(C).ravel()[self._flat]
+
+    def _scatter(self, u) -> np.ndarray:
+        """Adjoint of ``_gather``: u summed into the (samples, constraints) grid."""
+        grid = (len(self._uniq), self.pool.n_constraints)
+        return np.bincount(self._flat, u, grid[0] * grid[1]).reshape(grid)
 
     def value(self, w):
-        y, _ = self._y_and_tape(w)
-        return np.atleast_2d(self.pool.head.value(y))[self._rows, self._cols]
+        return self._gather(self.pool.head.value(self.model.forward(w, self.X)))
 
-    def rop(self, w, v):
-        y, tape = self._y_and_tape(w)
-        dY = self.model.jvp(w, self.X, v, tape)
-        return np.atleast_2d(self.pool.head.jvp(y, dY))[self._rows, self._cols]
+    def linearize(self, w):
+        Y, model_jvp, model_vjp = self.model.linearize(w, self.X)
+        C, head_jvp, head_vjp = self.pool.head.linearize(Y)
+        return (self._gather(C), lambda v: self._gather(head_jvp(model_jvp(v))),
+                lambda u: model_vjp(head_vjp(self._scatter(u))))
 
-    def lop(self, w, u):
-        y, tape = self._y_and_tape(w)
-        U = np.zeros((len(self._uniq), self.pool.n_constraints))
-        np.add.at(U, (self._rows, self._cols), u)
-        dY = self.pool.head.vjp(y, U)
-        return self.model.vjp(w, self.X, dY, tape)
+
+class SphereRows(StackedConstraints):
+    """Active sphere residuals of an :class:`~hardtrain.autodiff.IdentityOffset`
+    model.  Their Jacobian is the matrix of unit directions
+    U = (w - X) / ||w - X||, formed once per linearization, so a product
+    is one GEMV: jvp is U v, vjp is u U."""
+
+    def linearize(self, w):
+        C, units = self.pool.head.directions(self.model.forward(w, self.X))
+        return (self._gather(C), lambda v: (units @ v)[self._rows],
+                lambda u: self._scatter(u)[:, 0] @ units)
 
 
 def active_constraint_function(pool: ConstraintPool, model, active: ActiveSet) -> StackedConstraints:
+    if isinstance(model, ad.IdentityOffset) and isinstance(pool.head, SphereRadiusHead):
+        return SphereRows(pool, model, active)
     return StackedConstraints(pool, model, active)
 
 

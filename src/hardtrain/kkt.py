@@ -7,7 +7,8 @@ parameters and solves one symmetric block system
     [ G    0  ] [ L  ] = [ -C(w) ]
 
 for the step ``dw`` and multipliers ``L``, where G is the constraint
-Jacobian (never formed: its products come from rop/lop) and D depends on
+Jacobian (never formed: its products come from the jvp/vjp closures of the
+constraints' linearization at w, built once per step) and D depends on
 the variant: ``eta * I`` for the plain step, ``J^T J + eta * I`` for the
 Gauss-Newton step over a residual model, and the ``eta * f *
 diag(sqrt(v) + eps)`` moment-scaled diagonal for the Adam-style step.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,20 +47,21 @@ class SolverBreakdown(RuntimeError):
 class KktState:
     """Everything one step's matvec and right-hand side need.
 
-    ``constraint_fn`` stacks the active constraints as a function of the
-    flat parameters; ``constraint_values`` is its value at ``w``.  For the
-    Adam variant, ``adam_m``/``adam_v`` are the already-updated moments and
-    ``adam_t`` the number of updates applied *before* them, so the bias
-    correction exponent is ``adam_t + 1``.
+    ``constraint`` is the linearization at ``w`` of the active constraints
+    stacked as a function of the flat parameters (None when none are
+    active); ``residual`` is the Gauss-Newton residual model's
+    linearization at ``w``.  For the Adam variant, ``adam_m``/``adam_v``
+    are the already-updated moments and ``adam_t`` the number of updates
+    applied *before* them, so the bias correction exponent is
+    ``adam_t + 1``.
     """
 
     w: Vector
     damping: float
     variant: str = SGD
-    constraint_fn: ad.DiffFunction | None = None
-    constraint_values: Vector = field(default_factory=lambda: np.zeros(0))
+    constraint: ad.Linearization | None = None
     risk_grad: Vector | None = None
-    residual_fn: ad.DiffFunction | None = None
+    residual: ad.Linearization | None = None
     adam_m: Vector | None = None
     adam_v: Vector | None = None
     adam_t: int = 0
@@ -72,9 +74,10 @@ class KktState:
             raise ValueError(f"damping must be positive, got {self.damping}")
         if self.variant not in (SGD, GAUSS_NEWTON, ADAM):
             raise ValueError(f"unknown variant {self.variant!r}")
-        self.constraint_values = np.asarray(self.constraint_values, dtype=np.float64)
-        if self.constraint_fn is not None and self.constraint_fn.n_outputs != self.n_active:
-            raise ValueError("constraint_fn outputs do not match constraint_values")
+
+    @property
+    def constraint_values(self) -> Vector:
+        return self.constraint.value if self.constraint is not None else np.zeros(0)
 
     @property
     def n_params(self) -> int:
@@ -100,12 +103,10 @@ def _split(state: KktState, v: Vector):
 
 
 def _border(state: KktState, v1: Vector, v2: Vector):
-    """Constraint coupling blocks: (G^T v2, G v1) via lop/rop."""
+    """Constraint coupling blocks: (G^T v2, G v1) via vjp/jvp."""
     if state.n_active == 0:
         return 0.0, np.zeros(0)
-    gt_v2 = ad.lop(state.constraint_fn, state.w, v2)
-    g_v1 = ad.rop(state.constraint_fn, state.w, v1)
-    return gt_v2, g_v1
+    return state.constraint.vjp(v2), state.constraint.jvp(v1)
 
 
 def kkt_matvec_sgd(state: KktState, v: Vector) -> Vector:
@@ -115,11 +116,10 @@ def kkt_matvec_sgd(state: KktState, v: Vector) -> Vector:
 
 
 def kkt_matvec_gn(state: KktState, v: Vector) -> Vector:
-    if state.residual_fn is None:
+    if state.residual is None:
         raise ValueError("gauss_newton variant needs a residual model")
     v1, v2 = _split(state, v)
-    jv = ad.rop(state.residual_fn, state.w, v1)
-    jjv = ad.lop(state.residual_fn, state.w, jv)
+    jjv = state.residual.vjp(state.residual.jvp(v1))
     gt_v2, g_v1 = _border(state, v1, v2)
     return np.concatenate([jjv + state.damping * v1 + gt_v2, g_v1])
 
@@ -149,10 +149,9 @@ def kkt_rhs(state: KktState) -> Vector:
             raise ValueError("sgd variant needs risk_grad")
         top = -state.risk_grad
     elif state.variant == GAUSS_NEWTON:
-        if state.residual_fn is None:
+        if state.residual is None:
             raise ValueError("gauss_newton variant needs a residual model")
-        r = ad.value(state.residual_fn, state.w)
-        top = -ad.lop(state.residual_fn, state.w, r)
+        top = -state.residual.vjp(state.residual.value)
     else:
         if state.adam_m is None:
             raise ValueError("adam variant needs moment vectors")
@@ -195,13 +194,7 @@ def solve_step_with_retry(state: KktState, cfg: SolverConfig | None = None,
     rhs_norm = float(np.linalg.norm(kkt_rhs(state)))
     if step.solution.ok or step.solution.residual_norm <= accept_rtol * rhs_norm:
         return step, False
-    retry_state = KktState(
-        w=state.w, damping=2.0 * state.damping, variant=state.variant,
-        constraint_fn=state.constraint_fn, constraint_values=state.constraint_values,
-        risk_grad=state.risk_grad, residual_fn=state.residual_fn,
-        adam_m=state.adam_m, adam_v=state.adam_v, adam_t=state.adam_t,
-        adam_beta1=state.adam_beta1, adam_beta2=state.adam_beta2,
-        adam_eps=state.adam_eps)
+    retry_state = replace(state, damping=2.0 * state.damping)
     step = solve_step(retry_state, cfg)
     rhs_norm = float(np.linalg.norm(kkt_rhs(retry_state)))
     if step.solution.ok or step.solution.residual_norm <= accept_rtol * rhs_norm:

@@ -113,7 +113,7 @@ class TrainConfig:
             raise ValueError("soft_lambda must be non-negative")
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRow:
     iteration: int
     risk: float
@@ -166,10 +166,9 @@ def soft_gradient(w: Vector, problem, data_idx, active: cs.ActiveSet,
     g = ad.gradient(problem.risk_function(data_idx), w)
     if active.n_pairs == 0:
         return g
-    fn = cs.active_constraint_function(problem.pool, problem.model, active)
-    cvals = ad.value(fn, w)
+    lin = ad.linearize(cs.active_constraint_function(problem.pool, problem.model, active), w)
     lam = weights.lambdas[active.constraint_indices]
-    return g + ad.lop(fn, w, 2.0 * lam * cvals)
+    return g + lin.vjp(2.0 * lam * lin.value)
 
 
 def step_soft(method: str, w: Vector, problem, data_idx, active: cs.ActiveSet,
@@ -200,18 +199,17 @@ def step_hard(method: str, w: Vector, problem, data_idx, active: cs.ActiveSet,
     """One saddle-point step; records active medians before and after."""
     variant = _HARD_VARIANT[method]
     if active.n_pairs > 0:
-        fn = cs.active_constraint_function(problem.pool, problem.model, active)
-        cvals = ad.value(fn, w)
-        before = float(np.median(np.abs(cvals)))
+        lin = ad.linearize(cs.active_constraint_function(problem.pool, problem.model,
+                                                         active), w)
+        before = float(np.median(np.abs(lin.value)))
     else:
-        fn, cvals, before = None, np.zeros(0), 0.0
+        lin, before = None, 0.0
 
-    kwargs = dict(w=w, damping=1.0 / cfg.lr, variant=variant,
-                  constraint_fn=fn, constraint_values=cvals)
+    kwargs = dict(w=w, damping=1.0 / cfg.lr, variant=variant, constraint=lin)
     if variant == kkt.SGD:
         kwargs["risk_grad"] = ad.gradient(problem.risk_function(data_idx), w)
     elif variant == kkt.GAUSS_NEWTON:
-        kwargs["residual_fn"] = problem.residual_function(data_idx)
+        kwargs["residual"] = ad.linearize(problem.residual_function(data_idx), w)
     else:
         g = ad.gradient(problem.risk_function(data_idx), w)
         adam, _ = adam_update(adam, g, cfg.lr)
@@ -220,12 +218,15 @@ def step_hard(method: str, w: Vector, problem, data_idx, active: cs.ActiveSet,
                       adam_eps=adam.eps)
 
     step, _ = kkt.solve_step_with_retry(kkt.KktState(**kwargs), cfg.solver)
+    # the linearizations live only for the solve: free them before the
+    # constraints are evaluated again at the new parameters
+    del kwargs, lin
     if step is None:
         return HardStep(w, adam, np.zeros(active.n_pairs), 0, "skipped",
                         before, before, True)
     w_new = w + step.dw
     after = before
-    if fn is not None:
+    if active.n_pairs > 0:
         after = float(np.median(np.abs(
             cs.evaluate(problem.pool, problem.model, w_new, active))))
     return HardStep(w_new, adam, step.multipliers, step.solution.iters,

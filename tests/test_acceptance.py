@@ -74,11 +74,11 @@ def test_criterion_2_differentiation_exactness():
         u = rng.standard_normal(fvec.n_outputs)
 
         fd_vec = (ad.value(fvec, w + h * v) - ad.value(fvec, w - h * v)) / (2 * h)
-        rop_v = ad.rop(fvec, w, v)
+        rop_v = ad.linearize(fvec, w).jvp(v)
         worst_fd = max(worst_fd, np.linalg.norm(rop_v - fd_vec)
                        / max(np.linalg.norm(fd_vec), 1e-8))
 
-        lop_u = ad.lop(fvec, w, u)
+        lop_u = ad.linearize(fvec, w).vjp(u)
         worst_fd = max(worst_fd, abs(lop_u @ v - u @ fd_vec)
                        / max(abs(u @ fd_vec), 1e-8))
 
@@ -110,7 +110,6 @@ def test_criterion_3_kkt_structural_equivalence():
         fn = ad.LinearMap(G, shift=c) if n_a else None
         w = rng.standard_normal(n_p)
         eta = float(rng.uniform(0.2, 3.0))
-        cvals = fn.value(w) if fn else np.zeros(0)
 
         A = rng.standard_normal((int(rng.integers(1, 20)), n_p))
         mvec = rng.standard_normal(n_p)
@@ -125,10 +124,11 @@ def test_criterion_3_kkt_structural_equivalence():
         }
         for variant, D in blocks.items():
             state = kkt.KktState(
-                w=w, damping=eta, variant=variant, constraint_fn=fn,
-                constraint_values=cvals,
+                w=w, damping=eta, variant=variant,
+                constraint=ad.linearize(fn, w) if fn else None,
                 risk_grad=np.zeros(n_p) if variant == kkt.SGD else None,
-                residual_fn=ad.LinearMap(A) if variant == kkt.GAUSS_NEWTON else None,
+                residual=(ad.linearize(ad.LinearMap(A), w)
+                          if variant == kkt.GAUSS_NEWTON else None),
                 adam_m=mvec if variant == kkt.ADAM else None,
                 adam_v=vvec if variant == kkt.ADAM else None, adam_t=t)
             dense = np.zeros((n_p + n_a, n_p + n_a))
@@ -173,11 +173,8 @@ class _LinHead:
     def value(self, Y):
         return Y @ self.H.T + self.shifts
 
-    def jvp(self, Y, dY):
-        return np.asarray(dY) @ self.H.T
-
-    def vjp(self, Y, U):
-        return np.asarray(U) @ self.H
+    def linearize(self, Y):
+        return self.value(Y), lambda dY: np.asarray(dY) @ self.H.T, lambda U: U @ self.H
 
 
 def test_criterion_4_hard_exactness_on_linear_constraints():

@@ -45,11 +45,8 @@ class Square(ad.DiffFunction):
     def value(self, w):
         return w * w
 
-    def rop(self, w, v):
-        return 2.0 * w * v
-
-    def lop(self, w, u):
-        return 2.0 * w * u
+    def linearize(self, w):
+        return w * w, lambda v: 2.0 * w * v, lambda u: 2.0 * w * u
 
 
 def test_mlp_param_count_and_layout():
@@ -114,12 +111,13 @@ def test_rop_linear_map():
     A = rng.standard_normal((4, 6))
     f = ad.LinearMap(A)
     v = rng.standard_normal(6)
-    np.testing.assert_allclose(ad.rop(f, np.zeros(6), v), A @ v)
+    np.testing.assert_allclose(ad.linearize(f, np.zeros(6)).jvp(v), A @ v)
 
 
 def test_rop_elementwise_square():
     f = Square(2)
-    np.testing.assert_allclose(ad.rop(f, np.array([1.0, 2.0]), np.array([1.0, 1.0])), [2.0, 4.0])
+    np.testing.assert_allclose(ad.linearize(f, np.array([1.0, 2.0])).jvp(np.array([1.0, 1.0])),
+                               [2.0, 4.0])
 
 
 def test_lop_linear_map_and_basis_rows():
@@ -127,11 +125,11 @@ def test_lop_linear_map_and_basis_rows():
     A = rng.standard_normal((3, 5))
     f = ad.LinearMap(A)
     u = rng.standard_normal(3)
-    np.testing.assert_allclose(ad.lop(f, np.zeros(5), u), u @ A)
+    np.testing.assert_allclose(ad.linearize(f, np.zeros(5)).vjp(u), u @ A)
     for i in range(3):
         e = np.zeros(3)
         e[i] = 1.0
-        np.testing.assert_allclose(ad.lop(f, np.zeros(5), e), A[i])
+        np.testing.assert_allclose(ad.linearize(f, np.zeros(5)).vjp(e), A[i])
 
 
 def test_mlp_derivatives_match_finite_differences():
@@ -148,7 +146,7 @@ def test_mlp_derivatives_match_finite_differences():
         if stencil_crosses_kink(mlp, w, X, vu):
             continue
         fd, vu = fd_directional(f, w, vu)
-        got = ad.rop(f, w, vu)
+        got = ad.linearize(f, w).jvp(vu)
         denom = max(np.linalg.norm(fd), 1e-8)
         assert np.linalg.norm(got - fd) / denom <= 1e-5
         checked += 1
@@ -184,8 +182,8 @@ def test_adjoint_identity_random_mlps():
         f = ad.ModelOutputs(mlp, X)
         v = rng.standard_normal(f.n_params)
         u = rng.standard_normal(f.n_outputs)
-        lhs = u @ ad.rop(f, w, v)
-        rhs = ad.lop(f, w, u) @ v
+        lhs = u @ ad.linearize(f, w).jvp(v)
+        rhs = ad.linearize(f, w).vjp(u) @ v
         scale = max(abs(lhs), abs(rhs), 1e-12)
         assert abs(lhs - rhs) / scale <= 1e-10
 
@@ -201,7 +199,7 @@ def test_gradient_rop_consistency():
         f = ad.SquaredErrorRisk(mlp, X, Y)
         v = rng.standard_normal(len(w))
         lhs = ad.gradient(f, w) @ v
-        rhs = ad.rop(f, w, v)[0]
+        rhs = ad.linearize(f, w).jvp(v)[0]
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
 
@@ -212,12 +210,13 @@ def test_rop_lop_linear_in_vector_argument():
     f = ad.ModelOutputs(mlp, rng.standard_normal((2, 3)))
     v1, v2 = rng.standard_normal((2, f.n_params))
     u1, u2 = rng.standard_normal((2, f.n_outputs))
+    lin = ad.linearize(f, w)
     np.testing.assert_allclose(
-        ad.rop(f, w, 2.0 * v1 - v2),
-        2.0 * ad.rop(f, w, v1) - ad.rop(f, w, v2), atol=1e-12)
+        lin.jvp(2.0 * v1 - v2),
+        2.0 * lin.jvp(v1) - lin.jvp(v2), atol=1e-12)
     np.testing.assert_allclose(
-        ad.lop(f, w, 0.5 * u1 + 3.0 * u2),
-        0.5 * ad.lop(f, w, u1) + 3.0 * ad.lop(f, w, u2), atol=1e-12)
+        lin.vjp(0.5 * u1 + 3.0 * u2),
+        0.5 * lin.vjp(u1) + 3.0 * lin.vjp(u2), atol=1e-12)
 
 
 def test_length_validation():
@@ -225,9 +224,11 @@ def test_length_validation():
     with pytest.raises(Exception):
         ad.value(f, np.ones(2))
     with pytest.raises(Exception):
-        ad.rop(f, np.ones(3), np.ones(2))
+        ad.linearize(f, np.ones(2))
     with pytest.raises(Exception):
-        ad.lop(f, np.ones(3), np.ones(2))
+        ad.linearize(f, np.ones(3)).jvp(np.ones(2))
+    with pytest.raises(Exception):
+        ad.linearize(f, np.ones(3)).vjp(np.ones(2))
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -259,3 +260,11 @@ def test_checkpoint_rejects_bad_magic_and_hash(tmp_path):
     ad.save_params(path, np.ones(3), 1)
     with pytest.raises(ValueError, match="hash"):
         ad.load_params(path, expect_hash=2)
+
+
+def test_checkpoint_rejects_truncated_header(tmp_path):
+    path = tmp_path / "p.bin"
+    ad.save_params(path, np.ones(3), 1)
+    path.write_bytes(path.read_bytes()[:10])
+    with pytest.raises(ValueError, match="truncated checkpoint"):
+        ad.load_params(path)

@@ -57,6 +57,32 @@ def test_run_malformed_config_exits_2_without_outputs(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+POSE_SMALL = "kind = toy_pose\nepochs = 1\nn_samples = 60\nn_pool = 10\n"
+
+
+@pytest.mark.parametrize("kind, line", [
+    ("spheres", "method = hard_newton"),
+    ("spheres", "lr = -1"),
+    ("spheres", "lr = 0"),
+    ("spheres", "dim = 1"),
+    ("spheres", "n_active = 0"),
+    ("spheres", "iterations = -1"),
+    ("toy_pose", "hidden = 16,0"),
+    ("toy_pose", "lr = -0.5"),
+])
+def test_run_bad_config_value_exits_2_without_outputs(tmp_path, capsys, kind, line):
+    base = {"spheres": SPHERES_SMALL, "toy_pose": POSE_SMALL}[kind]
+    key = line.split(" = ")[0]
+    text = "".join(l + "\n" for l in base.splitlines() if not l.startswith(key + " "))
+    out = tmp_path / "out"
+    rc = cli.main(["run", write(tmp_path, "bad.txt", text + line + "\n"),
+                   "--out-dir", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"bad value for {key!r}" in err and "Traceback" not in err
+
+
 def test_run_zero_iterations_writes_header_plus_initial_row(tmp_path):
     p = write(tmp_path, "z.txt", SPHERES_SMALL.replace("iterations = 25", "iterations = 0"))
     out = tmp_path / "out"

@@ -18,11 +18,8 @@ class LinearHead:
     def value(self, Y):
         return Y @ self.H.T + self.c
 
-    def jvp(self, Y, dY):
-        return np.asarray(dY) @ self.H.T
-
-    def vjp(self, Y, U):
-        return np.asarray(U) @ self.H
+    def linearize(self, Y):
+        return self.value(Y), lambda dY: np.asarray(dY) @ self.H.T, lambda U: U @ self.H
 
 
 def symmetric_pose(rng=None, scale=1.0):
@@ -125,7 +122,7 @@ def test_hypersphere_gradient_unit_norm_and_fd():
     for i in range(4):
         e = np.zeros(4)
         e[i] = 1.0
-        g = ad.lop(fn, w, e)
+        g = ad.linearize(fn, w).vjp(e)
         assert abs(np.linalg.norm(g) - 1.0) <= 1e-10
         v = rng.standard_normal(d)
         v /= np.linalg.norm(v)
@@ -253,14 +250,14 @@ def test_stacked_constraints_adjoint_and_fd():
     assert fn.n_outputs == 18
     v = rng.standard_normal(fn.n_params)
     u = rng.standard_normal(fn.n_outputs)
-    lhs = u @ ad.rop(fn, w, v)
-    rhs = ad.lop(fn, w, u) @ v
+    lhs = u @ ad.linearize(fn, w).jvp(v)
+    rhs = ad.linearize(fn, w).vjp(u) @ v
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
     # directional finite difference on the stacked vector
     vu = v / np.linalg.norm(v)
     h = 1e-6
     fd = (ad.value(fn, w + h * vu) - ad.value(fn, w - h * vu)) / (2 * h)
-    got = ad.rop(fn, w, vu)
+    got = ad.linearize(fn, w).jvp(vu)
     assert np.linalg.norm(got - fd) / max(np.linalg.norm(fd), 1e-9) <= 1e-5
 
 
@@ -276,10 +273,10 @@ def test_bound_head_gradient_matches_fd():
     v /= np.linalg.norm(v)
     h = 1e-6
     fd = (ad.value(fn, w + h * v) - ad.value(fn, w - h * v)) / (2 * h)
-    got = ad.rop(fn, w, v)
+    got = ad.linearize(fn, w).jvp(v)
     assert np.linalg.norm(got - fd) / max(np.linalg.norm(fd), 1e-9) <= 1e-5
     u = rng.standard_normal(fn.n_outputs)
-    assert abs(u @ got - ad.lop(fn, w, u) @ v) <= 1e-10 * max(abs(u @ got), 1.0)
+    assert abs(u @ got - ad.linearize(fn, w).vjp(u) @ v) <= 1e-10 * max(abs(u @ got), 1.0)
 
 
 def test_evaluate_stacking_is_sample_major():

@@ -17,7 +17,7 @@ def linear_constraints(G, c=None):
 def sgd_state(w, grad, G, c=None, damping=1.0):
     fn = linear_constraints(G, c)
     return kkt.KktState(w=w, damping=damping, variant=kkt.SGD,
-                        constraint_fn=fn, constraint_values=fn.value(w),
+                        constraint=ad.linearize(fn, w),
                         risk_grad=np.asarray(grad, dtype=float))
 
 
@@ -59,7 +59,7 @@ def test_matvec_gn_identity_residuals():
     n = 4
     w = np.zeros(n)
     state = kkt.KktState(w=w, damping=0.5, variant=kkt.GAUSS_NEWTON,
-                         residual_fn=ad.LinearMap(np.eye(n)))
+                         residual=ad.linearize(ad.LinearMap(np.eye(n)), w))
     v = np.arange(1.0, n + 1)
     np.testing.assert_allclose(kkt.kkt_matvec_gn(state, v), 1.5 * v)
 
@@ -70,8 +70,8 @@ def test_gn_operator_materializes_to_gauss_newton_block():
     G = rng.standard_normal((2, 3))
     fn = linear_constraints(G)
     state = kkt.KktState(w=np.zeros(3), damping=0.8, variant=kkt.GAUSS_NEWTON,
-                         residual_fn=ad.LinearMap(A),
-                         constraint_fn=fn, constraint_values=fn.value(np.zeros(3)))
+                         residual=ad.linearize(ad.LinearMap(A), np.zeros(3)),
+                         constraint=ad.linearize(fn, np.zeros(3)))
     got = linops.materialize(kkt.kkt_operator(state))
     expect = dense_block(A.T @ A + 0.8 * np.eye(3), G)
     np.testing.assert_allclose(got, expect, atol=1e-12)
@@ -85,7 +85,7 @@ def test_gn_symmetry_probe_on_mlp_residuals():
     X = rng.standard_normal((5, 4))
     Y = rng.standard_normal((5, 3))
     state = kkt.KktState(w=w, damping=0.3, variant=kkt.GAUSS_NEWTON,
-                         residual_fn=ad.ScaledResiduals(mlp, X, Y))
+                         residual=ad.linearize(ad.ScaledResiduals(mlp, X, Y), w))
     assert linops.symmetry_defect(kkt.kkt_operator(state), n_probes=50, seed=3) <= 1e-10
 
 
@@ -116,7 +116,7 @@ def test_adam_operator_materializes_to_diag_block():
     mvec = rng.standard_normal(3)
     vvec = rng.uniform(0.0, 1.0, 3)
     state = kkt.KktState(w=np.zeros(3), damping=1.7, variant=kkt.ADAM,
-                         constraint_fn=fn, constraint_values=fn.value(np.zeros(3)),
+                         constraint=ad.linearize(fn, np.zeros(3)),
                          adam_m=mvec, adam_v=vvec, adam_t=5)
     f = kkt.adam_correction(0.9, 0.999, 5)
     D = np.diag(1.7 * f * (np.sqrt(vvec) + 1e-8))
@@ -132,7 +132,7 @@ def test_rhs_sgd_sign_and_concat():
 def test_rhs_gn_zero_residuals():
     A = np.array([[1.0, 0.0], [0.0, 2.0]])
     state = kkt.KktState(w=np.zeros(2), damping=1.0, variant=kkt.GAUSS_NEWTON,
-                         residual_fn=ad.LinearMap(A))
+                         residual=ad.linearize(ad.LinearMap(A), np.zeros(2)))
     np.testing.assert_allclose(kkt.kkt_rhs(state), np.zeros(2))
 
 
@@ -215,12 +215,13 @@ def test_all_variants_pass_symmetry_probe():
     rng = np.random.default_rng(6)
     G = rng.standard_normal((2, 4))
     fn = linear_constraints(G)
-    common = dict(constraint_fn=fn, constraint_values=fn.value(np.zeros(4)))
+    common = dict(constraint=ad.linearize(fn, np.zeros(4)))
     states = [
         kkt.KktState(w=np.zeros(4), damping=1.0, variant=kkt.SGD,
                      risk_grad=np.zeros(4), **common),
         kkt.KktState(w=np.zeros(4), damping=1.0, variant=kkt.GAUSS_NEWTON,
-                     residual_fn=ad.LinearMap(rng.standard_normal((5, 4))), **common),
+                     residual=ad.linearize(ad.LinearMap(rng.standard_normal((5, 4))),
+                                           np.zeros(4)), **common),
         kkt.KktState(w=np.zeros(4), damping=1.0, variant=kkt.ADAM,
                      adam_m=np.zeros(4), adam_v=rng.uniform(0, 1, 4), adam_t=2, **common),
     ]
@@ -236,15 +237,11 @@ def test_breakdown_propagates_with_diagnostics():
         def value(self, w):
             return np.array([1.0])
 
-        def rop(self, w, v):
-            return np.array([np.nan])
-
-        def lop(self, w, u):
-            return np.full(2, np.nan)
+        def linearize(self, w):
+            return self.value(w), lambda v: np.array([np.nan]), lambda u: np.full(2, np.nan)
 
     state = kkt.KktState(w=np.zeros(2), damping=1.0, variant=kkt.SGD,
-                         risk_grad=np.ones(2), constraint_fn=Bad(),
-                         constraint_values=np.array([1.0]))
+                         risk_grad=np.ones(2), constraint=ad.linearize(Bad(), np.zeros(2)))
     with pytest.raises(kkt.SolverBreakdown, match="iterations"):
         kkt.solve_step(state)
 

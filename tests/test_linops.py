@@ -95,7 +95,7 @@ def test_materialize_saddle_point_operator_matches_block_assembly():
     g = np.array([[1.5, -2.0]])
     fn = ad.LinearMap(g)
     state = kkt.KktState(w=np.zeros(2), damping=0.9, variant=kkt.SGD,
-                         constraint_fn=fn, constraint_values=fn.value(np.zeros(2)),
+                         constraint=ad.linearize(fn, np.zeros(2)),
                          risk_grad=np.zeros(2))
     expect = np.array([
         [0.9, 0.0, 1.5],

@@ -1,0 +1,123 @@
+"""Property tests on linearizations: the adjoint identity for every
+DiffFunction and the symmetry of every saddle-point operator variant."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hardtrain import autodiff as ad
+from hardtrain import benchmarks as bm
+from hardtrain import constraints as cs
+from hardtrain import kkt, linops
+
+from util import dense_random_mlp
+
+# fixed example stream, no example database: the suite stays reproducible
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+def _mlp(rng, in_dim=None, out_dim=None):
+    mlp = ad.Mlp(dense_random_mlp(rng, max_width=16, in_dim=in_dim, out_dim=out_dim))
+    return mlp, mlp.init_params(rng)
+
+
+def _stacked(rng, head, n_constraints, model, in_dim):
+    pool = cs.ConstraintPool(rng.standard_normal((5, in_dim)), head,
+                             (cs.EQUALITY,) * n_constraints)
+    active = cs.ActiveSet(rng.integers(0, 5, 7), rng.integers(0, n_constraints, 7))
+    return cs.StackedConstraints(pool, model, active)
+
+
+def _functions(rng):
+    """(name, function, point) for every DiffFunction family."""
+    mlp, w = _mlp(rng)
+    X = rng.standard_normal((3, mlp.in_dim))
+    Y = rng.standard_normal((3, mlp.out_dim))
+    pose_mlp, pose_w = _mlp(rng, out_dim=51)
+    bound_mlp, bound_w = _mlp(rng, out_dim=4)
+    d = int(rng.integers(2, 30))
+    w_off = rng.standard_normal(d) * 3.0
+    sphere_pool = cs.ConstraintPool(rng.standard_normal((6, d)),
+                                    cs.SphereRadiusHead(2.0), (cs.EQUALITY,))
+    sphere_active = cs.ActiveSet.cross(rng.choice(6, 4, replace=False), 1)
+    A = rng.standard_normal((int(rng.integers(1, 6)), d))
+    return [
+        ("outputs", ad.ModelOutputs(mlp, X), w),
+        ("mse", ad.SquaredErrorRisk(mlp, X, Y), w),
+        ("residuals", ad.ScaledResiduals(mlp, X, Y), w),
+        ("linear", ad.LinearMap(A, rng.standard_normal(A.shape[0])), w_off),
+        ("quad_dist", ad.QuadraticDistance(rng.standard_normal(d)), w_off),
+        ("anchor", bm._AnchorResiduals(rng.standard_normal(d)), w_off),
+        ("symmetry", _stacked(rng, cs.SymmetryHead(), 6, pose_mlp, pose_mlp.in_dim),
+         pose_w),
+        ("sphere", _stacked(rng, cs.SphereRadiusHead(2.0), 1, ad.IdentityOffset(d), d),
+         w_off),
+        ("sphere_rows", cs.active_constraint_function(sphere_pool, ad.IdentityOffset(d),
+                                                      sphere_active), w_off),
+        ("bound", _stacked(rng, cs.BoundHead([0, 3], [0.1, -0.2]), 2, bound_mlp,
+                           bound_mlp.in_dim), bound_w),
+    ]
+
+
+@PROPERTY
+@given(seed=seeds)
+def test_adjoint_identity_for_every_diff_function(seed):
+    rng = np.random.default_rng(seed)
+    for name, f, w in _functions(rng):
+        lin = ad.linearize(f, w)
+        v = rng.standard_normal(f.n_params)
+        u = rng.standard_normal(f.n_outputs)
+        jv, uj = lin.jvp(v), lin.vjp(u)
+        lhs, rhs = u @ jv, uj @ v
+        scale = max(abs(lhs), abs(rhs), np.linalg.norm(u) * np.linalg.norm(jv),
+                    np.linalg.norm(uj) * np.linalg.norm(v))
+        assert abs(lhs - rhs) <= 1e-10 * scale, name
+
+
+def test_sphere_rows_match_the_generic_stack():
+    rng = np.random.default_rng(0)
+    d = 9
+    pool = cs.ConstraintPool(rng.standard_normal((5, d)), cs.SphereRadiusHead(3.0),
+                             (cs.EQUALITY,))
+    active = cs.ActiveSet(np.array([3, 1, 3, 0]), np.zeros(4, dtype=int))
+    model = ad.IdentityOffset(d)
+    rows = cs.active_constraint_function(pool, model, active)
+    assert isinstance(rows, cs.SphereRows)
+    w = rng.standard_normal(d)
+    fast = ad.linearize(rows, w)
+    generic = ad.linearize(cs.StackedConstraints(pool, model, active), w)
+    v, u = rng.standard_normal(d), rng.standard_normal(4)
+    np.testing.assert_allclose(fast.value, generic.value, rtol=1e-14)
+    np.testing.assert_allclose(fast.jvp(v), generic.jvp(v), rtol=1e-12)
+    np.testing.assert_allclose(fast.vjp(u), generic.vjp(u), rtol=1e-12, atol=1e-14)
+
+
+@PROPERTY
+@given(seed=seeds, variant=st.sampled_from([kkt.SGD, kkt.GAUSS_NEWTON, kkt.ADAM]))
+def test_kkt_operators_are_symmetric(seed, variant):
+    rng = np.random.default_rng(seed)
+    mlp, w = _mlp(rng, out_dim=51)
+    constraint = ad.linearize(_stacked(rng, cs.SymmetryHead(), 6, mlp, mlp.in_dim), w)
+    X = rng.standard_normal((4, mlp.in_dim))
+    Y = rng.standard_normal((4, 51))
+    extra = {
+        kkt.SGD: dict(risk_grad=rng.standard_normal(mlp.n_params)),
+        kkt.GAUSS_NEWTON: dict(residual=ad.linearize(ad.ScaledResiduals(mlp, X, Y), w)),
+        kkt.ADAM: dict(adam_m=rng.standard_normal(mlp.n_params),
+                       adam_v=rng.uniform(0.0, 1.0, mlp.n_params),
+                       adam_t=int(rng.integers(0, 30))),
+    }[variant]
+    state = kkt.KktState(w=w, damping=float(rng.uniform(0.1, 3.0)), variant=variant,
+                         constraint=constraint, **extra)
+    assert linops.symmetry_defect(kkt.kkt_operator(state), n_probes=10, seed=seed) <= 1e-10
+
+
+@pytest.mark.parametrize("f", [ad.QuadraticDistance(np.zeros(3)), ad.LinearMap(np.eye(3))],
+                         ids=["quad_dist", "linear"])
+def test_linearize_closures_check_operand_length(f):
+    lin = ad.linearize(f, np.ones(3))
+    with pytest.raises(linops.DimensionMismatch):
+        lin.jvp(np.ones(2))
+    with pytest.raises(linops.DimensionMismatch):
+        lin.vjp(np.ones(f.n_outputs + 1))

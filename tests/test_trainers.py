@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hardtrain import autodiff as ad
+from hardtrain import benchmarks as bm
 from hardtrain import constraints as cs
 from hardtrain import trainers as tr
 from hardtrain.krylov import SolverConfig
@@ -16,11 +17,8 @@ class LinearHead:
     def value(self, Y):
         return Y @ self.H.T + self.c
 
-    def jvp(self, Y, dY):
-        return np.asarray(dY) @ self.H.T
-
-    def vjp(self, Y, U):
-        return np.asarray(U) @ self.H
+    def linearize(self, Y):
+        return self.value(Y), lambda dY: np.asarray(dY) @ self.H.T, lambda U: U @ self.H
 
 
 class ToyProblem:
@@ -298,3 +296,51 @@ def test_train_config_validation():
     prob = ToyProblem([0.0], pool)
     with pytest.raises(ValueError, match="iterations"):
         tr.train(tr.TrainConfig(method=tr.SOFT_SGD), prob)
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_hard_step_tapes_the_mlp_a_fixed_number_of_times(monkeypatch):
+    # one linearization of the constraints, one of the risk, one evaluation
+    # at the new parameters; the Krylov iterations add no forward passes
+    problem = bm.gen_toy_pose(seed=0, n_samples=60, n_pool=20, in_dim=8, hidden=(12,))
+    w = problem.initial_params(np.random.default_rng(0))
+    active = cs.select_mined(problem.pool, problem.mlp, w, 3)
+    tapes = _counting(monkeypatch, ad.Mlp, "tape")
+    seen = []
+    for rtol in (1e-2, 1e-10):
+        cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=0.3, solver=SolverConfig(rtol=rtol))
+        tapes.clear()
+        step = tr.step_hard(tr.HARD_SGD, w, problem, np.arange(16), active, cfg)
+        seen.append((step.solver_iters, len(tapes)))
+    assert seen[0][0] != seen[1][0]
+    assert [n for _, n in seen] == [3, 3]
+
+
+def test_hard_sphere_step_offsets_the_centers_once_per_linearization(monkeypatch):
+    # w - X is formed once for the step's linearization and once for the
+    # evaluation at the new parameters, not once per matvec
+    problem = bm.gen_spheres(50, 12, seed=2)
+    w = problem.x0.copy()
+    active = cs.select_random(problem.pool, 5, 0)
+    offsets = _counting(monkeypatch, ad.IdentityOffset, "forward")
+    seen = []
+    for rtol in (1e-2, 1e-10):
+        cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=1.0, iterations=1,
+                             solver=SolverConfig(rtol=rtol))
+        offsets.clear()
+        step = tr.step_hard(tr.HARD_SGD, w, problem, None, active, cfg)
+        seen.append((step.solver_iters, len(offsets)))
+    assert seen[0][0] != seen[1][0]
+    assert [n for _, n in seen] == [2, 2]
