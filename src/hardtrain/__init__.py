@@ -1,7 +1,7 @@
 """Matrix-free training of differentiable models under hard output constraints.
 
 Subpackages by layer: ``linops`` (vectors, implicit operators), ``krylov``
-(MINRES / MINRES-QLP), ``autodiff`` (gradient and linearize -> value, jvp,
+(MINRES-QLP), ``autodiff`` (gradient and linearize -> value, jvp,
 vjp over flat parameters), ``kkt`` (saddle-point systems and steps),
 ``constraints`` (data-dependent constraint pools and active sets),
 ``trainers`` (soft and hard outer loops), ``benchmarks`` (synthetic

@@ -227,25 +227,6 @@ def gradient(f: DiffFunction, w: Vector) -> Vector:
     return linearize(f, w).vjp(np.ones(1))
 
 
-class ModelOutputs(DiffFunction):
-    """Stacked model outputs over a fixed input batch, flattened sample-major."""
-
-    def __init__(self, model, X):
-        self.model = model
-        self.X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        self.n_params = model.n_params
-        self.n_outputs = self.X.shape[0] * model.out_dim
-        self.structure = f"outputs[{self.X.shape[0]}x{model.out_dim}]"
-
-    def value(self, w):
-        return self.model.forward(w, self.X).ravel()
-
-    def linearize(self, w):
-        Y, jvp, vjp = self.model.linearize(w, self.X)
-        return (Y.ravel(), lambda v: jvp(v).ravel(),
-                lambda u: vjp(u.reshape(Y.shape)))
-
-
 class SquaredErrorRisk(DiffFunction):
     """Mean squared coordinate error over a labeled batch (scalar).
 

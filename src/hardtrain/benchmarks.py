@@ -57,16 +57,6 @@ def median_violation(residuals) -> float:
     return float(np.median(np.abs(residuals)))
 
 
-def squared_joint_loss(pred, truth) -> float:
-    """Squared distance between two flat poses, averaged over coordinates."""
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != (51,) or truth.shape != (51,):
-        raise ValueError("poses must be flat length-51 vectors")
-    d = pred - truth
-    return float(d @ d) / 51.0
-
-
 # ---------------------------------------------------------------------------
 # Hypersphere projection problem
 # ---------------------------------------------------------------------------
@@ -97,7 +87,6 @@ class SphereProblem:
     seed: int
     radius: float = SPHERE_RADIUS
     center_std: float = SPHERE_CENTER_STD
-    soft_lambda: float = SPHERE_SOFT_LAMBDA
     x0: Vector = field(repr=False, default=None)
     pool: cs.ConstraintPool = field(repr=False, default=None)
     model: ad.IdentityOffset = field(repr=False, default=None)
@@ -130,8 +119,7 @@ class SphereProblem:
 
     def spec_dict(self) -> dict:
         return {"kind": "spheres", "dim": self.dim, "n_constraints": self.n_constraints,
-                "seed": self.seed, "radius": self.radius, "center_std": self.center_std,
-                "soft_lambda": self.soft_lambda}
+                "seed": self.seed, "radius": self.radius, "center_std": self.center_std}
 
 
 def gen_spheres(d: int, n_constraints: int = SPHERE_DEFAULT_CONSTRAINTS,
@@ -352,18 +340,3 @@ def save_problem_spec(problem, path) -> None:
     with open(path, "w") as fh:
         json.dump(problem.spec_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_problem_spec(path):
-    with open(path) as fh:
-        spec = json.load(fh)
-    kind = spec.get("kind")
-    if kind == "spheres":
-        return gen_spheres(spec["dim"], spec["n_constraints"], spec["seed"],
-                           spec.get("radius", SPHERE_RADIUS),
-                           spec.get("center_std", SPHERE_CENTER_STD))
-    if kind == "toy_pose":
-        return gen_toy_pose(spec["seed"], spec["n_samples"], spec["n_pool"],
-                            spec["in_dim"], tuple(spec["hidden"]),
-                            spec["asym_noise"], spec["input_noise"])
-    raise ValueError(f"unknown problem kind {kind!r}")

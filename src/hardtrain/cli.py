@@ -98,13 +98,26 @@ _SCHEMAS = {
 
 
 # value constraints, checked as each key is parsed: (predicate, requirement)
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 _VALUE_CHECKS = {
     "method": (lambda v: v in tr.METHODS, f"one of {', '.join(tr.METHODS)}"),
     "lr": (lambda v: v > 0, "> 0"),
     "dim": (lambda v: v >= 2, ">= 2"),
     "hidden": (lambda v: all(h >= 1 for h in v), "a list of widths >= 1"),
-    "n_active": (lambda v: v >= 1, ">= 1"),
+    "n_active": _AT_LEAST_1,
     "iterations": (lambda v: v >= 0, ">= 0"),
+    "n_constraints": _AT_LEAST_1,
+    "solver_max_iters": _AT_LEAST_1,
+    "solver_rtol": (lambda v: v > 0, "> 0"),
+    "soft_lambda": (lambda v: v >= 0, ">= 0"),
+    "epochs": (lambda v: v >= 0, ">= 0"),
+    "batch_data": _AT_LEAST_1,
+    "batch_constraints": _AT_LEAST_1,
+    "n_mined": _AT_LEAST_1,
+    "n_samples": (lambda v: v >= 2, ">= 2"),
+    "n_pool": _AT_LEAST_1,
+    "in_dim": _AT_LEAST_1,
+    "max_dim": (lambda v: v >= 2, ">= 2"),
 }
 
 
@@ -228,38 +241,44 @@ def _finish_run(out_dir: Path, cfg: dict, problem, report, status: str) -> None:
     })
 
 
-def run_spheres(cfg: dict, out_dir: Path) -> int:
+def _train_and_write(out_dir: Path, cfg: dict, problem, train_cfg, w0=None) -> int:
+    try:
+        report = tr.train(train_cfg, problem, w0=w0)
+    except tr.TrainingDiverged as exc:
+        _finish_run(out_dir, cfg, problem, exc.report, "numerical_failure")
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    _finish_run(out_dir, cfg, problem, report, "ok")
+    return 0
+
+
+def _setup_spheres(cfg: dict) -> tuple:
+    """(problem, train config, initial parameters) of a sphere run."""
     if cfg["lr"] is None:
         cfg["lr"] = bm.SPHERE_HARD_LR if cfg["method"].startswith("hard") else bm.SPHERE_SOFT_LR
     problem = bm.gen_spheres(cfg["dim"], cfg["n_constraints"], cfg["seed"])
     train_cfg = _train_config({**cfg, "batch_constraints": cfg["n_active"]},
                               iterations=cfg["iterations"])
-    try:
-        report = tr.train(train_cfg, problem)
-    except tr.TrainingDiverged as exc:
-        _finish_run(out_dir, cfg, problem, exc.report, "numerical_failure")
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    _finish_run(out_dir, cfg, problem, report, "ok")
-    return 0
+    return problem, train_cfg, None
 
 
-def run_toy_pose(cfg: dict, out_dir: Path) -> int:
+def _setup_toy_pose(cfg: dict) -> tuple:
+    """(problem, train config, initial parameters) of a pose run."""
     problem = bm.gen_toy_pose(cfg["seed"], cfg["n_samples"], cfg["n_pool"],
                               cfg["in_dim"], cfg["hidden"],
                               cfg["asym_noise"], cfg["input_noise"])
+    train_cfg = _train_config(cfg)
+    if train_cfg.mine and train_cfg.n_mined > problem.pool.n_samples:
+        raise ConfigError(f"bad value for 'n_mined': {train_cfg.n_mined}, expected "
+                          f"<= n_pool ({problem.pool.n_samples}) when mining")
     w0 = None
     if cfg["init_checkpoint"]:
-        w0 = ad.load_params(cfg["init_checkpoint"],
-                            expect_hash=problem.mlp.layout_hash())
-    try:
-        report = tr.train(_train_config(cfg), problem, w0=w0)
-    except tr.TrainingDiverged as exc:
-        _finish_run(out_dir, cfg, problem, exc.report, "numerical_failure")
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    _finish_run(out_dir, cfg, problem, report, "ok")
-    return 0
+        try:
+            w0 = ad.load_params(cfg["init_checkpoint"],
+                                expect_hash=problem.mlp.layout_hash())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"bad value for 'init_checkpoint': {exc}") from exc
+    return problem, train_cfg, w0
 
 
 def run_solve_check(cfg: dict, out_dir: Path) -> int:
@@ -297,25 +316,29 @@ def run_solve_check(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-_RUNNERS = {"spheres": run_spheres, "toy_pose": run_toy_pose,
-            "solve_check": run_solve_check}
+# training kinds: everything a run needs is built before its output
+# directory exists, so a bad value fails without writing any file
+_SETUPS = {"spheres": _setup_spheres, "toy_pose": _setup_toy_pose}
 
 
 def cmd_run(args) -> int:
     try:
         cfg = parse_config(args.config)
-    except (ConfigError, OSError) as exc:
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        if args.full_scale and cfg["kind"] == "spheres":
+            cfg["dim"] = bm.SPHERE_FULL_DIM
+        setup = _SETUPS[cfg["kind"]](cfg) if cfg["kind"] in _SETUPS else None
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.full_scale and cfg["kind"] == "spheres":
-        cfg["dim"] = bm.SPHERE_FULL_DIM
     out_dir = resolve_out_dir(cfg, args.config, args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg["out_dir"] = str(out_dir)
     write_resolved_config(out_dir / "resolved_config.txt", cfg)
-    return _RUNNERS[cfg["kind"]](cfg, out_dir)
+    if setup is None:
+        return run_solve_check(cfg, out_dir)
+    return _train_and_write(out_dir, cfg, *setup)
 
 
 # ---------------------------------------------------------------------------

@@ -66,19 +66,6 @@ class JointIndexTable:
             raise ValueError("joint index out of range")
 
 
-def symmetry_residuals(pose: Vector, table: JointIndexTable | None = None) -> Vector:
-    """Six signed length differences for one 17x3 pose (flat, length 51)."""
-    pose = np.asarray(pose, dtype=np.float64)
-    if pose.shape != (51,):
-        raise ValueError(f"pose must have 51 coordinates, got shape {pose.shape}")
-    table = table or JointIndexTable.default()
-    y = pose.reshape(17, 3)
-    out = np.empty(6)
-    for j, (a, b, c, d) in enumerate(table.rows):
-        out[j] = np.linalg.norm(y[a] - y[b]) - np.linalg.norm(y[c] - y[d])
-    return out
-
-
 def hypersphere_residuals(w: Vector, centers, radius: float) -> Vector:
     """Residual i = ||w - c_i|| - radius."""
     if radius <= 0:
@@ -396,11 +383,3 @@ def active_constraint_function(pool: ConstraintPool, model, active: ActiveSet) -
     if isinstance(model, ad.IdentityOffset) and isinstance(pool.head, SphereRadiusHead):
         return SphereRows(pool, model, active)
     return StackedConstraints(pool, model, active)
-
-
-def load_samples_csv(path) -> np.ndarray:
-    """Pool samples from a CSV of one sample row per line."""
-    data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    if data.size == 0:
-        raise ValueError(f"no samples in {path}")
-    return data

@@ -8,16 +8,25 @@ parameters and solves one symmetric block system
 
 for the step ``dw`` and multipliers ``L``, where G is the constraint
 Jacobian (never formed: its products come from the jvp/vjp closures of the
-constraints' linearization at w, built once per step) and D depends on
-the variant: ``eta * I`` for the plain step, ``J^T J + eta * I`` for the
-Gauss-Newton step over a residual model, and the ``eta * f *
-diag(sqrt(v) + eps)`` moment-scaled diagonal for the Adam-style step.
+constraints' linearization at w, built once per step).  Only the top-left
+block D and the top of the right-hand side ``g`` depend on the optimizer:
+
+* plain step: ``D = eta * I`` and ``g`` the risk gradient;
+* Gauss-Newton step over a residual model r: ``D = J^T J + eta * I`` with
+  J the Jacobian of r, and ``g = J^T r``;
+* Adam-style step: the moment-scaled diagonal
+  ``D = eta * diag(sqrt(v) + eps) / f`` with Adam's bias correction
+  ``f = sqrt(1 - beta2^t) / (1 - beta1^t)``, and ``g = m``, so that with
+  no active constraints the step is exactly Adam's.
+
+Here ``eta`` is the inverse learning rate.  :class:`KktState` holds D as
+its diagonal plus an optional curvature linearization whose ``J^T J`` is
+added to it.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,10 +36,6 @@ from .linops import LinearOperator, Vector, check_length
 from .krylov import BREAKDOWN, KrylovSolution, SolverConfig, minres_qlp
 
 log = logging.getLogger(__name__)
-
-SGD = "sgd"
-GAUSS_NEWTON = "gauss_newton"
-ADAM = "adam"
 
 
 class SolverBreakdown(RuntimeError):
@@ -47,33 +52,23 @@ class SolverBreakdown(RuntimeError):
 class KktState:
     """Everything one step's matvec and right-hand side need.
 
-    ``constraint`` is the linearization at ``w`` of the active constraints
-    stacked as a function of the flat parameters (None when none are
-    active); ``residual`` is the Gauss-Newton residual model's
-    linearization at ``w``.  For the Adam variant, ``adam_m``/``adam_v``
-    are the already-updated moments and ``adam_t`` the number of updates
-    applied *before* them, so the bias correction exponent is
-    ``adam_t + 1``.
+    ``diag`` is the diagonal of D: a positive float (a multiple of the
+    identity) or a positive vector.  ``grad`` is the descent direction
+    whose negative tops the right-hand side.  ``constraint`` is the
+    linearization of the active constraints stacked as a function of the
+    flat parameters (None when none are active).  ``curvature``, when
+    given, is a residual model's linearization whose ``J^T J`` is added
+    to D.
     """
 
-    w: Vector
-    damping: float
-    variant: str = SGD
+    diag: float | Vector
+    grad: Vector
     constraint: ad.Linearization | None = None
-    risk_grad: Vector | None = None
-    residual: ad.Linearization | None = None
-    adam_m: Vector | None = None
-    adam_v: Vector | None = None
-    adam_t: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
+    curvature: ad.Linearization | None = None
 
     def __post_init__(self) -> None:
-        if self.damping <= 0:
-            raise ValueError(f"damping must be positive, got {self.damping}")
-        if self.variant not in (SGD, GAUSS_NEWTON, ADAM):
-            raise ValueError(f"unknown variant {self.variant!r}")
+        if np.any(np.asarray(self.diag) <= 0):
+            raise ValueError("damping diagonal must be positive")
 
     @property
     def constraint_values(self) -> Vector:
@@ -81,7 +76,7 @@ class KktState:
 
     @property
     def n_params(self) -> int:
-        return self.w.shape[0]
+        return self.grad.shape[0]
 
     @property
     def n_active(self) -> int:
@@ -92,71 +87,24 @@ class KktState:
         return self.n_params + self.n_active
 
 
-def adam_correction(beta1: float, beta2: float, t: int) -> float:
-    """Bias-correction factor sqrt(1 - b2^(t+1)) / (1 - b1^(t+1))."""
-    return math.sqrt(1.0 - beta2 ** (t + 1)) / (1.0 - beta1 ** (t + 1))
-
-
-def _split(state: KktState, v: Vector):
+def kkt_matvec(state: KktState, v: Vector) -> Vector:
     check_length(v, state.dim, "kkt operand")
-    return v[:state.n_params], v[state.n_params:]
-
-
-def _border(state: KktState, v1: Vector, v2: Vector):
-    """Constraint coupling blocks: (G^T v2, G v1) via vjp/jvp."""
-    if state.n_active == 0:
-        return 0.0, np.zeros(0)
-    return state.constraint.vjp(v2), state.constraint.jvp(v1)
-
-
-def kkt_matvec_sgd(state: KktState, v: Vector) -> Vector:
-    v1, v2 = _split(state, v)
-    gt_v2, g_v1 = _border(state, v1, v2)
-    return np.concatenate([state.damping * v1 + gt_v2, g_v1])
-
-
-def kkt_matvec_gn(state: KktState, v: Vector) -> Vector:
-    if state.residual is None:
-        raise ValueError("gauss_newton variant needs a residual model")
-    v1, v2 = _split(state, v)
-    jjv = state.residual.vjp(state.residual.jvp(v1))
-    gt_v2, g_v1 = _border(state, v1, v2)
-    return np.concatenate([jjv + state.damping * v1 + gt_v2, g_v1])
-
-
-def kkt_matvec_adam(state: KktState, v: Vector) -> Vector:
-    if state.adam_v is None:
-        raise ValueError("adam variant needs moment vectors")
-    v1, v2 = _split(state, v)
-    f = adam_correction(state.adam_beta1, state.adam_beta2, state.adam_t)
-    diag = state.damping * f * (np.sqrt(state.adam_v) + state.adam_eps)
-    gt_v2, g_v1 = _border(state, v1, v2)
-    return np.concatenate([diag * v1 + gt_v2, g_v1])
-
-
-_MATVECS = {SGD: kkt_matvec_sgd, GAUSS_NEWTON: kkt_matvec_gn, ADAM: kkt_matvec_adam}
+    v1, v2 = v[:state.n_params], v[state.n_params:]
+    top = state.diag * v1
+    if state.curvature is not None:
+        top = state.curvature.vjp(state.curvature.jvp(v1)) + top
+    if state.constraint is None:
+        return top
+    return np.concatenate([top + state.constraint.vjp(v2), state.constraint.jvp(v1)])
 
 
 def kkt_operator(state: KktState) -> LinearOperator:
-    matvec = _MATVECS[state.variant]
-    return LinearOperator(state.dim, lambda v: matvec(state, v))
+    return LinearOperator(state.dim, lambda v: kkt_matvec(state, v))
 
 
 def kkt_rhs(state: KktState) -> Vector:
-    """Negative gradient surrogate on top, negative constraint values below."""
-    if state.variant == SGD:
-        if state.risk_grad is None:
-            raise ValueError("sgd variant needs risk_grad")
-        top = -state.risk_grad
-    elif state.variant == GAUSS_NEWTON:
-        if state.residual is None:
-            raise ValueError("gauss_newton variant needs a residual model")
-        top = -state.residual.vjp(state.residual.value)
-    else:
-        if state.adam_m is None:
-            raise ValueError("adam variant needs moment vectors")
-        top = -state.adam_m
-    return np.concatenate([top, -state.constraint_values])
+    """Negative descent direction on top, negative constraint values below."""
+    return np.concatenate([-state.grad, -state.constraint_values])
 
 
 @dataclass
@@ -167,7 +115,7 @@ class KktStep:
 
 
 def solve_step(state: KktState, cfg: SolverConfig | None = None) -> KktStep:
-    """Solve the variant's system with MINRES-QLP and split the step.
+    """Solve the system with MINRES-QLP and split the step.
 
     Raises :class:`SolverBreakdown` on non-finite solver output; any other
     status is reported upward through ``KktStep.solution``.
@@ -182,8 +130,8 @@ def solve_step(state: KktState, cfg: SolverConfig | None = None) -> KktStep:
 
 def solve_step_with_retry(state: KktState, cfg: SolverConfig | None = None,
                           accept_rtol: float = 1e-3):
-    """Solve; on a poor solve retry once at doubled damping (a half-size
-    step), then give up.
+    """Solve; on a poor solve retry once with the diagonal of D doubled (a
+    half-size step), then give up.
 
     Returns ``(step, retried)`` where ``step`` is None when both attempts
     left a residual above ``accept_rtol * ||rhs||`` (the caller should skip
@@ -194,7 +142,7 @@ def solve_step_with_retry(state: KktState, cfg: SolverConfig | None = None,
     rhs_norm = float(np.linalg.norm(kkt_rhs(state)))
     if step.solution.ok or step.solution.residual_norm <= accept_rtol * rhs_norm:
         return step, False
-    retry_state = replace(state, damping=2.0 * state.damping)
+    retry_state = replace(state, diag=2.0 * state.diag)
     step = solve_step(retry_state, cfg)
     rhs_norm = float(np.linalg.norm(kkt_rhs(retry_state)))
     if step.solution.ok or step.solution.residual_norm <= accept_rtol * rhs_norm:

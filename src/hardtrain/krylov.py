@@ -1,14 +1,12 @@
-"""Krylov solvers for symmetric indefinite systems.
+"""Krylov solver for symmetric indefinite systems.
 
-Two solvers over the matvec-only operator abstraction:
+:func:`minres_qlp` is MINRES-QLP (Choi, Paige & Saunders 2011) over the
+matvec-only operator abstraction: minimal-residual iterations that keep
+working when the operator is singular or severely ill-conditioned and then
+return the minimum-length least-squares solution.
 
-* :func:`minres` -- classic minimal-residual iteration (Paige & Saunders).
-* :func:`minres_qlp` -- the QLP variant (Choi, Paige & Saunders), which keeps
-  working when the operator is singular or severely ill-conditioned and then
-  returns the minimum-length least-squares solution.
-
-Both recompute the true residual ``b - Bx`` on exit and classify the result
-from that, so ``status == "converged"`` always means the *recomputed*
+It recomputes the true residual ``b - Bx`` on exit and classifies the
+result from that, so ``status == "converged"`` always means the *recomputed*
 residual is within ``rtol * ||b||``.  Systems that only converge in the
 least-squares sense (singular, inconsistent) come back as
 ``"singular_min_length"``.
@@ -34,7 +32,7 @@ _REALMIN = np.finfo(np.float64).tiny
 
 @dataclass
 class SolverConfig:
-    """Tolerances and caps shared by both solvers.
+    """Tolerances and caps of the solver.
 
     ``max_iters`` defaults to ``4 * dim`` capped at 2000 when left unset.
     The remaining knobs are the standard MINRES-QLP safeguards: a norm cap
@@ -44,7 +42,6 @@ class SolverConfig:
 
     rtol: float = 1e-8
     max_iters: int | None = None
-    breakdown_tol: float = 1e-14
     maxxnorm: float = 1e12
     acondlim: float = 1e15
     trancond: float = 1e7
@@ -126,99 +123,6 @@ def _classify(op: LinearOperator, b: np.ndarray, x: np.ndarray, rtol: float,
         else:
             status = MAX_ITERS
     return KrylovSolution(x, rnorm, iters, status, est_rnorm, anorm, acond, history)
-
-
-def minres(op: LinearOperator, b, cfg: SolverConfig | None = None) -> KrylovSolution:
-    """Minimal-residual iterate of a symmetric system in span{b, Bb, ...}.
-
-    Converges to B^-1 b on consistent nonsingular systems.  On singular
-    systems it still minimizes the residual but does not control the
-    null-space component of x; use :func:`minres_qlp` for those.
-    """
-    cfg = cfg or SolverConfig()
-    b = as_vector(b, "rhs")
-    check_length(b, op.dim, "rhs")
-    n = op.dim
-    maxit = cfg.resolve_max_iters(n)
-
-    bnorm = float(np.linalg.norm(b))
-    history = [bnorm]
-    x = np.zeros(n)
-    if bnorm == 0.0:
-        return KrylovSolution(x, 0.0, 0, CONVERGED, 0.0, 0.0, 1.0, history)
-
-    # Lanczos seeds
-    r1 = b.copy()
-    r2 = b.copy()
-    y = b.copy()
-    beta1 = bnorm
-    oldb, beta = 0.0, beta1
-    dbar, epsln, phibar = 0.0, 0.0, beta1
-    cs, sn = -1.0, 0.0
-    w = np.zeros(n)
-    w2 = np.zeros(n)
-    tnorm2 = 0.0
-    gmax, gmin = 0.0, float("inf")
-    itn = 0
-    nonfinite = False
-    ls_flagged = False
-
-    while itn < maxit:
-        itn += 1
-        v = y / beta
-        y = apply(op, v)
-        if itn >= 2:
-            y = y - (beta / oldb) * r1
-        alfa = float(v @ y)
-        y = y - (alfa / beta) * r2
-        r1 = r2
-        r2 = y
-        oldb = beta
-        beta = float(np.linalg.norm(y))
-        if not (math.isfinite(alfa) and math.isfinite(beta)):
-            nonfinite = True
-            break
-        tnorm2 += alfa * alfa + oldb * oldb + beta * beta
-
-        # previous rotation applied to the new tridiagonal column
-        oldeps = epsln
-        delta = cs * dbar + sn * alfa
-        gbar = sn * dbar - cs * alfa
-        epsln = sn * beta
-        dbar = -cs * beta
-        root = math.hypot(gbar, dbar)       # -> ||B r_{k-1}|| / ||r_{k-1}||
-
-        # current rotation
-        gamma = max(math.hypot(gbar, beta), _EPS)
-        cs = gbar / gamma
-        sn = beta / gamma
-        phi = cs * phibar
-        phibar = sn * phibar
-
-        w1 = w2
-        w2 = w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
-
-        gmax = max(gmax, gamma)
-        gmin = min(gmin, gamma)
-        anorm = math.sqrt(tnorm2)
-        history.append(phibar)
-
-        if phibar <= cfg.rtol * bnorm:
-            break
-        if anorm > 0 and root / anorm <= cfg.rtol:
-            ls_flagged = True
-            break
-        if beta <= cfg.breakdown_tol * max(anorm, 1.0):
-            break                            # invariant subspace reached
-        if anorm * _EPS * (gmax / max(gmin, _REALMIN)) >= 0.1:
-            break                            # no further progress possible
-
-    anorm = math.sqrt(tnorm2)
-    acond = gmax / max(gmin, _REALMIN)
-    return _classify(op, b, x, cfg.rtol, anorm, ls_flagged, nonfinite,
-                     itn, phibar, acond, history)
 
 
 def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit: int):

@@ -74,11 +74,6 @@ def identity(dim: int) -> LinearOperator:
     return LinearOperator(dim, lambda v: v.copy())
 
 
-def diagonal(d) -> LinearOperator:
-    d = as_vector(d, "diagonal")
-    return LinearOperator(d.shape[0], lambda v: d * v)
-
-
 def from_dense(a) -> LinearOperator:
     """Wrap a dense symmetric matrix as an implicit operator."""
     a = np.asarray(a, dtype=np.float64)

@@ -28,8 +28,6 @@ HARD_GN = "hard_gn"
 HARD_ADAM = "hard_adam"
 METHODS = (SOFT_SGD, SOFT_ADAM, HARD_SGD, HARD_GN, HARD_ADAM)
 
-_HARD_VARIANT = {HARD_SGD: kkt.SGD, HARD_GN: kkt.GAUSS_NEWTON, HARD_ADAM: kkt.ADAM}
-
 
 class TrainingDiverged(RuntimeError):
     """A metric went non-finite; carries the last finite parameters."""
@@ -54,36 +52,23 @@ class AdamState:
     def zeros(cls, n: int) -> "AdamState":
         return cls(np.zeros(n), np.zeros(n))
 
+    def bias_correction(self) -> float:
+        """f = sqrt(1 - beta2^t) / (1 - beta1^t) at the current counter."""
+        return math.sqrt(1.0 - self.beta2 ** self.t) / (1.0 - self.beta1 ** self.t)
+
 
 def adam_update(state: AdamState, grad: Vector, lr: float):
     """One moment update; returns the new state and the parameter step.
 
-    The step is -lr * f * m / (sqrt(v) + eps) with the shared bias
-    correction f = sqrt(1 - beta2^t) / (1 - beta1^t) at the new counter.
+    The step is -lr * f * m / (sqrt(v) + eps) with the bias correction f
+    at the new counter.
     """
     grad = np.asarray(grad, dtype=np.float64)
     m = state.beta1 * state.m + (1.0 - state.beta1) * grad
     v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    t = state.t + 1
-    f = math.sqrt(1.0 - state.beta2 ** t) / (1.0 - state.beta1 ** t)
-    dw = -lr * f * m / (np.sqrt(v) + state.eps)
-    return replace(state, m=m, v=v, t=t), dw
-
-
-@dataclass
-class SoftWeights:
-    """Penalty weight per constraint definition."""
-
-    lambdas: np.ndarray
-
-    def __post_init__(self):
-        self.lambdas = np.atleast_1d(np.asarray(self.lambdas, dtype=np.float64))
-        if (self.lambdas < 0).any():
-            raise ValueError("penalty weights must be non-negative")
-
-    @classmethod
-    def uniform(cls, n_constraints: int, value: float) -> "SoftWeights":
-        return cls(np.full(n_constraints, float(value)))
+    state = replace(state, m=m, v=v, t=state.t + 1)
+    dw = -lr * state.bias_correction() * m / (np.sqrt(v) + state.eps)
+    return state, dw
 
 
 @dataclass
@@ -111,6 +96,9 @@ class TrainConfig:
             raise ValueError("iterations must be non-negative")
         if self.soft_lambda < 0:
             raise ValueError("soft_lambda must be non-negative")
+        for name in ("batch_data", "batch_constraints", "n_mined"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(slots=True)
@@ -146,44 +134,16 @@ class TrainReport:
 
 
 # ---------------------------------------------------------------------------
-# Objectives and single steps
+# Single steps
 # ---------------------------------------------------------------------------
 
 
-def soft_objective(w: Vector, problem, data_idx, active: cs.ActiveSet,
-                   weights: SoftWeights) -> float:
-    """Batch risk plus weighted squared residuals over the active pairs."""
-    risk = float(ad.value(problem.risk_function(data_idx), w)[0])
-    if active.n_pairs == 0:
-        return risk
-    cvals = cs.evaluate(problem.pool, problem.model, w, active)
-    lam = weights.lambdas[active.constraint_indices]
-    return risk + float(lam @ (cvals * cvals))
-
-
-def soft_gradient(w: Vector, problem, data_idx, active: cs.ActiveSet,
-                  weights: SoftWeights) -> Vector:
-    g = ad.gradient(problem.risk_function(data_idx), w)
-    if active.n_pairs == 0:
-        return g
-    lin = ad.linearize(cs.active_constraint_function(problem.pool, problem.model, active), w)
-    lam = weights.lambdas[active.constraint_indices]
-    return g + lin.vjp(2.0 * lam * lin.value)
-
-
-def step_soft(method: str, w: Vector, problem, data_idx, active: cs.ActiveSet,
-              cfg: TrainConfig, weights: SoftWeights,
-              adam: AdamState | None = None):
-    """One penalized-objective step; returns (w', adam')."""
-    g = soft_gradient(w, problem, data_idx, active, weights)
-    if method == SOFT_SGD:
-        return w - cfg.lr * g, adam
-    adam, dw = adam_update(adam, g, cfg.lr)
-    return w + dw, adam
-
-
 @dataclass
-class HardStep:
+class Step:
+    """One outer step: the new parameters and optimizer state, the step's
+    multipliers and inner-solve record (empty and zero for soft steps), and
+    the active-set median violation before and after it."""
+
     w: Vector
     adam: AdamState | None
     multipliers: Vector
@@ -194,43 +154,67 @@ class HardStep:
     skipped: bool
 
 
-def step_hard(method: str, w: Vector, problem, data_idx, active: cs.ActiveSet,
-              cfg: TrainConfig, adam: AdamState | None = None) -> HardStep:
-    """One saddle-point step; records active medians before and after."""
-    variant = _HARD_VARIANT[method]
-    if active.n_pairs > 0:
-        lin = ad.linearize(cs.active_constraint_function(problem.pool, problem.model,
-                                                         active), w)
-        before = float(np.median(np.abs(lin.value)))
-    else:
-        lin, before = None, 0.0
+def _linearize_constraints(problem, w: Vector, active: cs.ActiveSet):
+    """The active constraints' linearization at w (None when there are none)
+    and the median of their absolute values."""
+    if active.n_pairs == 0:
+        return None, 0.0
+    lin = ad.linearize(cs.active_constraint_function(problem.pool, problem.model, active), w)
+    return lin, float(np.median(np.abs(lin.value)))
 
-    kwargs = dict(w=w, damping=1.0 / cfg.lr, variant=variant, constraint=lin)
-    if variant == kkt.SGD:
-        kwargs["risk_grad"] = ad.gradient(problem.risk_function(data_idx), w)
-    elif variant == kkt.GAUSS_NEWTON:
-        kwargs["residual"] = ad.linearize(problem.residual_function(data_idx), w)
+
+def _active_median(problem, w: Vector, active: cs.ActiveSet) -> float:
+    if active.n_pairs == 0:
+        return 0.0
+    return float(np.median(np.abs(cs.evaluate(problem.pool, problem.model, w, active))))
+
+
+def step_soft(method: str, w: Vector, problem, data_idx, active: cs.ActiveSet,
+              cfg: TrainConfig, adam: AdamState | None = None) -> Step:
+    """One descent step on the batch risk plus ``cfg.soft_lambda`` times the
+    squared active residuals."""
+    lin, before = _linearize_constraints(problem, w, active)
+    g = ad.gradient(problem.risk_function(data_idx), w)
+    if lin is not None:
+        g = g + lin.vjp(2.0 * cfg.soft_lambda * lin.value)
+    del lin
+    if method == SOFT_SGD:
+        w_new = w - cfg.lr * g
+    else:
+        adam, dw = adam_update(adam, g, cfg.lr)
+        w_new = w + dw
+    return Step(w_new, adam, np.zeros(0), 0, "-", before,
+                _active_median(problem, w_new, active), False)
+
+
+def step_hard(method: str, w: Vector, problem, data_idx, active: cs.ActiveSet,
+              cfg: TrainConfig, adam: AdamState | None = None) -> Step:
+    """One saddle-point step; records active medians before and after."""
+    lin, before = _linearize_constraints(problem, w, active)
+    if method == HARD_GN:
+        curvature = ad.linearize(problem.residual_function(data_idx), w)
+        state = kkt.KktState(1.0 / cfg.lr, curvature.vjp(curvature.value), lin, curvature)
+        del curvature
     else:
         g = ad.gradient(problem.risk_function(data_idx), w)
-        adam, _ = adam_update(adam, g, cfg.lr)
-        kwargs.update(adam_m=adam.m, adam_v=adam.v, adam_t=adam.t - 1,
-                      adam_beta1=adam.beta1, adam_beta2=adam.beta2,
-                      adam_eps=adam.eps)
+        if method == HARD_SGD:
+            state = kkt.KktState(1.0 / cfg.lr, g, lin)
+        else:
+            # D = diag(sqrt(v) + eps) / (lr * f) makes the unconstrained
+            # solution D^-1 (-m) Adam's own step
+            adam, _ = adam_update(adam, g, cfg.lr)
+            diag = (np.sqrt(adam.v) + adam.eps) / (cfg.lr * adam.bias_correction())
+            state = kkt.KktState(diag, adam.m, lin)
 
-    step, _ = kkt.solve_step_with_retry(kkt.KktState(**kwargs), cfg.solver)
+    step, _ = kkt.solve_step_with_retry(state, cfg.solver)
     # the linearizations live only for the solve: free them before the
     # constraints are evaluated again at the new parameters
-    del kwargs, lin
+    del state, lin
     if step is None:
-        return HardStep(w, adam, np.zeros(active.n_pairs), 0, "skipped",
-                        before, before, True)
+        return Step(w, adam, np.zeros(active.n_pairs), 0, "skipped", before, before, True)
     w_new = w + step.dw
-    after = before
-    if active.n_pairs > 0:
-        after = float(np.median(np.abs(
-            cs.evaluate(problem.pool, problem.model, w_new, active))))
-    return HardStep(w_new, adam, step.multipliers, step.solution.iters,
-                    step.solution.status, before, after, False)
+    return Step(w_new, adam, step.multipliers, step.solution.iters, step.solution.status,
+                before, _active_median(problem, w_new, active), False)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +255,7 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
     rng_batch = np.random.default_rng(batch_ss)
     w = problem.initial_params(np.random.default_rng(init_ss)) if w0 is None else w0.copy()
     adam = AdamState.zeros(len(w)) if cfg.method in (SOFT_ADAM, HARD_ADAM) else None
-    weights = SoftWeights.uniform(problem.pool.n_constraints, cfg.soft_lambda)
+    hard = cfg.method in (HARD_SGD, HARD_GN, HARD_ADAM)
 
     def schedule():
         if cfg.iterations is not None:
@@ -299,32 +283,19 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
         w_prev = w
         cseed = int(rng_batch.integers(2 ** 63))  # drawn even when mining ignores it
         active = _select(problem, w, cfg, cseed)
-
-        if cfg.method in (SOFT_SGD, SOFT_ADAM):
-            before = float(np.median(np.abs(cs.evaluate(
-                problem.pool, problem.model, w, active)))) if active.n_pairs else 0.0
-            w_new, adam = step_soft(cfg.method, w, problem, data_idx, active, cfg,
-                                    weights, adam)
-            after = float(np.median(np.abs(cs.evaluate(
-                problem.pool, problem.model, w_new, active)))) if active.n_pairs else 0.0
-            solver_iters, solver_status = 0, "-"
-            multipliers_ok = True
-        else:
-            hstep = step_hard(cfg.method, w, problem, data_idx, active, cfg, adam)
-            w_new, adam = hstep.w, hstep.adam
-            before, after = hstep.before_median, hstep.after_median
-            solver_iters, solver_status = hstep.solver_iters, hstep.solver_status
-            multipliers_ok = np.all(np.isfinite(hstep.multipliers))
-
-        if not multipliers_ok or not np.all(np.isfinite(w_new)):
+        # resolved at call time, so a wrapper set on the module takes effect
+        step = (step_hard if hard else step_soft)(cfg.method, w, problem, data_idx,
+                                                  active, cfg, adam)
+        adam = step.adam
+        if not np.all(np.isfinite(step.multipliers)) or not np.all(np.isfinite(step.w)):
             raise TrainingDiverged(f"non-finite step at iteration {it}", report())
-        step_norm = float(np.linalg.norm(w_new - w))
-        w = w_new
+        step_norm = float(np.linalg.norm(step.w - w))
+        w = step.w
         val = float(problem.prediction_error(w))
         row = IterationRow(it, float(ad.value(problem.risk_function(data_idx), w)[0]),
                            val, _pool_median_violation(problem, w),
-                           after - before, solver_iters, solver_status,
-                           step_norm, active.fingerprint())
+                           step.after_median - step.before_median, step.solver_iters,
+                           step.solver_status, step_norm, active.fingerprint())
         if not row.finite():
             w = w_prev  # keep the last finite parameters as the checkpoint
             raise TrainingDiverged(f"non-finite metrics at iteration {it}", report())

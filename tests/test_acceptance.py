@@ -15,7 +15,7 @@ from hardtrain import kkt, linops
 from hardtrain import trainers as tr
 from hardtrain.krylov import SolverConfig, minres_qlp
 
-from util import dense_random_mlp, random_symmetric_system
+from util import ModelOutputs, dense_random_mlp, random_symmetric_system
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -62,7 +62,7 @@ def test_criterion_2_differentiation_exactness():
         w = mlp.init_params(rng)
         X = rng.standard_normal((2, widths[0]))
         Y = rng.standard_normal((2, widths[-1]))
-        fvec = ad.ModelOutputs(mlp, X)
+        fvec = ModelOutputs(mlp, X)
         fsca = ad.SquaredErrorRisk(mlp, X, Y)
         v = rng.standard_normal(mlp.n_params)
         v /= np.linalg.norm(v)
@@ -115,22 +115,20 @@ def test_criterion_3_kkt_structural_equivalence():
         mvec = rng.standard_normal(n_p)
         vvec = rng.uniform(0.0, 1.0, n_p)
         t = int(rng.integers(0, 30))
-        f = kkt.adam_correction(0.9, 0.999, t)
+        f = np.sqrt(1.0 - 0.999 ** (t + 1)) / (1.0 - 0.9 ** (t + 1))
+        adam_diag = eta * f * (np.sqrt(vvec) + 1e-8)
 
-        blocks = {
-            kkt.SGD: np.eye(n_p) * eta,
-            kkt.GAUSS_NEWTON: A.T @ A + eta * np.eye(n_p),
-            kkt.ADAM: np.diag(eta * f * (np.sqrt(vvec) + 1e-8)),
-        }
-        for variant, D in blocks.items():
-            state = kkt.KktState(
-                w=w, damping=eta, variant=variant,
-                constraint=ad.linearize(fn, w) if fn else None,
-                risk_grad=np.zeros(n_p) if variant == kkt.SGD else None,
-                residual=(ad.linearize(ad.LinearMap(A), w)
-                          if variant == kkt.GAUSS_NEWTON else None),
-                adam_m=mvec if variant == kkt.ADAM else None,
-                adam_v=vvec if variant == kkt.ADAM else None, adam_t=t)
+        # (diag, grad, curvature) handed to the kkt layer, and the D block expected
+        variants = [
+            (eta, np.zeros(n_p), None, np.eye(n_p) * eta),
+            (eta, np.zeros(n_p), ad.linearize(ad.LinearMap(A), w),
+             A.T @ A + eta * np.eye(n_p)),
+            (adam_diag, mvec, None, np.diag(adam_diag)),
+        ]
+        for diag, grad, curvature, D in variants:
+            state = kkt.KktState(diag=diag, grad=grad,
+                                 constraint=ad.linearize(fn, w) if fn else None,
+                                 curvature=curvature)
             dense = np.zeros((n_p + n_a, n_p + n_a))
             dense[:n_p, :n_p] = D
             if n_a:

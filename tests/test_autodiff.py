@@ -3,7 +3,7 @@ import pytest
 
 from hardtrain import autodiff as ad
 
-from util import dense_random_mlp
+from util import ModelOutputs, dense_random_mlp
 
 
 def straight_line_mlp(widths, w, x):
@@ -140,7 +140,7 @@ def test_mlp_derivatives_match_finite_differences():
         mlp = ad.Mlp(widths)
         w = mlp.init_params(rng)
         X = rng.standard_normal((3, widths[0]))
-        f = ad.ModelOutputs(mlp, X)
+        f = ModelOutputs(mlp, X)
         v = rng.standard_normal(f.n_params)
         vu = v / np.linalg.norm(v)
         if stencil_crosses_kink(mlp, w, X, vu):
@@ -179,7 +179,7 @@ def test_adjoint_identity_random_mlps():
         mlp = ad.Mlp(widths)
         w = mlp.init_params(rng)
         X = rng.standard_normal((2, widths[0]))
-        f = ad.ModelOutputs(mlp, X)
+        f = ModelOutputs(mlp, X)
         v = rng.standard_normal(f.n_params)
         u = rng.standard_normal(f.n_outputs)
         lhs = u @ ad.linearize(f, w).jvp(v)
@@ -207,7 +207,7 @@ def test_rop_lop_linear_in_vector_argument():
     rng = np.random.default_rng(7)
     mlp = ad.Mlp([3, 8, 4])
     w = mlp.init_params(rng)
-    f = ad.ModelOutputs(mlp, rng.standard_normal((2, 3)))
+    f = ModelOutputs(mlp, rng.standard_normal((2, 3)))
     v1, v2 = rng.standard_normal((2, f.n_params))
     u1, u2 = rng.standard_normal((2, f.n_outputs))
     lin = ad.linearize(f, w)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from hardtrain import benchmarks as bm
 from hardtrain import constraints as cs
 from hardtrain import trainers as tr
 from hardtrain.krylov import SolverConfig
+
+from util import symmetry_residuals
 
 
 def test_gen_spheres_deterministic():
@@ -76,20 +80,9 @@ def test_median_violation_matches_sort_oracle():
     assert bm.median_violation(vals) == pytest.approx(expect, rel=1e-15)
 
 
-def test_squared_joint_loss():
-    pose = np.arange(51.0)
-    assert bm.squared_joint_loss(pose, pose) == 0.0
-    assert bm.squared_joint_loss(pose + 1.0, pose) == pytest.approx(1.0)
-    rng = np.random.default_rng(2)
-    a, b = rng.standard_normal((2, 51))
-    assert bm.squared_joint_loss(a, b) == pytest.approx(float(np.sum((a - b) ** 2)) / 51.0)
-    with pytest.raises(ValueError):
-        bm.squared_joint_loss(np.zeros(50), np.zeros(50))
-
-
 def test_symmetric_pose_generator_residual_floor():
     poses = bm.sample_symmetric_poses(np.random.default_rng(3), 200)
-    worst = max(np.abs(cs.symmetry_residuals(p)).max() for p in poses)
+    worst = max(np.abs(symmetry_residuals(p)).max() for p in poses)
     assert worst <= 1e-9
 
 
@@ -103,17 +96,24 @@ def test_toy_pose_split_and_shapes():
 
 
 def test_problem_spec_round_trip(tmp_path):
+    # the spec's fields regenerate the problem bit for bit
     p = bm.gen_spheres(32, 12, seed=9)
     path = tmp_path / "prob.json"
     bm.save_problem_spec(p, path)
-    q = bm.load_problem_spec(path)
+    spec = json.loads(path.read_text())
+    assert spec["kind"] == "spheres"
+    q = bm.gen_spheres(spec["dim"], spec["n_constraints"], spec["seed"], spec["radius"],
+                       spec["center_std"])
     np.testing.assert_array_equal(p.centers, q.centers)
     np.testing.assert_array_equal(p.x0, q.x0)
 
     tp = bm.gen_toy_pose(seed=5, n_samples=300, n_pool=50, in_dim=16, hidden=(24,))
     path2 = tmp_path / "pose.json"
     bm.save_problem_spec(tp, path2)
-    tq = bm.load_problem_spec(path2)
+    spec = json.loads(path2.read_text())
+    assert spec["kind"] == "toy_pose"
+    tq = bm.gen_toy_pose(spec["seed"], spec["n_samples"], spec["n_pool"], spec["in_dim"],
+                         tuple(spec["hidden"]), spec["asym_noise"], spec["input_noise"])
     np.testing.assert_array_equal(tp.train_x, tq.train_x)
     np.testing.assert_array_equal(tp.pool.samples, tq.pool.samples)
 

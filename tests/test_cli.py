@@ -59,6 +59,10 @@ def test_run_malformed_config_exits_2_without_outputs(tmp_path, capsys):
 
 POSE_SMALL = "kind = toy_pose\nepochs = 1\nn_samples = 60\nn_pool = 10\n"
 
+BAD_VALUE_BASES = {"spheres": SPHERES_SMALL, "toy_pose": POSE_SMALL,
+                   "toy_pose_mined": POSE_SMALL + "mine = true\n",
+                   "solve_check": "kind = solve_check\nn_systems = 2\n"}
+
 
 @pytest.mark.parametrize("kind, line", [
     ("spheres", "method = hard_newton"),
@@ -69,9 +73,20 @@ POSE_SMALL = "kind = toy_pose\nepochs = 1\nn_samples = 60\nn_pool = 10\n"
     ("spheres", "iterations = -1"),
     ("toy_pose", "hidden = 16,0"),
     ("toy_pose", "lr = -0.5"),
+    ("spheres", "n_constraints = 0"),
+    ("spheres", "solver_max_iters = 0"),
+    ("spheres", "solver_rtol = 0"),
+    ("spheres", "soft_lambda = -1"),
+    ("toy_pose", "epochs = -1"),
+    ("toy_pose", "batch_data = 0"),
+    ("toy_pose_mined", "n_mined = 0"),
+    ("toy_pose_mined", "n_mined = 11"),
+    ("toy_pose", "n_samples = 1"),
+    ("toy_pose", "init_checkpoint = no_such_params.bin"),
+    ("solve_check", "max_dim = 1"),
 ])
 def test_run_bad_config_value_exits_2_without_outputs(tmp_path, capsys, kind, line):
-    base = {"spheres": SPHERES_SMALL, "toy_pose": POSE_SMALL}[kind]
+    base = BAD_VALUE_BASES[kind]
     key = line.split(" = ")[0]
     text = "".join(l + "\n" for l in base.splitlines() if not l.startswith(key + " "))
     out = tmp_path / "out"

@@ -6,6 +6,8 @@ import pytest
 from hardtrain import autodiff as ad
 from hardtrain import constraints as cs
 
+from util import symmetry_residuals
+
 
 class LinearHead:
     """Test head: C(y) = H y + c."""
@@ -55,7 +57,7 @@ def test_joint_table_matches_published_rows():
 
 
 def test_symmetry_residuals_zero_for_mirrored_pose():
-    np.testing.assert_allclose(cs.symmetry_residuals(symmetric_pose()), np.zeros(6), atol=1e-12)
+    np.testing.assert_allclose(symmetry_residuals(symmetric_pose()), np.zeros(6), atol=1e-12)
 
 
 def test_symmetry_residuals_detects_long_left_arm():
@@ -68,7 +70,7 @@ def test_symmetry_residuals_detects_long_left_arm():
     new_elbow = sh + (el - sh) / np.linalg.norm(el - sh) * (right_len + 1.0)
     y[idx["left hand"]] += new_elbow - el
     y[idx["left elbow"]] = new_elbow
-    r = cs.symmetry_residuals(y.ravel())
+    r = symmetry_residuals(y.ravel())
     assert abs(r[0] - 1.0) <= 1e-12
     np.testing.assert_allclose(r[1:], np.zeros(5), atol=1e-12)
 
@@ -78,27 +80,29 @@ def test_symmetry_residuals_match_scalar_distance_oracle():
     table = cs.JointIndexTable.default()
     for _ in range(20):
         pose = rng.standard_normal(51)
-        got = cs.symmetry_residuals(pose, table)
+        got = symmetry_residuals(pose, table)
         y = pose.reshape(17, 3)
         for j, (a, b, c, d) in enumerate(table.rows):
             expect = (sum((y[a][k] - y[b][k]) ** 2 for k in range(3)) ** 0.5
                       - sum((y[c][k] - y[d][k]) ** 2 for k in range(3)) ** 0.5)
             assert abs(got[j] - expect) <= 1e-12
+        np.testing.assert_allclose(cs.SymmetryHead(table).value(pose[None])[0], got,
+                                   rtol=0, atol=1e-12)
 
 
 def test_symmetry_residuals_rigid_motion_invariant():
     rng = np.random.default_rng(2)
     pose = rng.standard_normal(51)
-    base = cs.symmetry_residuals(pose)
+    base = symmetry_residuals(pose)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     t = rng.standard_normal(3)
     moved = (pose.reshape(17, 3) @ q.T + t).ravel()
-    np.testing.assert_allclose(cs.symmetry_residuals(moved), base, atol=1e-10)
+    np.testing.assert_allclose(symmetry_residuals(moved), base, atol=1e-10)
 
 
 def test_symmetry_residuals_length_check():
     with pytest.raises(ValueError, match="51"):
-        cs.symmetry_residuals(np.zeros(50))
+        symmetry_residuals(np.zeros(50))
 
 
 def test_hypersphere_residuals_basics():
@@ -302,12 +306,6 @@ def test_active_set_validation():
     pool = make_scalar_pool([[0.0]])
     with pytest.raises(IndexError):
         cs.evaluate(pool, ad.IdentityOffset(1), np.zeros(1), cs.ActiveSet.cross([3], 1))
-
-
-def test_load_samples_csv(tmp_path):
-    p = tmp_path / "pool.csv"
-    p.write_text("1.0,2.0\n3.0,4.0\n")
-    np.testing.assert_array_equal(cs.load_samples_csv(p), [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_pool_validation():

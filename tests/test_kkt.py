@@ -16,9 +16,8 @@ def linear_constraints(G, c=None):
 
 def sgd_state(w, grad, G, c=None, damping=1.0):
     fn = linear_constraints(G, c)
-    return kkt.KktState(w=w, damping=damping, variant=kkt.SGD,
-                        constraint=ad.linearize(fn, w),
-                        risk_grad=np.asarray(grad, dtype=float))
+    return kkt.KktState(diag=damping, grad=np.asarray(grad, dtype=float),
+                        constraint=ad.linearize(fn, w))
 
 
 def dense_block(D, G):
@@ -34,7 +33,7 @@ def dense_block(D, G):
 def test_matvec_sgd_single_linear_constraint():
     w = np.zeros(2)
     state = sgd_state(w, grad=[0.0, 0.0], G=[[1.0, 0.0]])
-    out = kkt.kkt_matvec_sgd(state, np.array([1.0, 1.0, 1.0]))
+    out = kkt.kkt_matvec(state, np.array([1.0, 1.0, 1.0]))
     np.testing.assert_allclose(out, [2.0, 1.0, 1.0])
 
 
@@ -42,7 +41,7 @@ def test_matvec_sgd_zero_jacobian_decouples():
     w = np.zeros(3)
     state = sgd_state(w, grad=np.zeros(3), G=np.zeros((2, 3)), damping=0.7)
     v = np.array([1.0, -2.0, 3.0, 4.0, 5.0])
-    out = kkt.kkt_matvec_sgd(state, v)
+    out = kkt.kkt_matvec(state, v)
     np.testing.assert_allclose(out, np.concatenate([0.7 * v[:3], np.zeros(2)]))
 
 
@@ -58,10 +57,10 @@ def test_sgd_operator_materializes_to_block_matrix():
 def test_matvec_gn_identity_residuals():
     n = 4
     w = np.zeros(n)
-    state = kkt.KktState(w=w, damping=0.5, variant=kkt.GAUSS_NEWTON,
-                         residual=ad.linearize(ad.LinearMap(np.eye(n)), w))
+    state = kkt.KktState(diag=0.5, grad=np.zeros(n),
+                         curvature=ad.linearize(ad.LinearMap(np.eye(n)), w))
     v = np.arange(1.0, n + 1)
-    np.testing.assert_allclose(kkt.kkt_matvec_gn(state, v), 1.5 * v)
+    np.testing.assert_allclose(kkt.kkt_matvec(state, v), 1.5 * v)
 
 
 def test_gn_operator_materializes_to_gauss_newton_block():
@@ -69,8 +68,8 @@ def test_gn_operator_materializes_to_gauss_newton_block():
     A = rng.standard_normal((6, 3))
     G = rng.standard_normal((2, 3))
     fn = linear_constraints(G)
-    state = kkt.KktState(w=np.zeros(3), damping=0.8, variant=kkt.GAUSS_NEWTON,
-                         residual=ad.linearize(ad.LinearMap(A), np.zeros(3)),
+    state = kkt.KktState(diag=0.8, grad=np.zeros(3),
+                         curvature=ad.linearize(ad.LinearMap(A), np.zeros(3)),
                          constraint=ad.linearize(fn, np.zeros(3)))
     got = linops.materialize(kkt.kkt_operator(state))
     expect = dense_block(A.T @ A + 0.8 * np.eye(3), G)
@@ -84,29 +83,28 @@ def test_gn_symmetry_probe_on_mlp_residuals():
     w = mlp.init_params(rng)
     X = rng.standard_normal((5, 4))
     Y = rng.standard_normal((5, 3))
-    state = kkt.KktState(w=w, damping=0.3, variant=kkt.GAUSS_NEWTON,
-                         residual=ad.linearize(ad.ScaledResiduals(mlp, X, Y), w))
+    state = kkt.KktState(diag=0.3, grad=np.zeros(mlp.n_params),
+                         curvature=ad.linearize(ad.ScaledResiduals(mlp, X, Y), w))
     assert linops.symmetry_defect(kkt.kkt_operator(state), n_probes=50, seed=3) <= 1e-10
 
 
 def test_matvec_adam_zero_moments():
+    # Adam's diagonal at zero second moment is eps / f, still positive
     n = 3
     f = np.sqrt(1 - 0.999) / (1 - 0.9)
-    state = kkt.KktState(w=np.zeros(n), damping=1.0, variant=kkt.ADAM,
-                         adam_m=np.zeros(n), adam_v=np.zeros(n), adam_t=0)
+    state = kkt.KktState(diag=np.full(n, 1e-8 / f), grad=np.zeros(n))
     v = np.ones(n)
-    np.testing.assert_allclose(kkt.kkt_matvec_adam(state, v), f * 1e-8 * v, rtol=1e-12)
+    np.testing.assert_allclose(kkt.kkt_matvec(state, v), 1e-8 / f * v, rtol=1e-12)
 
 
 def test_matvec_adam_uniform_second_moment_is_scaled_identity():
     n = 5
     c = 0.04
-    state = kkt.KktState(w=np.zeros(n), damping=2.0, variant=kkt.ADAM,
-                         adam_m=np.zeros(n), adam_v=np.full(n, c), adam_t=3)
-    f = kkt.adam_correction(0.9, 0.999, 3)
-    scale = 2.0 * f * (np.sqrt(c) + 1e-8)
+    f = np.sqrt(1 - 0.999 ** 4) / (1 - 0.9 ** 4)
+    scale = 2.0 * (np.sqrt(c) + 1e-8) / f
+    state = kkt.KktState(diag=np.full(n, scale), grad=np.zeros(n))
     v = np.linspace(-1, 1, n)
-    np.testing.assert_allclose(kkt.kkt_matvec_adam(state, v), scale * v, rtol=1e-12)
+    np.testing.assert_allclose(kkt.kkt_matvec(state, v), scale * v, rtol=1e-12)
 
 
 def test_adam_operator_materializes_to_diag_block():
@@ -115,11 +113,10 @@ def test_adam_operator_materializes_to_diag_block():
     fn = linear_constraints(G)
     mvec = rng.standard_normal(3)
     vvec = rng.uniform(0.0, 1.0, 3)
-    state = kkt.KktState(w=np.zeros(3), damping=1.7, variant=kkt.ADAM,
-                         constraint=ad.linearize(fn, np.zeros(3)),
-                         adam_m=mvec, adam_v=vvec, adam_t=5)
-    f = kkt.adam_correction(0.9, 0.999, 5)
-    D = np.diag(1.7 * f * (np.sqrt(vvec) + 1e-8))
+    f = np.sqrt(1 - 0.999 ** 6) / (1 - 0.9 ** 6)
+    diag = 1.7 * (np.sqrt(vvec) + 1e-8) / f
+    state = kkt.KktState(diag=diag, grad=mvec, constraint=ad.linearize(fn, np.zeros(3)))
+    D = np.diag(diag)
     np.testing.assert_allclose(linops.materialize(kkt.kkt_operator(state)),
                                dense_block(D, G), atol=1e-12)
 
@@ -131,29 +128,21 @@ def test_rhs_sgd_sign_and_concat():
 
 def test_rhs_gn_zero_residuals():
     A = np.array([[1.0, 0.0], [0.0, 2.0]])
-    state = kkt.KktState(w=np.zeros(2), damping=1.0, variant=kkt.GAUSS_NEWTON,
-                         residual=ad.linearize(ad.LinearMap(A), np.zeros(2)))
+    lin = ad.linearize(ad.LinearMap(A), np.zeros(2))
+    state = kkt.KktState(diag=1.0, grad=lin.vjp(lin.value), curvature=lin)
     np.testing.assert_allclose(kkt.kkt_rhs(state), np.zeros(2))
 
 
 def test_rhs_adam_first_step_moment():
     g = np.array([2.0, -4.0])
     m1 = (1 - 0.9) * g       # first-moment update from zero moments
-    state = kkt.KktState(w=np.zeros(2), damping=1.0, variant=kkt.ADAM,
-                         adam_m=m1, adam_v=0.001 * g ** 2, adam_t=0)
+    state = kkt.KktState(diag=np.sqrt(0.001 * g ** 2) + 1e-8, grad=m1)
     np.testing.assert_allclose(kkt.kkt_rhs(state), -0.1 * g)
-
-
-def test_rhs_missing_pieces_raise():
-    with pytest.raises(ValueError):
-        kkt.kkt_rhs(kkt.KktState(w=np.zeros(2), damping=1.0, variant=kkt.SGD))
-    with pytest.raises(ValueError):
-        kkt.kkt_rhs(kkt.KktState(w=np.zeros(2), damping=1.0, variant=kkt.ADAM))
 
 
 def test_solve_step_unconstrained_is_scaled_gradient_descent():
     grad = np.array([3.0, -1.0, 2.0])
-    state = kkt.KktState(w=np.zeros(3), damping=4.0, variant=kkt.SGD, risk_grad=grad)
+    state = kkt.KktState(diag=4.0, grad=grad)
     step = kkt.solve_step(state, SolverConfig(rtol=1e-12))
     np.testing.assert_allclose(step.dw, -grad / 4.0, atol=1e-12)
     assert step.multipliers.size == 0
@@ -215,15 +204,14 @@ def test_all_variants_pass_symmetry_probe():
     rng = np.random.default_rng(6)
     G = rng.standard_normal((2, 4))
     fn = linear_constraints(G)
-    common = dict(constraint=ad.linearize(fn, np.zeros(4)))
+    common = dict(grad=np.zeros(4), constraint=ad.linearize(fn, np.zeros(4)))
+    f = np.sqrt(1 - 0.999 ** 3) / (1 - 0.9 ** 3)
     states = [
-        kkt.KktState(w=np.zeros(4), damping=1.0, variant=kkt.SGD,
-                     risk_grad=np.zeros(4), **common),
-        kkt.KktState(w=np.zeros(4), damping=1.0, variant=kkt.GAUSS_NEWTON,
-                     residual=ad.linearize(ad.LinearMap(rng.standard_normal((5, 4))),
-                                           np.zeros(4)), **common),
-        kkt.KktState(w=np.zeros(4), damping=1.0, variant=kkt.ADAM,
-                     adam_m=np.zeros(4), adam_v=rng.uniform(0, 1, 4), adam_t=2, **common),
+        kkt.KktState(diag=1.0, **common),
+        kkt.KktState(diag=1.0,
+                     curvature=ad.linearize(ad.LinearMap(rng.standard_normal((5, 4))),
+                                            np.zeros(4)), **common),
+        kkt.KktState(diag=(np.sqrt(rng.uniform(0, 1, 4)) + 1e-8) / f, **common),
     ]
     for state in states:
         assert linops.symmetry_defect(kkt.kkt_operator(state), n_probes=50, seed=1) <= 1e-10
@@ -240,8 +228,8 @@ def test_breakdown_propagates_with_diagnostics():
         def linearize(self, w):
             return self.value(w), lambda v: np.array([np.nan]), lambda u: np.full(2, np.nan)
 
-    state = kkt.KktState(w=np.zeros(2), damping=1.0, variant=kkt.SGD,
-                         risk_grad=np.ones(2), constraint=ad.linearize(Bad(), np.zeros(2)))
+    state = kkt.KktState(diag=1.0, grad=np.ones(2),
+                         constraint=ad.linearize(Bad(), np.zeros(2)))
     with pytest.raises(kkt.SolverBreakdown, match="iterations"):
         kkt.solve_step(state)
 
@@ -260,6 +248,6 @@ def test_retry_policy_doubles_damping_then_skips():
 
 def test_state_validation():
     with pytest.raises(ValueError, match="damping"):
-        kkt.KktState(w=np.zeros(2), damping=0.0)
-    with pytest.raises(ValueError, match="variant"):
-        kkt.KktState(w=np.zeros(2), damping=1.0, variant="newton")
+        kkt.KktState(diag=0.0, grad=np.zeros(2))
+    with pytest.raises(ValueError, match="damping"):
+        kkt.KktState(diag=np.array([1.0, -1e-3]), grad=np.zeros(2))

@@ -15,7 +15,7 @@ def test_apply_zero_operator():
 
 
 def test_apply_diagonal():
-    op = linops.diagonal([2.0, 3.0])
+    op = linops.from_dense(np.diag([2.0, 3.0]))
     np.testing.assert_allclose(linops.apply(op, np.array([1.0, 1.0])), [2.0, 3.0])
 
 
@@ -26,7 +26,7 @@ def test_apply_dimension_mismatch_reports_both_lengths():
 
 
 def test_apply_does_not_mutate_input():
-    op = linops.diagonal([2.0, 2.0])
+    op = linops.from_dense(np.diag([2.0, 2.0]))
     v = np.array([1.0, 4.0])
     linops.apply(op, v)
     np.testing.assert_array_equal(v, [1.0, 4.0])
@@ -73,7 +73,7 @@ def test_symmetry_probe_on_library_operators():
     a = rng.standard_normal((20, 20))
     ops = [
         linops.identity(20),
-        linops.diagonal(rng.standard_normal(20)),
+        linops.from_dense(np.diag(rng.standard_normal(20))),
         linops.from_dense((a + a.T) / 2),
     ]
     for op in ops:
@@ -94,9 +94,8 @@ def test_materialize_saddle_point_operator_matches_block_assembly():
 
     g = np.array([[1.5, -2.0]])
     fn = ad.LinearMap(g)
-    state = kkt.KktState(w=np.zeros(2), damping=0.9, variant=kkt.SGD,
-                         constraint=ad.linearize(fn, np.zeros(2)),
-                         risk_grad=np.zeros(2))
+    state = kkt.KktState(diag=0.9, grad=np.zeros(2),
+                         constraint=ad.linearize(fn, np.zeros(2)))
     expect = np.array([
         [0.9, 0.0, 1.5],
         [0.0, 0.9, -2.0],

@@ -10,7 +10,7 @@ from hardtrain import benchmarks as bm
 from hardtrain import constraints as cs
 from hardtrain import kkt, linops
 
-from util import dense_random_mlp
+from util import ModelOutputs, dense_random_mlp
 
 # fixed example stream, no example database: the suite stays reproducible
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -43,7 +43,7 @@ def _functions(rng):
     sphere_active = cs.ActiveSet.cross(rng.choice(6, 4, replace=False), 1)
     A = rng.standard_normal((int(rng.integers(1, 6)), d))
     return [
-        ("outputs", ad.ModelOutputs(mlp, X), w),
+        ("outputs", ModelOutputs(mlp, X), w),
         ("mse", ad.SquaredErrorRisk(mlp, X, Y), w),
         ("residuals", ad.ScaledResiduals(mlp, X, Y), w),
         ("linear", ad.LinearMap(A, rng.standard_normal(A.shape[0])), w_off),
@@ -94,22 +94,26 @@ def test_sphere_rows_match_the_generic_stack():
 
 
 @PROPERTY
-@given(seed=seeds, variant=st.sampled_from([kkt.SGD, kkt.GAUSS_NEWTON, kkt.ADAM]))
+@given(seed=seeds, variant=st.sampled_from(["sgd", "gauss_newton", "adam"]))
 def test_kkt_operators_are_symmetric(seed, variant):
     rng = np.random.default_rng(seed)
     mlp, w = _mlp(rng, out_dim=51)
     constraint = ad.linearize(_stacked(rng, cs.SymmetryHead(), 6, mlp, mlp.in_dim), w)
     X = rng.standard_normal((4, mlp.in_dim))
     Y = rng.standard_normal((4, 51))
-    extra = {
-        kkt.SGD: dict(risk_grad=rng.standard_normal(mlp.n_params)),
-        kkt.GAUSS_NEWTON: dict(residual=ad.linearize(ad.ScaledResiduals(mlp, X, Y), w)),
-        kkt.ADAM: dict(adam_m=rng.standard_normal(mlp.n_params),
-                       adam_v=rng.uniform(0.0, 1.0, mlp.n_params),
-                       adam_t=int(rng.integers(0, 30))),
-    }[variant]
-    state = kkt.KktState(w=w, damping=float(rng.uniform(0.1, 3.0)), variant=variant,
-                         constraint=constraint, **extra)
+    n = mlp.n_params
+    if variant == "sgd":
+        grad, diag, curvature = rng.standard_normal(n), 1.0, None
+    elif variant == "gauss_newton":
+        grad, diag = np.zeros(n), 1.0
+        curvature = ad.linearize(ad.ScaledResiduals(mlp, X, Y), w)
+    else:
+        grad = rng.standard_normal(n)
+        v = rng.uniform(0.0, 1.0, n)
+        t = int(rng.integers(0, 30)) + 1
+        f = np.sqrt(1.0 - 0.999 ** t) / (1.0 - 0.9 ** t)
+        diag, curvature = (np.sqrt(v) + 1e-8) / f, None
+    state = kkt.KktState(float(rng.uniform(0.1, 3.0)) * diag, grad, constraint, curvature)
     assert linops.symmetry_defect(kkt.kkt_operator(state), n_probes=10, seed=seed) <= 1e-10
 
 

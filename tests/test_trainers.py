@@ -94,33 +94,41 @@ def test_adam_bias_corrected_first_moment_is_exact_for_constant_gradient():
 
 
 # ---------------------------------------------------------------------------
-# Soft objective and steps
+# Soft objective (risk + lambda * sum C^2) through its steps
 # ---------------------------------------------------------------------------
+
+
+def soft_sgd_step(prob, w, lam, lr=0.1):
+    cfg = tr.TrainConfig(method=tr.SOFT_SGD, lr=lr, soft_lambda=lam, iterations=1)
+    return tr.step_soft(tr.SOFT_SGD, w, prob, None, full_active(prob.pool), cfg)
 
 
 def test_soft_objective_zero_lambda_is_risk():
     pool = sphere_pool([[5.0, 0.0]], 1.0)
     prob = ToyProblem([1.0, 1.0], pool)
     w = np.array([0.5, -0.5])
-    obj = tr.soft_objective(w, prob, None, full_active(pool), tr.SoftWeights.uniform(1, 0.0))
-    assert obj == pytest.approx(0.5 * np.sum((w - prob.x0) ** 2))
+    step = soft_sgd_step(prob, w, 0.0)
+    np.testing.assert_allclose(step.w, w - 0.1 * (w - prob.x0), rtol=1e-15)
 
 
 def test_soft_objective_satisfied_constraints_is_risk():
     pool = sphere_pool([[0.0, 0.0]], 1.0)
     prob = ToyProblem([2.0, 0.0], pool)
     w = np.array([1.0, 0.0])  # exactly on the sphere
-    obj = tr.soft_objective(w, prob, None, full_active(pool), tr.SoftWeights.uniform(1, 100.0))
-    assert obj == pytest.approx(0.5 * np.sum((w - prob.x0) ** 2), abs=1e-12)
+    step = soft_sgd_step(prob, w, 100.0)
+    assert step.before_median == 0.0
+    np.testing.assert_allclose(step.w, w - 0.1 * (w - prob.x0), atol=1e-12)
 
 
 def test_soft_objective_single_constraint_hand_value():
-    # residual 0.1 with lambda 100 adds exactly 1.0
+    # residual 0.1 with lambda 100 adds 2 * 100 * 0.1 = 20 to the risk
+    # gradient 1.1: w' = 1.1 - 0.01 * 21.1
     pool = sphere_pool([[0.0]], 1.0)
     prob = ToyProblem([0.0], pool)
-    w = np.array([1.1])
-    obj = tr.soft_objective(w, prob, None, full_active(pool), tr.SoftWeights.uniform(1, 100.0))
-    assert obj == pytest.approx(0.5 * 1.1 ** 2 + 1.0, rel=1e-12)
+    step = soft_sgd_step(prob, np.array([1.1]), 100.0, lr=0.01)
+    np.testing.assert_allclose(step.w, [0.889], rtol=1e-12)
+    assert step.before_median == pytest.approx(0.1, rel=1e-12)
+    assert step.after_median == pytest.approx(0.111, rel=1e-12)
 
 
 def test_step_soft_sgd_unconstrained_is_gradient_descent():
@@ -128,8 +136,8 @@ def test_step_soft_sgd_unconstrained_is_gradient_descent():
     prob = ToyProblem([1.0, -1.0], pool)
     w = np.array([3.0, 2.0])
     empty = cs.ActiveSet(np.zeros(0, dtype=int), np.zeros(0, dtype=int))
-    cfg = tr.TrainConfig(method=tr.SOFT_SGD, lr=0.1, iterations=1)
-    w2, _ = tr.step_soft(tr.SOFT_SGD, w, prob, None, empty, cfg, tr.SoftWeights.uniform(1, 0.0))
+    cfg = tr.TrainConfig(method=tr.SOFT_SGD, lr=0.1, soft_lambda=0.0, iterations=1)
+    w2 = tr.step_soft(tr.SOFT_SGD, w, prob, None, empty, cfg).w
     np.testing.assert_allclose(w2, w - 0.1 * (w - prob.x0))
 
 
@@ -138,11 +146,10 @@ def test_step_soft_converges_to_analytic_penalized_minimizer():
     a, b, lam = 2.0, -1.0, 3.0
     pool = linear_pool([[1.0]], [[b]])     # C(w) = w - b
     prob = ToyProblem([a], pool)
-    cfg = tr.TrainConfig(method=tr.SOFT_SGD, lr=0.1, iterations=1)
-    weights = tr.SoftWeights.uniform(1, lam)
+    cfg = tr.TrainConfig(method=tr.SOFT_SGD, lr=0.1, soft_lambda=lam, iterations=1)
     w = np.array([0.0])
     for _ in range(500):
-        w, _ = tr.step_soft(tr.SOFT_SGD, w, prob, None, full_active(pool), cfg, weights)
+        w = tr.step_soft(tr.SOFT_SGD, w, prob, None, full_active(pool), cfg).w
     np.testing.assert_allclose(w, [(a + 2 * lam * b) / (1 + 2 * lam)], atol=1e-10)
 
 
@@ -200,6 +207,22 @@ def test_step_hard_gn_and_adam_variants_run():
                       adam=tr.AdamState.zeros(2))
     assert np.isfinite(st.w).all()
     assert st.adam.t == 1
+
+
+def test_step_hard_adam_without_constraints_is_adam():
+    # with no active constraint the saddle-point system is D dw = -m, and
+    # its solution must be the bias-corrected Adam step
+    prob = ToyProblem([1.0, -2.0, 3.0, 0.5], sphere_pool([[0.0] * 4], 1.0))
+    empty = cs.ActiveSet(np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+    cfg = tr.TrainConfig(method=tr.HARD_ADAM, lr=0.05, iterations=1,
+                         solver=SolverConfig(rtol=1e-14))
+    w = np.zeros(4)
+    hard = ref = tr.AdamState.zeros(4)
+    for _ in range(5):
+        ref, dw = tr.adam_update(ref, w - prob.x0, cfg.lr)
+        step = tr.step_hard(tr.HARD_ADAM, w, prob, None, empty, cfg, adam=hard)
+        assert np.linalg.norm((step.w - w) - dw) <= 1e-10 * np.linalg.norm(dw)
+        w, hard = step.w, step.adam
 
 
 # ---------------------------------------------------------------------------
@@ -344,3 +367,20 @@ def test_hard_sphere_step_offsets_the_centers_once_per_linearization(monkeypatch
         seen.append((step.solver_iters, len(offsets)))
     assert seen[0][0] != seen[1][0]
     assert [n for _, n in seen] == [2, 2]
+
+
+def test_soft_iteration_tapes_the_mlp_six_times(monkeypatch):
+    # the constraint linearization (which also gives the "before" median),
+    # the risk gradient and the "after" evaluation, then the validation
+    # error, the batch risk and the pool metric at the new parameters
+    problem = bm.gen_toy_pose(seed=0, n_samples=60, n_pool=20, in_dim=8, hidden=(12,))
+    tapes = _counting(monkeypatch, ad.Mlp, "tape")
+    counts = []
+    for epochs in (0, 1):
+        cfg = tr.TrainConfig(method=tr.SOFT_ADAM, lr=1e-3, soft_lambda=0.01, epochs=epochs,
+                             batch_data=problem.n_train, batch_constraints=4)
+        tapes.clear()
+        report = tr.train(cfg, problem)
+        counts.append(len(tapes))
+    assert len(report.rows) == 1
+    assert counts[1] - counts[0] == 6

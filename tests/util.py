@@ -1,6 +1,9 @@
-"""Shared generators for the solver test batteries."""
+"""Shared generators for the solver test batteries, and test oracles."""
 
 import numpy as np
+
+from hardtrain import autodiff as ad
+from hardtrain import constraints as cs
 
 
 def signed_spectrum(rng, n, cond):
@@ -91,3 +94,36 @@ def dense_random_mlp(rng, max_hidden=3, max_width=64, in_dim=None, out_dim=None)
     dout = out_dim or int(rng.integers(1, 9))
     hidden = [int(rng.integers(2, max_width + 1)) for _ in range(int(rng.integers(0, max_hidden + 1)))]
     return [din] + hidden + [dout]
+
+
+class ModelOutputs(ad.DiffFunction):
+    """Stacked model outputs over a fixed input batch, flattened sample-major."""
+
+    def __init__(self, model, X):
+        self.model = model
+        self.X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        self.n_params = model.n_params
+        self.n_outputs = self.X.shape[0] * model.out_dim
+        self.structure = f"outputs[{self.X.shape[0]}x{model.out_dim}]"
+
+    def value(self, w):
+        return self.model.forward(w, self.X).ravel()
+
+    def linearize(self, w):
+        Y, jvp, vjp = self.model.linearize(w, self.X)
+        return (Y.ravel(), lambda v: jvp(v).ravel(),
+                lambda u: vjp(u.reshape(Y.shape)))
+
+
+def symmetry_residuals(pose, table=None):
+    """Six signed length differences for one 17x3 pose (flat, length 51),
+    one scalar distance at a time: the oracle of ``SymmetryHead``."""
+    pose = np.asarray(pose, dtype=np.float64)
+    if pose.shape != (51,):
+        raise ValueError(f"pose must have 51 coordinates, got shape {pose.shape}")
+    table = table or cs.JointIndexTable.default()
+    y = pose.reshape(17, 3)
+    out = np.empty(6)
+    for j, (a, b, c, d) in enumerate(table.rows):
+        out[j] = np.linalg.norm(y[a] - y[b]) - np.linalg.norm(y[c] - y[d])
+    return out
