@@ -278,23 +278,6 @@ class ScaledResiduals(DiffFunction):
                 lambda u: vjp(u.reshape(self.Y.shape) * self.scale))
 
 
-class LinearMap(DiffFunction):
-    """f(w) = A w (+ optional shift)."""
-
-    def __init__(self, A, shift=None):
-        self.A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-        self.shift = np.zeros(self.A.shape[0]) if shift is None else as_vector(shift)
-        self.n_params = self.A.shape[1]
-        self.n_outputs = self.A.shape[0]
-        self.structure = f"linear[{self.A.shape[0]}x{self.A.shape[1]}]"
-
-    def value(self, w):
-        return self.A @ w + self.shift
-
-    def linearize(self, w):
-        return self.value(w), lambda v: self.A @ v, lambda u: u @ self.A
-
-
 class QuadraticDistance(DiffFunction):
     """f(w) = 0.5 ||w - x0||^2 (scalar)."""
 
@@ -344,4 +327,6 @@ def load_params(path, expect_hash: int | None = None) -> Vector:
         data = np.frombuffer(fh.read(8 * n), dtype="<f8")
         if data.shape[0] != n:
             raise ValueError("truncated checkpoint")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("checkpoint holds non-finite parameters")
     return data.astype(np.float64)

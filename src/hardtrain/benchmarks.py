@@ -108,15 +108,6 @@ class SphereProblem:
     def prediction_error(self, w) -> float:
         return 0.0
 
-    def pool_median_violation(self, w) -> float:
-        # chunked so the full-scale dimension never materializes an
-        # (n_constraints, dim) temporary; 8 rows keep the chunk's two
-        # temporaries below a step's own working set
-        vals = []
-        for lo in range(0, self.n_constraints, 8):
-            vals.append(cs.hypersphere_residuals(w, self.centers[lo:lo + 8], self.radius))
-        return median_violation(np.concatenate(vals))
-
     def spec_dict(self) -> dict:
         return {"kind": "spheres", "dim": self.dim, "n_constraints": self.n_constraints,
                 "seed": self.seed, "radius": self.radius, "center_std": self.center_std}

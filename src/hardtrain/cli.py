@@ -346,11 +346,16 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# the columns ``compare`` reads; a trace may carry others
+COMPARE_COLUMNS = ("median_violation", "active_delta")
+
+
 def read_metrics(path):
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != METRIC_COLUMNS:
-            raise ConfigError(f"{path}: unexpected metrics header {reader.fieldnames}")
+        missing = [c for c in COMPARE_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigError(f"{path}: metrics trace lacks column(s) {', '.join(missing)}")
         return list(reader)
 
 

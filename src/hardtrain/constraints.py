@@ -2,11 +2,13 @@
 
 A pool couples a set of unlabeled samples with a head that maps the model
 output for one sample to a vector of constraint residuals, each tagged as
-an equality or an inequality (``C <= 0`` convention).  Each training
-iteration picks an active subset of samples, either uniformly or by mining
-the worst violators, optionally drops satisfied inequalities, and stacks
-the remaining (sample, constraint) pairs into one differentiable function
-of the flat parameters for the saddle-point machinery.
+an equality or an inequality (``C <= 0`` convention).  The pool is
+evaluated once per parameter vector, into the violation matrix of every
+residual (:func:`violation_matrix`); each training iteration picks an
+active subset of samples, either uniformly or by mining the worst
+violators in that matrix, drops the inequalities it shows satisfied, and
+stacks the remaining (sample, constraint) pairs into one differentiable
+function of the flat parameters for the saddle-point machinery.
 
 Stacking order is always sample-major, constraint-minor, so multiplier
 indices are reproducible across runs.
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +26,9 @@ from .linops import Vector
 
 EQUALITY = "eq"
 INEQUALITY = "ineq"
+
+# bytes of model output per chunk of the pool in violation_matrix
+_CHUNK_BYTES = 1 << 20
 
 # 17-joint skeleton used by the pose constraint family
 JOINT_NAMES = (
@@ -64,17 +68,6 @@ class JointIndexTable:
             raise ValueError("joint table must be 6 rows of 4 indices")
         if any(i < 0 or i >= len(JOINT_NAMES) for r in self.rows for i in r):
             raise ValueError("joint index out of range")
-
-
-def hypersphere_residuals(w: Vector, centers, radius: float) -> Vector:
-    """Residual i = ||w - c_i|| - radius."""
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    w = np.asarray(w, dtype=np.float64)
-    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-    if centers.shape[1] != w.shape[0]:
-        raise ValueError(f"center dim {centers.shape[1]} != w dim {w.shape[0]}")
-    return np.linalg.norm(w[None, :] - centers, axis=1) - radius
 
 
 # ---------------------------------------------------------------------------
@@ -167,27 +160,6 @@ class SphereRadiusHead:
                 lambda U: U[:, :1] * units)
 
 
-class BoundHead:
-    """Residuals y_i - cap_i per tracked output coordinate; meant to be
-    tagged as inequalities (violated when the coordinate exceeds its cap)."""
-
-    def __init__(self, coords: Sequence[int], caps: Sequence[float]):
-        self.coords = np.asarray(coords, dtype=int)
-        self.caps = np.asarray(caps, dtype=np.float64)
-        self.n_constraints = len(self.coords)
-
-    def value(self, Y):
-        return Y[:, self.coords] - self.caps
-
-    def linearize(self, Y):
-        def vjp(U):
-            out = np.zeros_like(Y)
-            out[:, self.coords] = U
-            return out
-
-        return self.value(Y), lambda dY: np.asarray(dY)[:, self.coords], vjp
-
-
 # ---------------------------------------------------------------------------
 # Pools and active sets
 # ---------------------------------------------------------------------------
@@ -271,18 +243,16 @@ def _check_active(pool: ConstraintPool, active: ActiveSet) -> None:
 
 
 def violation_matrix(pool: ConstraintPool, model, w: Vector) -> np.ndarray:
-    """All residuals C_jk as an (n_samples, n_constraints) matrix."""
-    return np.atleast_2d(pool.head.value(model.forward(w, pool.samples)))
+    """All residuals C_jk as an (n_samples, n_constraints) matrix.
 
-
-def evaluate(pool: ConstraintPool, model, w: Vector, active: ActiveSet) -> Vector:
-    """Stacked residuals over the active pairs, sample-major order."""
-    _check_active(pool, active)
-    if active.n_pairs == 0:
-        return np.zeros(0)
-    uniq, rows = np.unique(active.sample_indices, return_inverse=True)
-    vals = np.atleast_2d(pool.head.value(model.forward(w, pool.samples[uniq])))
-    return vals[rows, active.constraint_indices]
+    The pool goes through the model in chunks of rows whose outputs take
+    about ``_CHUNK_BYTES``: a pose pool is one batch, while a full-scale
+    sphere chunk is one row instead of an (n_samples, dim) temporary.
+    """
+    rows = max(1, _CHUNK_BYTES // (8 * model.out_dim))
+    return np.concatenate([
+        np.atleast_2d(pool.head.value(model.forward(w, pool.samples[lo:lo + rows])))
+        for lo in range(0, pool.n_samples, rows)])
 
 
 def select_random(pool: ConstraintPool, batch: int, rng_seed) -> ActiveSet:
@@ -294,26 +264,23 @@ def select_random(pool: ConstraintPool, batch: int, rng_seed) -> ActiveSet:
     return ActiveSet.cross(idx, pool.n_constraints, max_samples=batch)
 
 
-def per_sample_median_violation(pool: ConstraintPool, model, w: Vector) -> Vector:
-    return np.median(np.abs(violation_matrix(pool, model, w)), axis=1)
-
-
-def select_mined(pool: ConstraintPool, model, w: Vector, n_keep: int) -> ActiveSet:
-    """The n_keep samples with the largest median absolute residual.
+def select_mined(V: np.ndarray, n_keep: int) -> ActiveSet:
+    """The n_keep samples whose rows of V have the largest median |C|.
 
     The mined objective sums per-sample medians over the chosen subset, so
     it is separable across samples and the greedy top-n_keep selection is
     exact.  Ties break toward the lower sample index.
     """
-    if not 1 <= n_keep <= pool.n_samples:
-        raise ValueError(f"n_keep must be in [1, {pool.n_samples}], got {n_keep}")
-    med = per_sample_median_violation(pool, model, w)
+    n_samples, n_constraints = V.shape
+    if not 1 <= n_keep <= n_samples:
+        raise ValueError(f"n_keep must be in [1, {n_samples}], got {n_keep}")
+    med = np.median(np.abs(V), axis=1)
     order = np.argsort(-med, kind="stable")[:n_keep]
-    return ActiveSet.cross(order, pool.n_constraints, max_samples=n_keep)
+    return ActiveSet.cross(order, n_constraints, max_samples=n_keep)
 
 
-def filter_inequalities(pool: ConstraintPool, model, w: Vector, active: ActiveSet) -> ActiveSet:
-    """Drop satisfied inequality pairs; violated ones stay as equalities."""
+def filter_inequalities(pool: ConstraintPool, V: np.ndarray, active: ActiveSet) -> ActiveSet:
+    """Drop inequality pairs V shows satisfied; violated ones stay as equalities."""
     _check_active(pool, active)
     if active.n_pairs == 0:
         return active
@@ -321,7 +288,7 @@ def filter_inequalities(pool: ConstraintPool, model, w: Vector, active: ActiveSe
     is_ineq = kinds[active.constraint_indices] == INEQUALITY
     if not is_ineq.any():
         return active
-    vals = evaluate(pool, model, w, active)
+    vals = V[active.sample_indices, active.constraint_indices]
     keep = ~(is_ineq & (vals <= 0.0))
     return ActiveSet(active.sample_indices[keep], active.constraint_indices[keep],
                      active.max_samples)

@@ -29,22 +29,23 @@ BREAKDOWN = "breakdown"
 _EPS = np.finfo(np.float64).eps
 _REALMIN = np.finfo(np.float64).tiny
 
+# the standard MINRES-QLP safeguards: a norm cap on the iterate, a
+# condition-estimate cap, and the condition threshold at which the update
+# recurrences transfer from MINRES to QLP form
+_MAXXNORM = 1e12
+_ACONDLIM = 1e15
+_TRANCOND = 1e7
+
 
 @dataclass
 class SolverConfig:
-    """Tolerances and caps of the solver.
+    """Tolerance and iteration cap of the solver.
 
     ``max_iters`` defaults to ``4 * dim`` capped at 2000 when left unset.
-    The remaining knobs are the standard MINRES-QLP safeguards: a norm cap
-    on the iterate, a condition-estimate cap, and the condition threshold
-    at which the update recurrences transfer from MINRES to QLP form.
     """
 
     rtol: float = 1e-8
     max_iters: int | None = None
-    maxxnorm: float = 1e12
-    acondlim: float = 1e15
-    trancond: float = 1e7
 
     def __post_init__(self) -> None:
         if self.rtol <= 0:
@@ -254,9 +255,9 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
         # operator scale means the Krylov space just hit the range of B;
         # dividing by it would inject an arbitrary null-space component
         gama_tol = 100.0 * _EPS * max(anorm, pnorm)
-        if abs(gama) > max(_REALMIN, gama_tol) and xnorm_tmp < cfg.maxxnorm:
+        if abs(gama) > max(_REALMIN, gama_tol) and xnorm_tmp < _MAXXNORM:
             u = (tau - eta * ul2 - vepln * ul) / gama
-            if math.hypot(xnorm_tmp, u) > cfg.maxxnorm:
+            if math.hypot(xnorm_tmp, u) > _MAXXNORM:
                 u = 0.0
                 flag = 6
         else:
@@ -266,12 +267,12 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
         xnorm = math.sqrt(xl2norm * xl2norm + ul * ul + u * u)
 
         # --- update w and x -------------------------------------------
-        if acond < cfg.trancond and flag == FLAG_GO and qlp_iter == 0:
+        if acond < _TRANCOND and flag == FLAG_GO and qlp_iter == 0:
             # MINRES-style update while the system looks benign
             wl2 = wl
             wl = w
             w = (v - epln * wl2 - dlta_qlp * wl) / gama_tmp
-            if xnorm < cfg.maxxnorm:
+            if xnorm < _MAXXNORM:
                 x = x + tau * w
             else:
                 flag = 6
@@ -342,9 +343,9 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
             epsx = anorm * xnorm * _EPS
             if iters >= maxit:
                 flag = 8
-            if acond >= cfg.acondlim:
+            if acond >= _ACONDLIM:
                 flag = 7
-            if xnorm >= cfg.maxxnorm:
+            if xnorm >= _MAXXNORM:
                 flag = 6
             if epsx >= beta1:
                 flag = 5
@@ -366,7 +367,7 @@ def minres_qlp(op: LinearOperator, b, cfg: SolverConfig | None = None) -> Krylov
     """Minimum-length solution of a symmetric (possibly singular) system.
 
     Runs MINRES recurrences while the condition estimate stays below
-    ``cfg.trancond``, then transfers to the QLP update form, which remains
+    ``_TRANCOND`` (1e7), then transfers to the QLP update form, which remains
     stable on singular and severely ill-conditioned problems and yields the
     minimum-norm least-squares solution.
 

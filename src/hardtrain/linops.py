@@ -1,8 +1,9 @@
 """Flat float64 vectors and implicit symmetric linear operators.
 
 Everything downstream (Krylov solvers, saddle-point assembly) works with
-1-D float64 arrays and operators that expose nothing but a matvec.  Dense
-matrices appear only in test oracles, via :func:`materialize`.
+1-D float64 arrays and operators that expose nothing but a matvec.  A
+dense matrix enters only through :func:`from_dense`, for the solver
+self-check; assembling an operator's dense matrix is left to the tests.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from typing import Callable
 import numpy as np
 
 Vector = np.ndarray
-
-MATERIALIZE_CAP = 2048
 
 
 class DimensionMismatch(ValueError):
@@ -47,7 +46,7 @@ class LinearOperator:
 
     The matvec must be deterministic for fixed captured state and, by
     contract, symmetric: <u, Bv> == <Bu, v> up to roundoff.  Symmetry is
-    not checked here; tests probe it with :func:`symmetry_defect`.
+    not checked here; the tests probe it.
     """
 
     dim: int
@@ -70,10 +69,6 @@ def apply(op: LinearOperator, v: Vector) -> Vector:
     return out
 
 
-def identity(dim: int) -> LinearOperator:
-    return LinearOperator(dim, lambda v: v.copy())
-
-
 def from_dense(a) -> LinearOperator:
     """Wrap a dense symmetric matrix as an implicit operator."""
     a = np.asarray(a, dtype=np.float64)
@@ -82,39 +77,3 @@ def from_dense(a) -> LinearOperator:
     return LinearOperator(a.shape[0], lambda v: a @ v)
 
 
-def materialize(op: LinearOperator, cap: int = MATERIALIZE_CAP) -> np.ndarray:
-    """Assemble the dense matrix column by column.  Test oracle only.
-
-    Refuses operators above ``cap`` to keep accidental O(n^2) blowups out
-    of library code paths.
-    """
-    if op.dim > cap:
-        raise ValueError(f"refusing to materialize operator of dim {op.dim} (cap {cap})")
-    cols = np.empty((op.dim, op.dim))
-    e = np.zeros(op.dim)
-    for i in range(op.dim):
-        e[i] = 1.0
-        cols[:, i] = apply(op, e)
-        e[i] = 0.0
-    return cols
-
-
-def symmetry_defect(op: LinearOperator, n_probes: int = 100, seed: int = 0) -> float:
-    """Max of |<u,Bv> - <Bu,v>| / (||u|| ||v|| est||B||) over random probes.
-
-    The operator norm estimate is the largest ||B w||/||w|| seen across the
-    probes (floored at 1 so a zero operator does not divide by zero).
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    bnorm = 1.0
-    for _ in range(n_probes):
-        u = rng.standard_normal(op.dim)
-        v = rng.standard_normal(op.dim)
-        bu = apply(op, u)
-        bv = apply(op, v)
-        bnorm = max(bnorm, np.linalg.norm(bu) / np.linalg.norm(u),
-                    np.linalg.norm(bv) / np.linalg.norm(v))
-        defect = abs(u @ bv - bu @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
-        worst = max(worst, defect)
-    return worst / bnorm

@@ -5,7 +5,8 @@ saddle-point step in its plain, Gauss-Newton and Adam-scaled variants
 (hard).  A problem object supplies the model, the constraint pool and
 factories for batch risk / residual functions; soft and hard runs that
 share a seed consume identical data and constraint batch streams, so the
-two regimes can be compared pairwise.
+two regimes can be compared pairwise.  The loop evaluates the constraint
+pool once per iterate; the steps see only their active set.
 """
 
 from __future__ import annotations
@@ -140,61 +141,42 @@ class TrainReport:
 
 @dataclass
 class Step:
-    """One outer step: the new parameters and optimizer state, the step's
-    multipliers and inner-solve record (empty and zero for soft steps), and
-    the active-set median violation before and after it."""
+    """One outer step: the new parameters and optimizer state, and the
+    step's multipliers and inner-solve record (empty and zero for soft
+    steps)."""
 
     w: Vector
     adam: AdamState | None
     multipliers: Vector
     solver_iters: int
     solver_status: str
-    before_median: float
-    after_median: float
-    skipped: bool
-
-
-def _linearize_constraints(problem, w: Vector, active: cs.ActiveSet):
-    """The active constraints' linearization at w (None when there are none)
-    and the median of their absolute values."""
-    if active.n_pairs == 0:
-        return None, 0.0
-    lin = ad.linearize(cs.active_constraint_function(problem.pool, problem.model, active), w)
-    return lin, float(np.median(np.abs(lin.value)))
-
-
-def _active_median(problem, w: Vector, active: cs.ActiveSet) -> float:
-    if active.n_pairs == 0:
-        return 0.0
-    return float(np.median(np.abs(cs.evaluate(problem.pool, problem.model, w, active))))
 
 
 def step_soft(method: str, w: Vector, problem, data_idx, active: cs.ActiveSet,
               cfg: TrainConfig, adam: AdamState | None = None) -> Step:
     """One descent step on the batch risk plus ``cfg.soft_lambda`` times the
     squared active residuals."""
-    lin, before = _linearize_constraints(problem, w, active)
     g = ad.gradient(problem.risk_function(data_idx), w)
-    if lin is not None:
+    # with lambda = 0 the penalty's gradient is exactly zero
+    if cfg.soft_lambda > 0 and active.n_pairs:
+        lin = ad.linearize(cs.active_constraint_function(problem.pool, problem.model, active), w)
         g = g + lin.vjp(2.0 * cfg.soft_lambda * lin.value)
-    del lin
     if method == SOFT_SGD:
         w_new = w - cfg.lr * g
     else:
         adam, dw = adam_update(adam, g, cfg.lr)
         w_new = w + dw
-    return Step(w_new, adam, np.zeros(0), 0, "-", before,
-                _active_median(problem, w_new, active), False)
+    return Step(w_new, adam, np.zeros(0), 0, "-")
 
 
 def step_hard(method: str, w: Vector, problem, data_idx, active: cs.ActiveSet,
               cfg: TrainConfig, adam: AdamState | None = None) -> Step:
-    """One saddle-point step; records active medians before and after."""
-    lin, before = _linearize_constraints(problem, w, active)
+    """One saddle-point step over the active constraints."""
+    lin = (ad.linearize(cs.active_constraint_function(problem.pool, problem.model, active), w)
+           if active.n_pairs else None)
     if method == HARD_GN:
         curvature = ad.linearize(problem.residual_function(data_idx), w)
         state = kkt.KktState(1.0 / cfg.lr, curvature.vjp(curvature.value), lin, curvature)
-        del curvature
     else:
         g = ad.gradient(problem.risk_function(data_idx), w)
         if method == HARD_SGD:
@@ -207,14 +189,10 @@ def step_hard(method: str, w: Vector, problem, data_idx, active: cs.ActiveSet,
             state = kkt.KktState(diag, adam.m, lin)
 
     step, _ = kkt.solve_step_with_retry(state, cfg.solver)
-    # the linearizations live only for the solve: free them before the
-    # constraints are evaluated again at the new parameters
-    del state, lin
     if step is None:
-        return Step(w, adam, np.zeros(active.n_pairs), 0, "skipped", before, before, True)
-    w_new = w + step.dw
-    return Step(w_new, adam, step.multipliers, step.solution.iters, step.solution.status,
-                before, _active_median(problem, w_new, active), False)
+        return Step(w, adam, np.zeros(active.n_pairs), 0, "skipped")
+    return Step(w + step.dw, adam, step.multipliers, step.solution.iters,
+                step.solution.status)
 
 
 # ---------------------------------------------------------------------------
@@ -222,21 +200,18 @@ def step_hard(method: str, w: Vector, problem, data_idx, active: cs.ActiveSet,
 # ---------------------------------------------------------------------------
 
 
-def _pool_median_violation(problem, w: Vector) -> float:
-    custom = getattr(problem, "pool_median_violation", None)
-    if custom is not None:
-        return float(custom(w))
-    return float(np.median(np.abs(
-        cs.violation_matrix(problem.pool, problem.model, w))))
-
-
-def _select(problem, w, cfg: TrainConfig, cseed) -> cs.ActiveSet:
+def _select(problem, V: np.ndarray, cfg: TrainConfig, cseed) -> cs.ActiveSet:
+    """The iteration's active set from the pool's violation matrix V."""
     if cfg.mine:
-        active = cs.select_mined(problem.pool, problem.model, w, cfg.n_mined)
+        active = cs.select_mined(V, cfg.n_mined)
     else:
         batch = min(cfg.batch_constraints, problem.pool.n_samples)
         active = cs.select_random(problem.pool, batch, cseed)
-    return cs.filter_inequalities(problem.pool, problem.model, w, active)
+    return cs.filter_inequalities(problem.pool, V, active)
+
+
+def _median_abs(values: np.ndarray) -> float:
+    return float(np.median(np.abs(values))) if values.size else 0.0
 
 
 def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
@@ -247,6 +222,8 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
     constraint-selection seed per iteration), so paired soft/hard runs see
     the same batches.  ``w0`` overrides the problem's own initialization,
     e.g. to fine-tune a constrained run from an unconstrained checkpoint.
+    The pool's violation matrix V is computed once per iterate; the pool
+    median, the next active set and the active-median delta all read it.
     """
     n_train = getattr(problem, "n_train", 0)
     if cfg.iterations is None and n_train == 0:
@@ -268,10 +245,10 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
             for lo in range(0, n_train - batch + 1, batch):
                 yield perm[lo:lo + batch]
 
+    V = cs.violation_matrix(problem.pool, problem.model, w)
     val0 = float(problem.prediction_error(w))
     initial_row = IterationRow(0, float(ad.value(problem.risk_function(None), w)[0]),
-                               val0, _pool_median_violation(problem, w),
-                               0.0, 0, "init", 0.0, "-")
+                               val0, _median_abs(V), 0.0, 0, "init", 0.0, "-")
     rows: list = []
     best_w, best_val = w.copy(), val0
     report = lambda: TrainReport(cfg.method, cfg.seed, initial_row, rows,
@@ -282,7 +259,7 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
         it += 1
         w_prev = w
         cseed = int(rng_batch.integers(2 ** 63))  # drawn even when mining ignores it
-        active = _select(problem, w, cfg, cseed)
+        active = _select(problem, V, cfg, cseed)
         # resolved at call time, so a wrapper set on the module takes effect
         step = (step_hard if hard else step_soft)(cfg.method, w, problem, data_idx,
                                                   active, cfg, adam)
@@ -291,11 +268,13 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
             raise TrainingDiverged(f"non-finite step at iteration {it}", report())
         step_norm = float(np.linalg.norm(step.w - w))
         w = step.w
+        V_prev, V = V, cs.violation_matrix(problem.pool, problem.model, w)
+        pairs = (active.sample_indices, active.constraint_indices)
         val = float(problem.prediction_error(w))
         row = IterationRow(it, float(ad.value(problem.risk_function(data_idx), w)[0]),
-                           val, _pool_median_violation(problem, w),
-                           step.after_median - step.before_median, step.solver_iters,
-                           step.solver_status, step_norm, active.fingerprint())
+                           val, _median_abs(V), _median_abs(V[pairs]) - _median_abs(V_prev[pairs]),
+                           step.solver_iters, step.solver_status, step_norm,
+                           active.fingerprint())
         if not row.finite():
             w = w_prev  # keep the last finite parameters as the checkpoint
             raise TrainingDiverged(f"non-finite metrics at iteration {it}", report())

@@ -15,7 +15,13 @@ from hardtrain import kkt, linops
 from hardtrain import trainers as tr
 from hardtrain.krylov import SolverConfig, minres_qlp
 
-from util import ModelOutputs, dense_random_mlp, random_symmetric_system
+from util import (
+    LinearMap,
+    ModelOutputs,
+    dense_random_mlp,
+    materialize,
+    random_symmetric_system,
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -107,7 +113,7 @@ def test_criterion_3_kkt_structural_equivalence():
         n_a = int(rng.integers(0, 11))
         G = rng.standard_normal((n_a, n_p))
         c = rng.standard_normal(n_a)
-        fn = ad.LinearMap(G, shift=c) if n_a else None
+        fn = LinearMap(G, shift=c) if n_a else None
         w = rng.standard_normal(n_p)
         eta = float(rng.uniform(0.2, 3.0))
 
@@ -121,7 +127,7 @@ def test_criterion_3_kkt_structural_equivalence():
         # (diag, grad, curvature) handed to the kkt layer, and the D block expected
         variants = [
             (eta, np.zeros(n_p), None, np.eye(n_p) * eta),
-            (eta, np.zeros(n_p), ad.linearize(ad.LinearMap(A), w),
+            (eta, np.zeros(n_p), ad.linearize(LinearMap(A), w),
              A.T @ A + eta * np.eye(n_p)),
             (adam_diag, mvec, None, np.diag(adam_diag)),
         ]
@@ -134,7 +140,7 @@ def test_criterion_3_kkt_structural_equivalence():
             if n_a:
                 dense[:n_p, n_p:] = G.T
                 dense[n_p:, :n_p] = G
-            got = linops.materialize(kkt.kkt_operator(state))
+            got = materialize(kkt.kkt_operator(state))
             worst = max(worst, np.max(np.abs(got - dense)))
     ok = worst <= 1e-12
     _report(3, "kkt structural equivalence", ok,
@@ -189,7 +195,8 @@ def test_criterion_4_hard_exactness_on_linear_constraints():
                          solver=SolverConfig(rtol=1e-12))
     step = tr.step_hard(tr.HARD_SGD, w, prob, None, active, cfg)
     assert step.solver_status == "converged"
-    residuals = cs.evaluate(prob.pool, prob.model, step.w, active)
+    V = cs.violation_matrix(prob.pool, prob.model, step.w)
+    residuals = V[active.sample_indices, active.constraint_indices]
     worst = np.max(np.abs(residuals))
     ok = worst <= 1e-9
     _report(4, "hard-constraint exactness", ok,
@@ -304,10 +311,11 @@ def test_criterion_8_mining_optimality():
         model = ad.IdentityOffset(3)
         w = rng.standard_normal(3)
         n_keep = int(rng.integers(1, n + 1))
-        med = cs.per_sample_median_violation(pool, model, w)
+        V = cs.violation_matrix(pool, model, w)
+        med = np.median(np.abs(V), axis=1)
         best = max(float(np.sum(med[list(s)]))
                    for s in itertools.combinations(range(n), n_keep))
-        mined = cs.select_mined(pool, model, w, n_keep)
+        mined = cs.select_mined(V, n_keep)
         got = float(np.sum(med[np.unique(mined.sample_indices)]))
         worst_gap = max(worst_gap, best - got)
     ok = worst_gap <= 1e-12

@@ -3,7 +3,7 @@ import pytest
 
 from hardtrain import autodiff as ad
 
-from util import ModelOutputs, dense_random_mlp
+from util import LinearMap, ModelOutputs, dense_random_mlp
 
 
 def straight_line_mlp(widths, w, x):
@@ -66,7 +66,7 @@ def test_mlp_rejects_bad_widths():
 
 
 def test_value_linear_map():
-    f = ad.LinearMap([[1.0, 2.0]])
+    f = LinearMap([[1.0, 2.0]])
     np.testing.assert_allclose(ad.value(f, np.array([1.0, 1.0])), [3.0])
 
 
@@ -97,7 +97,7 @@ def test_gradient_quadratic_norm():
 
 
 def test_gradient_constant_function():
-    f = ad.LinearMap(np.zeros((1, 3)), shift=[4.0])
+    f = LinearMap(np.zeros((1, 3)), shift=[4.0])
     np.testing.assert_array_equal(ad.gradient(f, np.ones(3)), np.zeros(3))
 
 
@@ -109,7 +109,7 @@ def test_gradient_requires_scalar():
 def test_rop_linear_map():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((4, 6))
-    f = ad.LinearMap(A)
+    f = LinearMap(A)
     v = rng.standard_normal(6)
     np.testing.assert_allclose(ad.linearize(f, np.zeros(6)).jvp(v), A @ v)
 
@@ -123,7 +123,7 @@ def test_rop_elementwise_square():
 def test_lop_linear_map_and_basis_rows():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((3, 5))
-    f = ad.LinearMap(A)
+    f = LinearMap(A)
     u = rng.standard_normal(3)
     np.testing.assert_allclose(ad.linearize(f, np.zeros(5)).vjp(u), u @ A)
     for i in range(3):
@@ -268,3 +268,14 @@ def test_checkpoint_rejects_truncated_header(tmp_path):
     path.write_bytes(path.read_bytes()[:10])
     with pytest.raises(ValueError, match="truncated checkpoint"):
         ad.load_params(path)
+
+
+def test_checkpoint_rejects_non_finite_parameters(tmp_path):
+    path = tmp_path / "p.bin"
+    ad.save_params(path, np.ones(3), 1)
+    raw = bytearray(path.read_bytes())
+    for bad in (np.nan, np.inf):
+        raw[32:40] = np.array([bad], dtype="<f8").tobytes()
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="non-finite"):
+            ad.load_params(path, expect_hash=1)

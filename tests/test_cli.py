@@ -83,11 +83,21 @@ BAD_VALUE_BASES = {"spheres": SPHERES_SMALL, "toy_pose": POSE_SMALL,
     ("toy_pose_mined", "n_mined = 11"),
     ("toy_pose", "n_samples = 1"),
     ("toy_pose", "init_checkpoint = no_such_params.bin"),
+    ("toy_pose", "init_checkpoint = {nan_checkpoint}"),
     ("solve_check", "max_dim = 1"),
 ])
 def test_run_bad_config_value_exits_2_without_outputs(tmp_path, capsys, kind, line):
     base = BAD_VALUE_BASES[kind]
     key = line.split(" = ")[0]
+    if "{nan_checkpoint}" in line:
+        # a checkpoint of the right layout with one NaN parameter
+        assert cli.main(["run", write(tmp_path, "base.txt", base),
+                         "--out-dir", str(tmp_path / "base")]) == 0
+        raw = bytearray((tmp_path / "base" / "best_params.bin").read_bytes())
+        raw[24:32] = np.array([np.nan], dtype="<f8").tobytes()
+        ckpt = tmp_path / "nan_params.bin"
+        ckpt.write_bytes(raw)
+        line = line.format(nan_checkpoint=ckpt)
     text = "".join(l + "\n" for l in base.splitlines() if not l.startswith(key + " "))
     out = tmp_path / "out"
     rc = cli.main(["run", write(tmp_path, "bad.txt", text + line + "\n"),
@@ -245,6 +255,27 @@ def test_compare_rejects_mismatched_lengths(tmp_path, capsys):
     rc = cli.main(["compare", str(out1 / "metrics.csv"), str(out2 / "metrics.csv")])
     assert rc == 2
     assert "length" in capsys.readouterr().err
+
+
+def test_compare_reads_only_the_columns_it_needs(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert cli.main(["run", write(tmp_path, "c.txt", SPHERES_SMALL), "--out-dir", str(out)]) == 0
+    lines = (out / "metrics.csv").read_text().splitlines()
+    # one extra column compares as before
+    extra = tmp_path / "extra.csv"
+    extra.write_text("".join(f"{l},{'wall_s' if i == 0 else 0.5}\n"
+                             for i, l in enumerate(lines)))
+    rows = cli.read_metrics(out / "metrics.csv")
+    assert cli.compare(cli.read_metrics(extra), rows) == cli.compare(rows, rows)
+    # a trace without active_delta is refused, naming the column
+    header = lines[0].split(",")
+    drop = header.index("active_delta")
+    missing = tmp_path / "missing.csv"
+    missing.write_text("".join(",".join(c for j, c in enumerate(l.split(",")) if j != drop)
+                               + "\n" for l in lines))
+    rc = cli.main(["compare", str(missing), str(out / "metrics.csv")])
+    assert rc == 2
+    assert "active_delta" in capsys.readouterr().err
 
 
 def test_compare_flags_soft_as_smoother(tmp_path):

