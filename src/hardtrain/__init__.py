@@ -1,8 +1,8 @@
 """Matrix-free training of differentiable models under hard output constraints.
 
 Subpackages by layer: ``linops`` (vectors, implicit operators), ``krylov``
-(MINRES-QLP), ``autodiff`` (gradient and linearize -> value, jvp,
-vjp over flat parameters), ``kkt`` (saddle-point systems and steps),
+(MINRES-QLP), ``autodiff`` (linearize -> value, jvp, vjp over flat
+parameters; residual objectives), ``kkt`` (saddle-point systems and steps),
 ``constraints`` (data-dependent constraint pools and active sets),
 ``trainers`` (soft and hard outer loops), ``benchmarks`` (synthetic
 problems and metrics), ``cli`` (experiment runner).

@@ -7,9 +7,11 @@ products there -- for functions built from affine layers, ReLUs and a few
 fixed heads.  Everything that depends only on the parameters (the MLP
 tape, a head's unit vectors) is computed once by ``linearize`` and held by
 the two closures, so a step's many products reuse it.  ``jvp`` propagates
-tangents forward through the tape; ``vjp`` and ``gradient`` run a reverse
-sweep over it.  Parameters always live in a single flat float64 vector;
-each model keeps a layout registry mapping layers to slices of it.
+tangents forward through the tape; ``vjp`` runs a reverse sweep over it.
+A training objective is a residual vector r whose squared norm is the
+risk (:class:`ScaledResiduals`), so the risk gradient ``2 J^T r`` is one
+``vjp``.  Parameters always live in a single flat float64 vector; each
+model keeps a layout registry mapping layers to slices of it.
 """
 
 from __future__ import annotations
@@ -107,12 +109,10 @@ class Mlp:
     def linearize(self, w: Vector, X: np.ndarray):
         """(outputs, jvp, vjp) over one tape of the batch X."""
         tape = self.tape(w, X)
-        return (tape.out, lambda v: self.jvp(w, X, v, tape),
-                lambda U: self.vjp(w, X, U, tape))
+        return tape.out, lambda v: self.jvp(w, v, tape), lambda U: self.vjp(w, U, tape)
 
-    def jvp(self, w: Vector, X: np.ndarray, v: Vector, tape: MlpTape | None = None) -> np.ndarray:
-        """Directional derivative of the batched output along parameter tangent v."""
-        tape = tape or self.tape(w, X)
+    def jvp(self, w: Vector, v: Vector, tape: MlpTape) -> np.ndarray:
+        """Directional derivative of the taped batch's output along parameter tangent v."""
         check_length(v, self.n_params, "tangent")
         da = np.zeros_like(tape.acts[0])  # inputs are fixed data
         layers = self.unpack(w)
@@ -122,9 +122,8 @@ class Mlp:
             da = dz * tape.masks[l] if l < self.n_layers - 1 else dz
         return da
 
-    def vjp(self, w: Vector, X: np.ndarray, U: np.ndarray, tape: MlpTape | None = None) -> Vector:
-        """Adjoint product: flat parameter gradient of <U, output>."""
-        tape = tape or self.tape(w, X)
+    def vjp(self, w: Vector, U: np.ndarray, tape: MlpTape) -> Vector:
+        """Adjoint product: flat parameter gradient of <U, output> over the taped batch."""
         U = np.atleast_2d(np.asarray(U, dtype=np.float64))
         layers = self.unpack(w)
         grad = np.zeros(self.n_params)
@@ -183,7 +182,6 @@ class DiffFunction:
 
     n_params: int
     n_outputs: int
-    structure: str = ""
 
     def value(self, w: Vector) -> Vector:
         raise NotImplementedError
@@ -220,20 +218,9 @@ def linearize(f: DiffFunction, w: Vector) -> Linearization:
     return Linearization(y, jvp, vjp)
 
 
-def gradient(f: DiffFunction, w: Vector) -> Vector:
-    """Reverse-mode gradient of a scalar function."""
-    if f.n_outputs != 1:
-        raise ValueError(f"gradient needs a scalar function, got {f.n_outputs} outputs")
-    return linearize(f, w).vjp(np.ones(1))
-
-
-class SquaredErrorRisk(DiffFunction):
-    """Mean squared coordinate error over a labeled batch (scalar).
-
-    Equals the average over samples of ||pred - y||^2 / out_dim.
-    """
-
-    n_outputs = 1
+class ScaledResiduals(DiffFunction):
+    """Flattened prediction residuals over a labeled batch, scaled so that
+    ||r||^2 is the mean squared coordinate error, the batch risk."""
 
     def __init__(self, model, X, Y):
         self.model = model
@@ -242,31 +229,8 @@ class SquaredErrorRisk(DiffFunction):
         if self.Y.shape != (self.X.shape[0], model.out_dim):
             raise ValueError(f"label shape {self.Y.shape} does not match batch")
         self.n_params = model.n_params
-        self.structure = f"mse[{self.X.shape[0]}]"
-
-    def value(self, w):
-        diff = self.model.forward(w, self.X) - self.Y
-        return np.array([np.mean(diff * diff)])
-
-    def linearize(self, w):
-        pred, jvp, vjp = self.model.linearize(w, self.X)
-        diff = pred - self.Y
-        return (np.array([np.mean(diff * diff)]),
-                lambda v: np.array([2.0 * np.sum(diff * jvp(v)) / diff.size]),
-                lambda u: vjp((2.0 / diff.size) * diff) * u[0])
-
-
-class ScaledResiduals(DiffFunction):
-    """Flattened prediction residuals scaled so ||r||^2 equals the mean risk."""
-
-    def __init__(self, model, X, Y):
-        self.model = model
-        self.X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        self.Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-        self.n_params = model.n_params
         self.n_outputs = self.Y.size
         self.scale = 1.0 / np.sqrt(self.Y.size)
-        self.structure = f"residuals[{self.Y.shape[0]}x{model.out_dim}]"
 
     def value(self, w):
         return (self.model.forward(w, self.X) - self.Y).ravel() * self.scale
@@ -276,25 +240,6 @@ class ScaledResiduals(DiffFunction):
         return ((pred - self.Y).ravel() * self.scale,
                 lambda v: jvp(v).ravel() * self.scale,
                 lambda u: vjp(u.reshape(self.Y.shape) * self.scale))
-
-
-class QuadraticDistance(DiffFunction):
-    """f(w) = 0.5 ||w - x0||^2 (scalar)."""
-
-    n_outputs = 1
-
-    def __init__(self, x0):
-        self.x0 = as_vector(x0, "anchor")
-        self.n_params = self.x0.shape[0]
-        self.structure = f"quad_dist[{self.n_params}]"
-
-    def value(self, w):
-        d = w - self.x0
-        return np.array([0.5 * (d @ d)])
-
-    def linearize(self, w):
-        d = w - self.x0
-        return np.array([0.5 * (d @ d)]), lambda v: np.array([d @ v]), lambda u: u[0] * d
 
 
 # ---------------------------------------------------------------------------

@@ -63,12 +63,11 @@ def median_violation(residuals) -> float:
 
 
 class _AnchorResiduals(ad.DiffFunction):
-    """r(w) = (w - x0) / sqrt(2), so ||r||^2 matches the anchor risk."""
+    """r(w) = (w - x0) / sqrt(2), so ||r||^2 is the anchor risk 0.5||w - x0||^2."""
 
     def __init__(self, x0):
         self.x0 = np.asarray(x0, dtype=np.float64)
         self.n_params = self.n_outputs = self.x0.shape[0]
-        self.structure = f"anchor_residuals[{self.n_params}]"
         self._s = 1.0 / np.sqrt(2.0)
 
     def value(self, w):
@@ -98,9 +97,6 @@ class SphereProblem:
 
     def initial_params(self, rng) -> Vector:
         return self.x0.copy()
-
-    def risk_function(self, idx) -> ad.DiffFunction:
-        return ad.QuadraticDistance(self.x0)
 
     def residual_function(self, idx) -> ad.DiffFunction:
         return _AnchorResiduals(self.x0)
@@ -229,11 +225,6 @@ class ToyPoseProblem:
 
     def initial_params(self, rng) -> Vector:
         return self.mlp.init_params(rng, self.init_scale)
-
-    def risk_function(self, idx) -> ad.DiffFunction:
-        if idx is None:
-            return ad.SquaredErrorRisk(self.mlp, self.train_x, self.train_y)
-        return ad.SquaredErrorRisk(self.mlp, self.train_x[idx], self.train_y[idx])
 
     def residual_function(self, idx) -> ad.DiffFunction:
         if idx is None:

@@ -308,8 +308,6 @@ class StackedConstraints(ad.DiffFunction):
         self._flat = self._rows * pool.n_constraints + self._cols
         self.n_params = model.n_params
         self.n_outputs = active.n_pairs
-        self.structure = (f"constraints[{active.n_pairs} pairs / "
-                          f"{len(self._uniq)} samples]")
 
     @property
     def X(self) -> np.ndarray:

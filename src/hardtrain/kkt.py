@@ -11,9 +11,9 @@ Jacobian (never formed: its products come from the jvp/vjp closures of the
 constraints' linearization at w, built once per step).  Only the top-left
 block D and the top of the right-hand side ``g`` depend on the optimizer:
 
-* plain step: ``D = eta * I`` and ``g`` the risk gradient;
-* Gauss-Newton step over a residual model r: ``D = J^T J + eta * I`` with
-  J the Jacobian of r, and ``g = J^T r``;
+* plain step: ``D = eta * I`` and ``g = 2 J^T r``, the gradient of the
+  risk ||r||^2 of the batch residuals r, whose Jacobian is J;
+* Gauss-Newton step: ``D = J^T J + eta * I`` and ``g = J^T r``;
 * Adam-style step: the moment-scaled diagonal
   ``D = eta * diag(sqrt(v) + eps) / f`` with Adam's bias correction
   ``f = sqrt(1 - beta2^t) / (1 - beta1^t)``, and ``g = m``, so that with

@@ -56,9 +56,6 @@ class LinearOperator:
         if self.dim < 1:
             raise ValueError(f"operator dim must be positive, got {self.dim}")
 
-    def __call__(self, v: Vector) -> Vector:
-        return apply(self, v)
-
 
 def apply(op: LinearOperator, v: Vector) -> Vector:
     """Return ``op.matvec(v)`` after validating the length; ``v`` is not mutated."""

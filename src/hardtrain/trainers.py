@@ -2,8 +2,8 @@
 
 Five methods: plain SGD and Adam on the penalized objective (soft), and the
 saddle-point step in its plain, Gauss-Newton and Adam-scaled variants
-(hard).  A problem object supplies the model, the constraint pool and
-factories for batch risk / residual functions; soft and hard runs that
+(hard).  A problem object supplies the model, the constraint pool and its
+batch residuals, whose squared norm is the risk; soft and hard runs that
 share a seed consume identical data and constraint batch streams, so the
 two regimes can be compared pairwise.  The loop evaluates the constraint
 pool once per iterate; the steps see only their active set.
@@ -156,7 +156,8 @@ def step_soft(method: str, w: Vector, problem, data_idx, active: cs.ActiveSet,
               cfg: TrainConfig, adam: AdamState | None = None) -> Step:
     """One descent step on the batch risk plus ``cfg.soft_lambda`` times the
     squared active residuals."""
-    g = ad.gradient(problem.risk_function(data_idx), w)
+    res = ad.linearize(problem.residual_function(data_idx), w)
+    g = res.vjp(2.0 * res.value)
     # with lambda = 0 the penalty's gradient is exactly zero
     if cfg.soft_lambda > 0 and active.n_pairs:
         lin = ad.linearize(cs.active_constraint_function(problem.pool, problem.model, active), w)
@@ -174,19 +175,18 @@ def step_hard(method: str, w: Vector, problem, data_idx, active: cs.ActiveSet,
     """One saddle-point step over the active constraints."""
     lin = (ad.linearize(cs.active_constraint_function(problem.pool, problem.model, active), w)
            if active.n_pairs else None)
+    res = ad.linearize(problem.residual_function(data_idx), w)
+    g = res.vjp(2.0 * res.value)
     if method == HARD_GN:
-        curvature = ad.linearize(problem.residual_function(data_idx), w)
-        state = kkt.KktState(1.0 / cfg.lr, curvature.vjp(curvature.value), lin, curvature)
+        state = kkt.KktState(1.0 / cfg.lr, 0.5 * g, lin, res)
+    elif method == HARD_SGD:
+        state = kkt.KktState(1.0 / cfg.lr, g, lin)
     else:
-        g = ad.gradient(problem.risk_function(data_idx), w)
-        if method == HARD_SGD:
-            state = kkt.KktState(1.0 / cfg.lr, g, lin)
-        else:
-            # D = diag(sqrt(v) + eps) / (lr * f) makes the unconstrained
-            # solution D^-1 (-m) Adam's own step
-            adam, _ = adam_update(adam, g, cfg.lr)
-            diag = (np.sqrt(adam.v) + adam.eps) / (cfg.lr * adam.bias_correction())
-            state = kkt.KktState(diag, adam.m, lin)
+        # D = diag(sqrt(v) + eps) / (lr * f) makes the unconstrained
+        # solution D^-1 (-m) Adam's own step
+        adam, _ = adam_update(adam, g, cfg.lr)
+        diag = (np.sqrt(adam.v) + adam.eps) / (cfg.lr * adam.bias_correction())
+        state = kkt.KktState(diag, adam.m, lin)
 
     step, _ = kkt.solve_step_with_retry(state, cfg.solver)
     if step is None:
@@ -208,6 +208,11 @@ def _select(problem, V: np.ndarray, cfg: TrainConfig, cseed) -> cs.ActiveSet:
         batch = min(cfg.batch_constraints, problem.pool.n_samples)
         active = cs.select_random(problem.pool, batch, cseed)
     return cs.filter_inequalities(problem.pool, V, active)
+
+
+def _risk(problem, data_idx, w: Vector) -> float:
+    r = ad.value(problem.residual_function(data_idx), w)
+    return float(r @ r)
 
 
 def _median_abs(values: np.ndarray) -> float:
@@ -247,8 +252,8 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
 
     V = cs.violation_matrix(problem.pool, problem.model, w)
     val0 = float(problem.prediction_error(w))
-    initial_row = IterationRow(0, float(ad.value(problem.risk_function(None), w)[0]),
-                               val0, _median_abs(V), 0.0, 0, "init", 0.0, "-")
+    initial_row = IterationRow(0, _risk(problem, None, w), val0, _median_abs(V),
+                               0.0, 0, "init", 0.0, "-")
     rows: list = []
     best_w, best_val = w.copy(), val0
     report = lambda: TrainReport(cfg.method, cfg.seed, initial_row, rows,
@@ -271,8 +276,8 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
         V_prev, V = V, cs.violation_matrix(problem.pool, problem.model, w)
         pairs = (active.sample_indices, active.constraint_indices)
         val = float(problem.prediction_error(w))
-        row = IterationRow(it, float(ad.value(problem.risk_function(data_idx), w)[0]),
-                           val, _median_abs(V), _median_abs(V[pairs]) - _median_abs(V_prev[pairs]),
+        row = IterationRow(it, _risk(problem, data_idx, w), val, _median_abs(V),
+                           _median_abs(V[pairs]) - _median_abs(V_prev[pairs]),
                            step.solver_iters, step.solver_status, step_norm,
                            active.fingerprint())
         if not row.finite():

@@ -18,9 +18,12 @@ from hardtrain.krylov import SolverConfig, minres_qlp
 from util import (
     LinearMap,
     ModelOutputs,
+    anchor_residuals,
     dense_random_mlp,
     materialize,
     random_symmetric_system,
+    risk,
+    risk_gradient,
 )
 
 
@@ -69,7 +72,7 @@ def test_criterion_2_differentiation_exactness():
         X = rng.standard_normal((2, widths[0]))
         Y = rng.standard_normal((2, widths[-1]))
         fvec = ModelOutputs(mlp, X)
-        fsca = ad.SquaredErrorRisk(mlp, X, Y)
+        fres = ad.ScaledResiduals(mlp, X, Y)
         v = rng.standard_normal(mlp.n_params)
         v /= np.linalg.norm(v)
         masks_p = mlp.tape(w + h * v, X).masks
@@ -88,8 +91,8 @@ def test_criterion_2_differentiation_exactness():
         worst_fd = max(worst_fd, abs(lop_u @ v - u @ fd_vec)
                        / max(abs(u @ fd_vec), 1e-8))
 
-        fd_sca = (ad.value(fsca, w + h * v)[0] - ad.value(fsca, w - h * v)[0]) / (2 * h)
-        grad_v = ad.gradient(fsca, w) @ v
+        fd_sca = (risk(fres, w + h * v) - risk(fres, w - h * v)) / (2 * h)
+        grad_v = risk_gradient(fres, w) @ v
         worst_fd = max(worst_fd, abs(grad_v - fd_sca) / max(abs(fd_sca), 1e-8))
 
         lhs = u @ rop_v
@@ -161,8 +164,8 @@ class _LinearProblem:
         head = _LinHead(H, shifts)
         self.pool = cs.ConstraintPool(samples, head, (cs.EQUALITY,) * head.n_constraints)
 
-    def risk_function(self, idx):
-        return ad.QuadraticDistance(self.x0)
+    def residual_function(self, idx):
+        return anchor_residuals(self.x0)
 
     def prediction_error(self, w):
         return 0.0
@@ -218,8 +221,8 @@ def test_criterion_5_fixed_set_two_circle_convergence():
             self.pool = pool
             self.x0 = np.array([0.3, 9.0])
 
-        def risk_function(self, idx):
-            return ad.QuadraticDistance(self.x0)
+        def residual_function(self, idx):
+            return anchor_residuals(self.x0)
 
         def prediction_error(self, w):
             return 0.0

@@ -9,7 +9,8 @@ from hardtrain import constraints as cs
 from hardtrain import trainers as tr
 from hardtrain.krylov import SolverConfig
 
-from util import hypersphere_residuals, symmetry_residuals
+from util import (anchor_residuals, hypersphere_residuals, risk, risk_gradient,
+                  stencil_crosses_kink, symmetry_residuals)
 
 
 def test_gen_spheres_deterministic():
@@ -95,6 +96,30 @@ def test_toy_pose_split_and_shapes():
     assert p.train_y.shape == (400, 51)
 
 
+def test_problem_residuals_square_to_the_risk():
+    # a problem's one objective: ||r||^2 is its risk and 2 J^T r the gradient
+    rng = np.random.default_rng(8)
+    spheres = bm.gen_spheres(40, 5, seed=1)
+    pose = bm.gen_toy_pose(seed=1, n_samples=60, n_pool=10, in_dim=8, hidden=(12,))
+    batch = np.arange(3, 19)
+    w = spheres.x0 + rng.standard_normal(spheres.dim)
+    cases = [(spheres, idx, w, 0.5 * np.sum((w - spheres.x0) ** 2)) for idx in (None, batch)]
+    w = pose.initial_params(rng)
+    for idx in (None, batch):
+        rows = slice(None) if idx is None else idx
+        err = pose.mlp.forward(w, pose.train_x[rows]) - pose.train_y[rows]
+        cases.append((pose, idx, w, np.mean(err ** 2)))
+    h = 1e-5
+    for problem, idx, w, expect in cases:
+        f = problem.residual_function(idx)
+        assert risk(f, w) == pytest.approx(expect, rel=1e-12, abs=0.0)
+        v = rng.standard_normal(len(w))
+        v /= np.linalg.norm(v)
+        assert problem is spheres or not stencil_crosses_kink(pose.mlp, w, pose.train_x, v, h)
+        fd = (risk(f, w + h * v) - risk(f, w - h * v)) / (2 * h)
+        assert abs(risk_gradient(f, w) @ v - fd) <= 1e-5 * abs(fd)
+
+
 def test_problem_spec_round_trip(tmp_path):
     # the spec's fields regenerate the problem bit for bit
     p = bm.gen_spheres(32, 12, seed=9)
@@ -148,8 +173,8 @@ def test_near_parallel_linearizations_send_step_far():
             self.pool = pool
             self.x0 = np.array([5.0, 9.0])
 
-        def risk_function(self, idx):
-            return ad.QuadraticDistance(self.x0)
+        def residual_function(self, idx):
+            return anchor_residuals(self.x0)
 
         def prediction_error(self, w):
             return 0.0

@@ -44,10 +44,8 @@ def _functions(rng):
     A = rng.standard_normal((int(rng.integers(1, 6)), d))
     return [
         ("outputs", ModelOutputs(mlp, X), w),
-        ("mse", ad.SquaredErrorRisk(mlp, X, Y), w),
         ("residuals", ad.ScaledResiduals(mlp, X, Y), w),
         ("linear", LinearMap(A, rng.standard_normal(A.shape[0])), w_off),
-        ("quad_dist", ad.QuadraticDistance(rng.standard_normal(d)), w_off),
         ("anchor", bm._AnchorResiduals(rng.standard_normal(d)), w_off),
         ("symmetry", _stacked(rng, cs.SymmetryHead(), 6, pose_mlp, pose_mlp.in_dim),
          pose_w),
@@ -117,8 +115,8 @@ def test_kkt_operators_are_symmetric(seed, variant):
     assert symmetry_defect(kkt.kkt_operator(state), n_probes=10, seed=seed) <= 1e-10
 
 
-@pytest.mark.parametrize("f", [ad.QuadraticDistance(np.zeros(3)), LinearMap(np.eye(3))],
-                         ids=["quad_dist", "linear"])
+@pytest.mark.parametrize("f", [bm._AnchorResiduals(np.zeros(3)), LinearMap(np.eye(3))],
+                         ids=["anchor", "linear"])
 def test_linearize_closures_check_operand_length(f):
     lin = ad.linearize(f, np.ones(3))
     with pytest.raises(linops.DimensionMismatch):

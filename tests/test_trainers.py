@@ -7,7 +7,7 @@ from hardtrain import constraints as cs
 from hardtrain import trainers as tr
 from hardtrain.krylov import SolverConfig
 
-from util import LinearMap
+from util import anchor_residuals
 
 
 class LinearHead:
@@ -35,12 +35,8 @@ class ToyProblem:
     def initial_params(self, rng):
         return self.x0.copy()
 
-    def risk_function(self, idx):
-        return ad.QuadraticDistance(self.x0)
-
     def residual_function(self, idx):
-        d = len(self.x0)
-        return LinearMap(np.eye(d) / np.sqrt(2), -self.x0 / np.sqrt(2))
+        return anchor_residuals(self.x0)
 
     def prediction_error(self, w):
         return 0.0

@@ -94,6 +94,14 @@ def random_symmetric_system(rng):
     return B, b, x_star, cond, deficient
 
 
+def stencil_crosses_kink(mlp, w, X, v, h=1e-5):
+    """True when a ReLU flips sign inside the central-difference stencil;
+    the function is not differentiable there and FD is no oracle."""
+    mp = mlp.tape(w + h * v, X).masks
+    mm = mlp.tape(w - h * v, X).masks
+    return any(np.any(a != b) for a, b in zip(mp, mm))
+
+
 def dense_random_mlp(rng, max_hidden=3, max_width=64, in_dim=None, out_dim=None):
     """Widths for a random small ReLU network."""
     din = in_dim or int(rng.integers(2, 9))
@@ -110,7 +118,6 @@ class ModelOutputs(ad.DiffFunction):
         self.X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         self.n_params = model.n_params
         self.n_outputs = self.X.shape[0] * model.out_dim
-        self.structure = f"outputs[{self.X.shape[0]}x{model.out_dim}]"
 
     def value(self, w):
         return self.model.forward(w, self.X).ravel()
@@ -175,13 +182,30 @@ class LinearMap(ad.DiffFunction):
         self.shift = np.zeros(self.A.shape[0]) if shift is None else as_vector(shift)
         self.n_params = self.A.shape[1]
         self.n_outputs = self.A.shape[0]
-        self.structure = f"linear[{self.A.shape[0]}x{self.A.shape[1]}]"
 
     def value(self, w):
         return self.A @ w + self.shift
 
     def linearize(self, w):
         return self.value(w), lambda v: self.A @ v, lambda u: u @ self.A
+
+
+def anchor_residuals(x0) -> LinearMap:
+    """r(w) = (w - x0) / sqrt(2), whose squared norm is 0.5 ||w - x0||^2."""
+    x0 = as_vector(x0)
+    return LinearMap(np.eye(len(x0)) / np.sqrt(2.0), -x0 / np.sqrt(2.0))
+
+
+def risk(f, w) -> float:
+    """||r(w)||^2, the risk of a residual function."""
+    r = ad.value(f, w)
+    return float(r @ r)
+
+
+def risk_gradient(f, w):
+    """2 J^T r, the gradient of ||r||^2, from one linearization at w."""
+    lin = ad.linearize(f, w)
+    return lin.vjp(2.0 * lin.value)
 
 
 def identity(dim: int) -> LinearOperator:
