@@ -107,9 +107,10 @@ class Mlp:
         return MlpTape(acts, masks, a)
 
     def linearize(self, w: Vector, X: np.ndarray):
-        """(outputs, jvp, vjp) over one tape of the batch X."""
+        """(outputs, jvp, vjp, gram) over one tape of the batch X."""
         tape = self.tape(w, X)
-        return tape.out, lambda v: self.jvp(w, v, tape), lambda U: self.vjp(w, U, tape)
+        return (tape.out, lambda v: self.jvp(w, v, tape), lambda U: self.vjp(w, U, tape),
+                lambda rows, H, d_inv: self.gram(w, rows, H, d_inv, tape))
 
     def jvp(self, w: Vector, v: Vector, tape: MlpTape) -> np.ndarray:
         """Directional derivative of the taped batch's output along parameter tangent v."""
@@ -136,6 +137,40 @@ class Mlp:
                 g = (g @ layers[l][0]) * tape.masks[l - 1]
         return grad
 
+    def gram(self, w: Vector, rows: np.ndarray, H: np.ndarray, d_inv, tape: MlpTape) -> np.ndarray:
+        """G diag(d_inv) G^T, where row k of G is the parameter gradient of
+        <H[k], output of taped sample rows[k]>.
+
+        The m rows of H are backpropagated together: at layer l, Delta_l
+        holds each row's output cotangent and A_l its sample's layer input,
+        and G's layer-l block of row k is the outer product
+        Delta_l[k] A_l[k]^T plus the bias part Delta_l[k].  For a scalar
+        d_inv the Gram matrix is d_inv * sum_l (Delta_l Delta_l^T) *
+        (A_l A_l^T + 1), elementwise, and G is never formed; a vector
+        d_inv weights each layer's block entrywise, so that block is formed
+        one layer at a time and scaled by sqrt(d_inv), which makes its Gram
+        product one symmetric rank-k update.
+        """
+        layers = self.unpack(w)
+        scalar = np.ndim(d_inv) == 0
+        root = None if scalar else np.sqrt(d_inv)
+        m = len(rows)
+        S = np.zeros((m, m))
+        g = np.atleast_2d(np.asarray(H, dtype=np.float64))
+        for l in range(self.n_layers - 1, -1, -1):
+            A = tape.acts[l][rows]
+            if scalar:
+                S += (g @ g.T) * (A @ A.T + 1.0)
+            else:
+                w_sl, _, b_sl = self.layout[l]
+                block = (g[:, :, None] * A[:, None, :]).reshape(m, -1)
+                block *= root[w_sl]
+                bias = g * root[b_sl]
+                S += block @ block.T + bias @ bias.T
+            if l > 0:
+                g = (g @ layers[l][0]) * tape.masks[l - 1][rows]
+        return d_inv * S if scalar else S
+
 
 class IdentityOffset:
     """Trivial model y_k = w - x_k: the decision vector shifted by each sample.
@@ -153,10 +188,13 @@ class IdentityOffset:
         return w[None, :] - np.atleast_2d(X)
 
     def linearize(self, w: Vector, X: np.ndarray):
-        """(outputs, jvp, vjp): every sample's output moves with w itself."""
+        """(outputs, jvp, vjp, gram): every sample's output moves with w
+        itself, so the gradient of <H[k], output k> is H[k] and the Gram
+        matrix is H diag(d_inv) H^T."""
         Y = self.forward(w, X)
         return (Y, lambda v: np.broadcast_to(v, Y.shape),
-                lambda U: np.atleast_2d(U).sum(axis=0))
+                lambda U: np.atleast_2d(U).sum(axis=0),
+                lambda rows, H, d_inv: (H * d_inv) @ H.T)
 
 
 # ---------------------------------------------------------------------------
@@ -166,18 +204,25 @@ class IdentityOffset:
 
 
 class Linearization(NamedTuple):
-    """A function at one parameter vector w: f(w), v -> J v, u -> u^T J."""
+    """A function at one parameter vector w: f(w), v -> J v, u -> u^T J.
+
+    ``gram``, when the function supplies it, maps ``d_inv`` (a float or a
+    vector over the parameters) to the m x m matrix J diag(d_inv) J^T,
+    built without forming J; it is None otherwise.
+    """
 
     value: Vector
     jvp: Callable[[Vector], Vector]
     vjp: Callable[[Vector], Vector]
+    gram: Callable[[float | Vector], np.ndarray] | None = None
 
 
 class DiffFunction:
-    """Interface: value(w), and linearize(w) -> (value, jvp, vjp).
+    """Interface: value(w), and linearize(w) -> (value, jvp, vjp[, gram]).
 
     The closures ``linearize`` returns hold whatever depends only on w, so
-    they cost one product each however often they are called.
+    they cost one product each however often they are called.  The
+    optional ``gram`` closure gives J diag(d_inv) J^T.
     """
 
     n_params: int
@@ -203,7 +248,7 @@ def linearize(f: DiffFunction, w: Vector) -> Linearization:
     only their operand's length."""
     w = as_vector(w, "params")
     check_length(w, f.n_params, "params")
-    y, f_jvp, f_vjp = f.linearize(w)
+    y, f_jvp, f_vjp, *f_gram = f.linearize(w)
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     check_length(y, f.n_outputs, "output")
 
@@ -215,7 +260,12 @@ def linearize(f: DiffFunction, w: Vector) -> Linearization:
         check_length(u, f.n_outputs, "adjoint")
         return np.asarray(f_vjp(u), dtype=np.float64)
 
-    return Linearization(y, jvp, vjp)
+    def gram(d_inv) -> np.ndarray:
+        if np.ndim(d_inv):
+            check_length(np.asarray(d_inv), f.n_params, "gram weights")
+        return np.asarray(f_gram[0](d_inv), dtype=np.float64)
+
+    return Linearization(y, jvp, vjp, gram if f_gram else None)
 
 
 class ScaledResiduals(DiffFunction):
@@ -236,7 +286,7 @@ class ScaledResiduals(DiffFunction):
         return (self.model.forward(w, self.X) - self.Y).ravel() * self.scale
 
     def linearize(self, w):
-        pred, jvp, vjp = self.model.linearize(w, self.X)
+        pred, jvp, vjp, _ = self.model.linearize(w, self.X)
         return ((pred - self.Y).ravel() * self.scale,
                 lambda v: jvp(v).ravel() * self.scale,
                 lambda u: vjp(u.reshape(self.Y.shape) * self.scale))

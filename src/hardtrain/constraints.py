@@ -325,23 +325,46 @@ class StackedConstraints(ad.DiffFunction):
     def value(self, w):
         return self._gather(self.pool.head.value(self.model.forward(w, self.X)))
 
+    def _head_rows(self, head_vjp) -> np.ndarray:
+        """H[k] = dC[s_k, j_k] / dY[s_k], one row per active pair.
+
+        A head maps each sample's output to that sample's residuals alone,
+        so one vjp of a constraint's indicator column gives that
+        constraint's row for every active sample.
+        """
+        grid = np.zeros((len(self._uniq), self.pool.n_constraints))
+        H = np.empty((self.n_outputs, self.model.out_dim))
+        for j in np.unique(self._cols):
+            grid[:, j] = 1.0
+            pick = self._cols == j
+            H[pick] = np.asarray(head_vjp(grid))[self._rows[pick]]
+            grid[:, j] = 0.0
+        return H
+
     def linearize(self, w):
-        Y, model_jvp, model_vjp = self.model.linearize(w, self.X)
+        Y, model_jvp, model_vjp, model_gram = self.model.linearize(w, self.X)
         C, head_jvp, head_vjp = self.pool.head.linearize(Y)
         return (self._gather(C), lambda v: self._gather(head_jvp(model_jvp(v))),
-                lambda u: model_vjp(head_vjp(self._scatter(u))))
+                lambda u: model_vjp(head_vjp(self._scatter(u))),
+                lambda d_inv: model_gram(self._rows, self._head_rows(head_vjp), d_inv))
 
 
 class SphereRows(StackedConstraints):
     """Active sphere residuals of an :class:`~hardtrain.autodiff.IdentityOffset`
     model.  Their Jacobian is the matrix of unit directions
     U = (w - X) / ||w - X||, formed once per linearization, so a product
-    is one GEMV: jvp is U v, vjp is u U."""
+    is one GEMV: jvp is U v, vjp is u U, and the Gram matrix is
+    U diag(d_inv) U^T gathered to the active rows."""
 
     def linearize(self, w):
         C, units = self.pool.head.directions(self.model.forward(w, self.X))
+
+        def gram(d_inv):
+            S = d_inv * (units @ units.T) if np.ndim(d_inv) == 0 else (units * d_inv) @ units.T
+            return S[np.ix_(self._rows, self._rows)]
+
         return (self._gather(C), lambda v: (units @ v)[self._rows],
-                lambda u: self._scatter(u)[:, 0] @ units)
+                lambda u: self._scatter(u)[:, 0] @ units, gram)
 
 
 def active_constraint_function(pool: ConstraintPool, model, active: ActiveSet) -> StackedConstraints:

@@ -10,6 +10,14 @@ result from that, so ``status == "converged"`` always means the *recomputed*
 residual is within ``rtol * ||b||``.  Systems that only converge in the
 least-squares sense (singular, inconsistent) come back as
 ``"singular_min_length"``.
+
+An optional symmetric positive definite preconditioner P, given as a
+function applying P^-1, switches the first sweep to the preconditioned
+Lanczos recurrences; without one, no preconditioner code runs.  A
+preconditioned result is kept only when its recomputed residual
+meets ``rtol``; otherwise the system is solved again with P = I, which
+keeps the minimum-length least-squares contract, and ``iters`` counts
+every sweep.
 """
 
 from __future__ import annotations
@@ -126,13 +134,31 @@ def _classify(op: LinearOperator, b: np.ndarray, x: np.ndarray, rtol: float,
     return KrylovSolution(x, rnorm, iters, status, est_rnorm, anorm, acond, history)
 
 
-def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit: int):
+def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit: int,
+                     precond=None):
     """One MINRES-QLP sweep; returns (x, iters, flag, anorm, acond, rnorm_est,
-    history, nonfinite)."""
-    n = op.dim
-    rtol = cfg.rtol
+    history, nonfinite).
 
-    beta1 = float(np.linalg.norm(b))
+    With ``precond`` (applying P^-1) the Lanczos recurrences are the
+    preconditioned ones: each iteration takes z = P^-1 r and
+    beta = sqrt(r . z), so the norms, estimates and stopping tests are in
+    the P^-1-norm; when their convergence test passes but the recomputed
+    Euclidean residual does not meet ``rtol``, the sweep goes on with the
+    P^-1-norm target tightened by that gap.  A preconditioner that gives
+    r . z < 0 (not SPD) ends the sweep as non-finite.
+    """
+    n = op.dim
+    rtol = rtol_p = cfg.rtol
+
+    if precond is None:
+        z = b
+        beta1 = float(np.linalg.norm(b))
+    else:
+        z = precond(b)
+        beta1 = _precond_norm(b, z)
+        bnorm = float(np.linalg.norm(b))
+        if not math.isfinite(beta1):
+            return np.zeros(n), 0, 0, 0.0, 1.0, 0.0, [beta1], True
     history = [beta1]
     if beta1 == 0.0:
         return np.zeros(n), 0, 0, 0.0, 1.0, 0.0, history, False
@@ -146,7 +172,7 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
     # Lanczos state
     r1 = np.zeros(n)
     r2 = b.copy()
-    r3 = b.copy()
+    r3 = z.copy()
     beta, betan = 0.0, beta1
 
     # left reflection state
@@ -193,14 +219,18 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
         r3 = r3 - (alfa / beta) * r2
         r1 = r2
         r2 = r3
-        betan = float(np.linalg.norm(r3))
+        if precond is None:
+            betan = float(np.linalg.norm(r3))
+        else:
+            r3 = precond(r2)
+            betan = _precond_norm(r2, r3)
         if not (math.isfinite(alfa) and math.isfinite(betan)):
             nonfinite = True
             break
         if iters == 1 and betan == 0.0:
             if alfa == 0.0:
                 break                      # B b = 0: x = 0 is minimum-length
-            x = b / alfa                   # b is an eigenvector
+            x = z / alfa                   # B z = alfa b (z = b without P)
             flag = 1
             history.append(0.0)
             break
@@ -355,15 +385,29 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
                 flag = 3
             if relaresl <= rtol:
                 flag = 2
-            if rnorm <= rtol * beta1:
+            if rnorm <= rtol_p * beta1:
                 flag = 1
+            if flag == 1 and precond is not None and iters < maxit:
+                # that test is in the P^-1-norm: continue, towards a
+                # tighter target, until the Euclidean residual meets rtol
+                rel = float(np.linalg.norm(b - apply(op, x))) / bnorm
+                if not rel <= rtol:
+                    rtol_p *= 0.5 * rtol / rel
+                    flag = FLAG_GO
 
     if flag == FLAG_GO:
         flag = 0
     return x, iters, flag, max(anorm, _REALMIN), acond, rnorm, history, nonfinite
 
 
-def minres_qlp(op: LinearOperator, b, cfg: SolverConfig | None = None) -> KrylovSolution:
+def _precond_norm(r: np.ndarray, z: np.ndarray) -> float:
+    """sqrt(r . z), the P^-1-norm of r for z = P^-1 r; NaN unless r . z >= 0."""
+    rz = float(r @ z)
+    return math.sqrt(rz) if rz >= 0.0 else math.nan
+
+
+def minres_qlp(op: LinearOperator, b, cfg: SolverConfig | None = None,
+               precond=None) -> KrylovSolution:
     """Minimum-length solution of a symmetric (possibly singular) system.
 
     Runs MINRES recurrences while the condition estimate stays below
@@ -377,12 +421,39 @@ def minres_qlp(op: LinearOperator, b, cfg: SolverConfig | None = None) -> Krylov
     second sweep solves the always-consistent squared system B^2 y = B b,
     whose minimum-length solution is exactly the minimum-length least-squares
     solution of the original system.  ``iters`` counts both sweeps.
+
+    ``precond``, when given, applies P^-1 for a symmetric positive definite
+    preconditioner P, and the first sweep runs the preconditioned
+    recurrences.  Its result is returned only if the recomputed Euclidean
+    residual meets ``rtol``; preconditioned MINRES minimizes the residual
+    in the P^-1-norm, so on a singular inconsistent system it stops at a
+    P-weighted least-squares point instead.  Otherwise the solve starts
+    over with P = I as above, and ``iters`` counts every sweep.  The
+    estimates of a preconditioned result (``anorm``, ``acond``,
+    ``residual_estimates``) are those of the preconditioned operator.
     """
     cfg = cfg or SolverConfig()
     b = as_vector(b, "rhs")
     check_length(b, op.dim, "rhs")
     maxit = cfg.resolve_max_iters(op.dim)
+    if precond is None:
+        return _minres_qlp_unpreconditioned(op, b, cfg, maxit)
+    x, iters, _, anorm, acond, rnorm_est, history, nonfinite = \
+        _minres_qlp_pass(op, b, cfg, maxit, precond)
+    if not nonfinite and np.all(np.isfinite(x)):
+        rnorm = float(np.linalg.norm(b - apply(op, x)))
+        if rnorm <= cfg.rtol * float(np.linalg.norm(b)):
+            return KrylovSolution(x, rnorm, iters, CONVERGED, rnorm_est, anorm, acond,
+                                  history)
+    sol = _minres_qlp_unpreconditioned(op, b, cfg, maxit)
+    sol.iters += iters
+    return sol
 
+
+def _minres_qlp_unpreconditioned(op: LinearOperator, b: np.ndarray, cfg: SolverConfig,
+                                 maxit: int) -> KrylovSolution:
+    """The P = I solve: a direct sweep, then the squared-system sweep if
+    the direct one ended least-squares-type."""
     x, iters, flag, anorm, acond, rnorm_est, history, nonfinite = \
         _minres_qlp_pass(op, b, cfg, maxit)
     sol = _classify(op, b, x, cfg.rtol, anorm, flag in (2, 4), nonfinite,

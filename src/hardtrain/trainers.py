@@ -227,15 +227,18 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
     constraint-selection seed per iteration), so paired soft/hard runs see
     the same batches.  ``w0`` overrides the problem's own initialization,
     e.g. to fine-tune a constrained run from an unconstrained checkpoint.
-    The pool's violation matrix V is computed once per iterate; the pool
-    median, the next active set and the active-median delta all read it.
+    No parameter vector is written in place, so ``w0`` is used as given
+    and left unchanged, and the report's best and final parameters are
+    the same array when the last iterate is the best.  The pool's
+    violation matrix V is computed once per iterate; the pool median, the
+    next active set and the active-median delta all read it.
     """
     n_train = getattr(problem, "n_train", 0)
     if cfg.iterations is None and n_train == 0:
         raise ValueError("data-free problems need cfg.iterations")
     init_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     rng_batch = np.random.default_rng(batch_ss)
-    w = problem.initial_params(np.random.default_rng(init_ss)) if w0 is None else w0.copy()
+    w = problem.initial_params(np.random.default_rng(init_ss)) if w0 is None else w0
     adam = AdamState.zeros(len(w)) if cfg.method in (SOFT_ADAM, HARD_ADAM) else None
     hard = cfg.method in (HARD_SGD, HARD_GN, HARD_ADAM)
 
@@ -255,7 +258,7 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
     initial_row = IterationRow(0, _risk(problem, None, w), val0, _median_abs(V),
                                0.0, 0, "init", 0.0, "-")
     rows: list = []
-    best_w, best_val = w.copy(), val0
+    best_w, best_val = w, val0
     report = lambda: TrainReport(cfg.method, cfg.seed, initial_row, rows,
                                  w, best_w, best_val)
 
@@ -285,5 +288,5 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
             raise TrainingDiverged(f"non-finite metrics at iteration {it}", report())
         rows.append(row)
         if val < best_val:
-            best_val, best_w = val, w.copy()
+            best_val, best_w = val, w
     return report()

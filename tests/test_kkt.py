@@ -251,3 +251,70 @@ def test_state_validation():
         kkt.KktState(diag=0.0, grad=np.zeros(2))
     with pytest.raises(ValueError, match="damping"):
         kkt.KktState(diag=np.array([1.0, -1e-3]), grad=np.zeros(2))
+
+
+def gram_linearization(G, c):
+    """Linear constraints C = G w + c at w = 0, with their Gram product."""
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    return ad.Linearization(np.asarray(c, dtype=float), lambda v: G @ v, lambda u: u @ G,
+                            lambda d_inv: (G * d_inv) @ G.T)
+
+
+def random_diag(rng, n, vector):
+    """A scalar D block, or a positive diagonal spanning three decades (Adam's spread)."""
+    return float(rng.uniform(0.5, 3.0)) if not vector else 10.0 ** rng.uniform(-3, 0, n)
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar_D", "vector_D"])
+def test_preconditioned_step_matches_dense_solve(vector):
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        n, m = int(rng.integers(5, 40)), int(rng.integers(1, 5))
+        G = rng.standard_normal((m, n))
+        diag = random_diag(rng, n, vector)
+        state = kkt.KktState(diag, rng.standard_normal(n),
+                             gram_linearization(G, rng.standard_normal(m)))
+        assert kkt.schur_preconditioner(state) is not None
+        step = kkt.solve_step(state, SolverConfig(rtol=1e-10))
+        D = np.diag(np.broadcast_to(diag, n))
+        expect = np.linalg.solve(dense_block(D, G), kkt.kkt_rhs(state))
+        got = np.concatenate([step.dw, step.multipliers])
+        assert np.linalg.norm(got - expect) <= 1e-8 * np.linalg.norm(expect)
+        # the Schur complement leaves three distinct eigenvalues; its shift
+        # can cost an iteration or two more at this tolerance
+        assert step.solution.status == "converged" and step.solution.iters <= 5
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar_D", "vector_D"])
+def test_preconditioned_step_on_rank_deficient_constraints(vector):
+    # duplicated and dependent rows: for a compatible right-hand side the
+    # step dw is unique and equals the pseudoinverse solution's; for an
+    # incompatible one the solve still ends on the least-squares contract
+    rng = np.random.default_rng(9)
+    for trial in range(12):
+        n, m = 10, 5
+        G = rng.standard_normal((m, n))
+        G[3] = G[1]
+        G[4] = 0.5 * G[0] - 2.0 * G[2]
+        consistent = trial % 2 == 0
+        c = G @ rng.standard_normal(n) if consistent else rng.standard_normal(m)
+        state = kkt.KktState(random_diag(rng, n, vector), rng.standard_normal(n),
+                             gram_linearization(G, c))
+        step = kkt.solve_step(state, SolverConfig(rtol=1e-10))
+        oracle = np.linalg.pinv(materialize(kkt.kkt_operator(state))) @ kkt.kkt_rhs(state)
+        assert step.solution.status in ("converged", "singular_min_length")
+        if consistent:
+            assert np.linalg.norm(step.dw - oracle[:n]) <= 1e-8 * np.linalg.norm(oracle[:n])
+
+
+def test_preconditioner_only_for_a_diagonal_block_with_a_gram_product():
+    rng = np.random.default_rng(10)
+    G = rng.standard_normal((2, 4))
+    with_gram = gram_linearization(G, np.zeros(2))
+    curvature = ad.linearize(LinearMap(rng.standard_normal((3, 4))), np.zeros(4))
+    assert kkt.schur_preconditioner(kkt.KktState(1.0, np.ones(4), with_gram)) is not None
+    assert kkt.schur_preconditioner(kkt.KktState(1.0, np.ones(4), with_gram, curvature)) is None
+    assert kkt.schur_preconditioner(kkt.KktState(1.0, np.ones(4))) is None
+    without = ad.linearize(linear_constraints(G), np.zeros(4))
+    assert without.gram is None
+    assert kkt.schur_preconditioner(kkt.KktState(1.0, np.ones(4), without)) is None

@@ -151,3 +151,56 @@ def test_solution_dataclass_flags():
     assert sol.converged and sol.ok
     sol = KrylovSolution(np.zeros(2), 1.0, 5, SINGULAR_MIN_LENGTH)
     assert not sol.converged and sol.ok
+
+
+def _spd(rng, n, cond):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q * np.exp(rng.uniform(0.0, np.log(cond), n))) @ q.T
+
+
+def test_preconditioned_solve_matches_dense_solve():
+    # any SPD preconditioner gives the same solution of a nonsingular
+    # indefinite system; the exact inverse takes one iteration
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        n = int(rng.integers(2, 60))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (q * rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(0, np.log(1e2), n))) @ q.T
+        a = (a + a.T) / 2
+        b = rng.standard_normal(n)
+        p_inv = np.linalg.inv(_spd(rng, n, 1e2))
+        cfg = SolverConfig(rtol=1e-10)
+        sol = minres_qlp(linops.from_dense(a), b, cfg, precond=lambda r: p_inv @ r)
+        expect = np.linalg.solve(a, b)
+        # the result is the preconditioned sweep's: its estimates start at
+        # the P^-1-norm of b
+        assert sol.status == CONVERGED
+        assert sol.residual_estimates[0] == pytest.approx(np.sqrt(b @ p_inv @ b), rel=1e-12)
+        assert np.linalg.norm(sol.x - expect) <= 1e-8 * np.linalg.norm(expect)
+        assert np.linalg.norm(b - a @ sol.x) == pytest.approx(sol.residual_norm, rel=1e-12)
+    spd = _spd(rng, 30, 1e3)
+    exact = np.linalg.inv(spd)
+    sol = minres_qlp(linops.from_dense(spd), np.ones(30), precond=lambda r: exact @ r)
+    assert sol.status == CONVERGED and sol.iters <= 2
+
+
+def test_preconditioned_solve_without_spd_preconditioner_falls_back():
+    # r . z < 0 ends the preconditioned sweep; the P = I solve then gives
+    # today's answer, and iters counts both sweeps
+    rng = np.random.default_rng(10)
+    a = _spd(rng, 12, 10.0)
+    b = rng.standard_normal(12)
+    plain = minres_qlp(linops.from_dense(a), b)
+    sol = minres_qlp(linops.from_dense(a), b, precond=lambda r: -r)
+    np.testing.assert_array_equal(sol.x, plain.x)
+    assert sol.status == CONVERGED and sol.iters == plain.iters
+
+
+def test_preconditioned_inconsistent_system_ends_min_length():
+    # preconditioned MINRES stops at a P-weighted least-squares point; the
+    # solve must still return the minimum-length least-squares solution
+    sol = minres_qlp(linops.from_dense([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]]),
+                     np.array([1.0, 1.0, 1.0]),
+                     precond=lambda r: np.array([4.0, 0.5, 1.0]) * r)
+    np.testing.assert_allclose(sol.x, [1.0, 0.5, 0.0], atol=1e-10)
+    assert sol.status == SINGULAR_MIN_LENGTH

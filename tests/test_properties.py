@@ -1,5 +1,6 @@
 """Property tests on linearizations: the adjoint identity for every
-DiffFunction and the symmetry of every saddle-point operator variant."""
+DiffFunction, the Gram product of every constraint family, and the
+symmetry of every saddle-point operator variant."""
 
 import numpy as np
 import pytest
@@ -71,6 +72,26 @@ def test_adjoint_identity_for_every_diff_function(seed):
         scale = max(abs(lhs), abs(rhs), np.linalg.norm(u) * np.linalg.norm(jv),
                     np.linalg.norm(uj) * np.linalg.norm(v))
         assert abs(lhs - rhs) <= 1e-10 * scale, name
+
+
+@PROPERTY
+@given(seed=seeds)
+def test_gram_matches_the_jacobian_built_from_vjps(seed):
+    # every constraint family supplies J diag(d_inv) J^T; the oracle stacks
+    # one vjp per output into a dense J
+    rng = np.random.default_rng(seed)
+    with_gram = set()
+    for name, f, w in _functions(rng):
+        lin = ad.linearize(f, w)
+        if lin.gram is None:
+            continue
+        with_gram.add(name)
+        J = np.array([lin.vjp(e) for e in np.eye(f.n_outputs)])
+        for d_inv in (float(rng.uniform(0.1, 10.0)), rng.uniform(0.1, 10.0, f.n_params)):
+            expect = (J * d_inv) @ J.T
+            err = np.linalg.norm(lin.gram(d_inv) - expect)
+            assert err <= 1e-10 * max(np.linalg.norm(expect), 1e-300), (name, np.ndim(d_inv))
+    assert with_gram == {"symmetry", "sphere", "sphere_rows", "bound"}
 
 
 def test_sphere_rows_match_the_generic_stack():

@@ -4,6 +4,7 @@ import pytest
 from hardtrain import autodiff as ad
 from hardtrain import benchmarks as bm
 from hardtrain import constraints as cs
+from hardtrain import kkt
 from hardtrain import trainers as tr
 from hardtrain.krylov import SolverConfig
 
@@ -338,6 +339,12 @@ def _counting(monkeypatch, owner, name):
     return calls
 
 
+# two solver settings that run different numbers of KKT matvecs: a
+# converged solve, and a one-iteration budget that fails, falls back to
+# P = I and retries with doubled damping
+SOLVER_BUDGETS = (SolverConfig(rtol=1e-10), SolverConfig(rtol=1e-10, max_iters=1))
+
+
 def test_hard_step_tapes_the_mlp_a_fixed_number_of_times(monkeypatch):
     # one linearization of the constraints and one of the risk; the Krylov
     # iterations add no forward passes, and the new parameters are left to
@@ -346,12 +353,14 @@ def test_hard_step_tapes_the_mlp_a_fixed_number_of_times(monkeypatch):
     w = problem.initial_params(np.random.default_rng(0))
     active = cs.select_mined(cs.violation_matrix(problem.pool, problem.mlp, w), 3)
     tapes = _counting(monkeypatch, ad.Mlp, "tape")
+    matvecs = _counting(monkeypatch, kkt, "kkt_matvec")
     seen = []
-    for rtol in (1e-2, 1e-10):
-        cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=0.3, solver=SolverConfig(rtol=rtol))
+    for solver in SOLVER_BUDGETS:
+        cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=0.3, solver=solver)
         tapes.clear()
-        step = tr.step_hard(tr.HARD_SGD, w, problem, np.arange(16), active, cfg)
-        seen.append((step.solver_iters, len(tapes)))
+        matvecs.clear()
+        tr.step_hard(tr.HARD_SGD, w, problem, np.arange(16), active, cfg)
+        seen.append((len(matvecs), len(tapes)))
     assert seen[0][0] != seen[1][0]
     assert [n for _, n in seen] == [2, 2]
 
@@ -362,13 +371,14 @@ def test_hard_sphere_step_offsets_the_centers_once_per_linearization(monkeypatch
     w = problem.x0.copy()
     active = cs.select_random(problem.pool, 5, 0)
     offsets = _counting(monkeypatch, ad.IdentityOffset, "forward")
+    matvecs = _counting(monkeypatch, kkt, "kkt_matvec")
     seen = []
-    for rtol in (1e-2, 1e-10):
-        cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=1.0, iterations=1,
-                             solver=SolverConfig(rtol=rtol))
+    for solver in SOLVER_BUDGETS:
+        cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=1.0, iterations=1, solver=solver)
         offsets.clear()
-        step = tr.step_hard(tr.HARD_SGD, w, problem, None, active, cfg)
-        seen.append((step.solver_iters, len(offsets)))
+        matvecs.clear()
+        tr.step_hard(tr.HARD_SGD, w, problem, None, active, cfg)
+        seen.append((len(matvecs), len(offsets)))
     assert seen[0][0] != seen[1][0]
     assert [n for _, n in seen] == [1, 1]
 
@@ -407,3 +417,44 @@ def test_train_evaluates_the_pool_once_per_iterate(monkeypatch):
     report = tr.train(cfg, problem)
     assert len(report.rows) == 4
     assert len(calls) == 4 + 1
+
+
+def test_mined_hard_adam_on_small_pose_never_skips():
+    # Adam's diagonal spans orders of magnitude; the Schur-complement
+    # preconditioner keeps every solve on the contract, with no skipped step
+    problem = bm.gen_toy_pose(**SMALL_POSE)
+    cfg = tr.TrainConfig(method=tr.HARD_ADAM, lr=0.05, epochs=3, batch_data=8, mine=True,
+                         n_mined=3, solver=SolverConfig(rtol=1e-8, max_iters=800))
+    report = tr.train(cfg, problem)
+    assert len(report.rows) == 18
+    assert set(report.column("solver_status")) <= {"converged", "singular_min_length"}
+
+
+@pytest.mark.parametrize("problem, settings", [
+    (bm.gen_toy_pose(**SMALL_POSE),
+     dict(method=tr.HARD_SGD, lr=0.3, epochs=2, batch_data=8, mine=True, n_mined=3)),
+    (bm.gen_spheres(200, 40, seed=1),
+     dict(method=tr.HARD_SGD, lr=1.0, iterations=20, batch_constraints=10)),
+], ids=["pose", "spheres"])
+def test_hard_solves_take_a_few_krylov_iterations(problem, settings):
+    # a machine-independent counter: with the Schur-complement
+    # preconditioner a solve takes about three iterations (tens without)
+    report = tr.train(tr.TrainConfig(seed=1, solver=SolverConfig(rtol=1e-8, max_iters=500),
+                                     **settings), problem)
+    assert report.rows and np.mean(report.column("solver_iters")) <= 5.0
+
+
+def test_report_holds_no_parameter_copies():
+    # nothing writes a parameter vector in place, so the report shares the
+    # last iterate when it is the best, and the warm start is left as given
+    class WithVal(ToyProblem):
+        def prediction_error(self, w):
+            return float(np.linalg.norm(w - self.x0))
+
+    prob = WithVal(np.array([1.0, -1.0]), sphere_pool([[9.0, 9.0]], 1.0))
+    w0 = np.array([3.0, 2.0])
+    cfg = tr.TrainConfig(method=tr.SOFT_SGD, lr=0.1, soft_lambda=0.0, iterations=5)
+    report = tr.train(cfg, prob, w0=w0)
+    assert report.best_val_error == report.rows[-1].pred_error
+    assert report.best_params is report.final_params
+    np.testing.assert_array_equal(w0, [3.0, 2.0])

@@ -123,7 +123,7 @@ class ModelOutputs(ad.DiffFunction):
         return self.model.forward(w, self.X).ravel()
 
     def linearize(self, w):
-        Y, jvp, vjp = self.model.linearize(w, self.X)
+        Y, jvp, vjp, _ = self.model.linearize(w, self.X)
         return (Y.ravel(), lambda v: jvp(v).ravel(),
                 lambda u: vjp(u.reshape(Y.shape)))
 
