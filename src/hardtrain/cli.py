@@ -1,9 +1,9 @@
 """Experiment runner: strict key-value configs in, CSV/JSON artifacts out.
 
-``hardtrain run config.txt`` executes one experiment (a sphere run, a pose
-run, or a solver self-check) and writes ``metrics.csv``, the fully resolved
-config and a ``summary.json`` into the output directory.  ``hardtrain
-compare a.csv b.csv`` emits paired statistics for two metric traces.
+``hardtrain run config.txt`` executes one experiment (a sphere run or a
+pose run) and writes ``metrics.csv``, the fully resolved config and a
+``summary.json`` into the output directory.  ``hardtrain compare a.csv
+b.csv`` emits paired statistics for two metric traces.
 
 Exit codes: 0 success, 2 configuration error (with a line/field
 diagnostic), 3 numerical failure (the last finite checkpoint is kept).
@@ -23,8 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import benchmarks as bm
 from . import trainers as tr
-from .krylov import SolverConfig, minres_qlp
-from .linops import from_dense
+from .krylov import SolverConfig
 
 ENV_OUT_ROOT = "HARDTRAIN_OUT"
 
@@ -89,11 +88,6 @@ _SCHEMAS = {
         "solver_rtol": (float, 1e-8),
         "solver_max_iters": (int, 800),
     },
-    "solve_check": {
-        "n_systems": (int, 200),
-        "max_dim": (int, 120),
-        "solver_rtol": (float, 1e-10),
-    },
 }
 
 
@@ -117,7 +111,6 @@ _VALUE_CHECKS = {
     "n_samples": (lambda v: v >= 2, ">= 2"),
     "n_pool": _AT_LEAST_1,
     "in_dim": _AT_LEAST_1,
-    "max_dim": (lambda v: v >= 2, ">= 2"),
 }
 
 
@@ -184,7 +177,7 @@ def write_metrics_csv(path, initial_row, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRIC_COLUMNS)
-        for r in ([initial_row] if initial_row is not None else []) + list(rows):
+        for r in [initial_row, *rows]:
             writer.writerow([r.iteration, _fmt(r.risk), _fmt(r.pred_error),
                              _fmt(r.median_violation), _fmt(r.active_delta),
                              r.solver_iters, r.solver_status, _fmt(r.step_norm)])
@@ -226,8 +219,7 @@ def _finish_run(out_dir: Path, cfg: dict, problem, report, status: str) -> None:
     layout = getattr(getattr(problem, "mlp", None), "layout_hash", lambda: 0)()
     ad.save_params(out_dir / "params.bin", report.final_params, layout)
     ad.save_params(out_dir / "best_params.bin", report.best_params, layout)
-    if hasattr(problem, "spec_dict"):
-        bm.save_problem_spec(problem, out_dir / "problem.json")
+    bm.save_problem_spec(problem, out_dir / "problem.json")
     last = report.rows[-1] if report.rows else report.initial_row
     _write_summary(out_dir, {
         "status": status,
@@ -281,43 +273,8 @@ def _setup_toy_pose(cfg: dict) -> tuple:
     return problem, train_cfg, w0
 
 
-def run_solve_check(cfg: dict, out_dir: Path) -> int:
-    """Solver self-check: random symmetric systems against the dense
-    pseudoinverse.  The risk column carries the relative error, the
-    median_violation column the recomputed residual norm."""
-    rng = np.random.default_rng(cfg["seed"])
-    rows = []
-    worst = 0.0
-    statuses = {}
-    for i in range(1, cfg["n_systems"] + 1):
-        n = int(rng.integers(2, cfg["max_dim"] + 1))
-        if rng.random() < 0.3:      # rank-deficient indefinite
-            k = max(1, n // 2)
-            u = rng.standard_normal((n, k))
-            a = (u * rng.choice([-1.0, 1.0], k)) @ u.T
-        else:
-            a = rng.standard_normal((n, n))
-        a = (a + a.T) / 2
-        b = rng.standard_normal(n)
-        sol = minres_qlp(from_dense(a), b, SolverConfig(rtol=cfg["solver_rtol"]))
-        expect = np.linalg.pinv(a, rcond=1e-12) @ b
-        err = float(np.linalg.norm(sol.x - expect) / max(np.linalg.norm(expect), 1e-30))
-        worst = max(worst, err)
-        statuses[sol.status] = statuses.get(sol.status, 0) + 1
-        rows.append(tr.IterationRow(i, err, 0.0, sol.residual_norm, 0.0,
-                                    sol.iters, sol.status, 0.0, "-"))
-        if not np.isfinite(err):
-            write_metrics_csv(out_dir / "metrics.csv", None, rows[:-1])
-            print("numerical failure in solve check", file=sys.stderr)
-            return 3
-    write_metrics_csv(out_dir / "metrics.csv", None, rows)
-    _write_summary(out_dir, {"status": "ok", "n_systems": cfg["n_systems"],
-                             "worst_rel_error": worst, "statuses": statuses})
-    return 0
-
-
-# training kinds: everything a run needs is built before its output
-# directory exists, so a bad value fails without writing any file
+# everything a run needs is built before its output directory exists, so
+# a bad value fails without writing any file
 _SETUPS = {"spheres": _setup_spheres, "toy_pose": _setup_toy_pose}
 
 
@@ -328,7 +285,7 @@ def cmd_run(args) -> int:
             cfg["seed"] = args.seed
         if args.full_scale and cfg["kind"] == "spheres":
             cfg["dim"] = bm.SPHERE_FULL_DIM
-        setup = _SETUPS[cfg["kind"]](cfg) if cfg["kind"] in _SETUPS else None
+        setup = _SETUPS[cfg["kind"]](cfg)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -336,8 +293,6 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg["out_dir"] = str(out_dir)
     write_resolved_config(out_dir / "resolved_config.txt", cfg)
-    if setup is None:
-        return run_solve_check(cfg, out_dir)
     return _train_and_write(out_dir, cfg, *setup)
 
 

@@ -52,22 +52,8 @@ SYMMETRY_ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class JointIndexTable:
-    """The 6x4 joint(j, m) index table behind the symmetry constraints."""
-
-    rows: tuple
-
-    @classmethod
-    def default(cls) -> "JointIndexTable":
-        name_to_idx = {n: i for i, n in enumerate(JOINT_NAMES)}
-        return cls(tuple(tuple(name_to_idx[n] for n in row) for row in SYMMETRY_ROWS))
-
-    def __post_init__(self):
-        if len(self.rows) != 6 or any(len(r) != 4 for r in self.rows):
-            raise ValueError("joint table must be 6 rows of 4 indices")
-        if any(i < 0 or i >= len(JOINT_NAMES) for r in self.rows for i in r):
-            raise ValueError("joint index out of range")
+# SYMMETRY_ROWS as joint indices: the 6x4 joint(j, m) table
+SYMMETRY_JOINTS = tuple(tuple(JOINT_NAMES.index(n) for n in row) for row in SYMMETRY_ROWS)
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +79,8 @@ class SymmetryHead:
     n_constraints = 6
     in_dim = 51
 
-    def __init__(self, table: JointIndexTable | None = None):
-        self.table = table or JointIndexTable.default()
-        rows = np.asarray(self.table.rows)
-        self._a, self._b, self._c, self._d = rows.T
+    def __init__(self):
+        self._a, self._b, self._c, self._d = np.asarray(SYMMETRY_JOINTS).T
         # transposed incidence of the two bone vectors of every row:
         # the vjp scatters (n, 6, 3) bone cotangents back onto 17 joints
         self._inc1_t = _incidence(self._a, self._b, len(JOINT_NAMES)).T

@@ -9,7 +9,8 @@ It recomputes the true residual ``b - Bx`` on exit and classifies the
 result from that, so ``status == "converged"`` always means the *recomputed*
 residual is within ``rtol * ||b||``.  Systems that only converge in the
 least-squares sense (singular, inconsistent) come back as
-``"singular_min_length"``.
+``"singular_min_length"``.  Each iterate's residual, and ``||B r||`` when
+the verdict needs it, is computed once and read by every test after it.
 
 An optional symmetric positive definite preconditioner P, given as a
 function applying P^-1, switches the first sweep to the preconditioned
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,16 +72,14 @@ class SolverConfig:
 @dataclass
 class KrylovSolution:
     """Solver output.  ``residual_norm`` is ||b - Bx|| recomputed on exit;
-    ``est_residual_norm`` is the solver's final internal estimate, and
-    ``residual_estimates`` the per-iteration estimate trace (non-increasing).
+    ``acond`` is the solver's condition estimate, and ``residual_estimates``
+    the per-iteration residual-estimate trace (non-increasing).
     """
 
     x: np.ndarray
     residual_norm: float
     iters: int
     status: str
-    est_residual_norm: float = 0.0
-    anorm: float = 0.0
     acond: float = 1.0
     residual_estimates: list = field(default_factory=list)
 
@@ -111,41 +111,48 @@ def _sym_givens(a: float, b: float):
     return c, s, a / c
 
 
-def _classify(op: LinearOperator, b: np.ndarray, x: np.ndarray, rtol: float,
-              anorm: float, ls_flagged: bool, nonfinite: bool,
-              iters: int, est_rnorm: float, acond: float,
-              history: list) -> KrylovSolution:
+class _Iterate:
+    """An iterate x with its residual r = b - Bx, computed once; ``arnorm``
+    (||B r||) is computed on first use."""
+
+    def __init__(self, op: LinearOperator, b: np.ndarray, x: np.ndarray):
+        self.op = op
+        self.x = x
+        self.r = b - apply(op, x)
+        self.rnorm = float(np.linalg.norm(self.r))
+
+    @cached_property
+    def arnorm(self) -> float:
+        return float(np.linalg.norm(apply(self.op, self.r)))
+
+
+def _classify(it: _Iterate, bnorm: float, rtol: float, anorm: float, ls_flagged: bool,
+              iters: int, acond: float, history: list) -> KrylovSolution:
     """Final verdict from the independently recomputed residual."""
-    if nonfinite or not np.all(np.isfinite(x)):
-        return KrylovSolution(x, float("inf"), iters, BREAKDOWN, est_rnorm,
-                              anorm, acond, history)
-    bnorm = float(np.linalg.norm(b))
-    r = b - apply(op, x)
-    rnorm = float(np.linalg.norm(r))
-    if rnorm <= rtol * bnorm:
+    if it.rnorm <= rtol * bnorm:
         status = CONVERGED
-    else:
-        arnorm = float(np.linalg.norm(apply(op, r)))
+    elif ls_flagged or it.arnorm <= max(100.0 * rtol, 1e-8) * max(anorm, _REALMIN) * it.rnorm:
         # least-squares optimality: B r ~ 0 even though r itself is not
-        if arnorm <= max(100.0 * rtol, 1e-8) * max(anorm, _REALMIN) * rnorm or ls_flagged:
-            status = SINGULAR_MIN_LENGTH
-        else:
-            status = MAX_ITERS
-    return KrylovSolution(x, rnorm, iters, status, est_rnorm, anorm, acond, history)
+        status = SINGULAR_MIN_LENGTH
+    else:
+        status = MAX_ITERS
+    return KrylovSolution(it.x, it.rnorm, iters, status, acond, history)
 
 
 def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit: int,
                      precond=None):
-    """One MINRES-QLP sweep; returns (x, iters, flag, anorm, acond, rnorm_est,
-    history, nonfinite).
+    """One MINRES-QLP sweep; returns (x, iters, flag, anorm, acond, history,
+    nonfinite, xres).
 
     With ``precond`` (applying P^-1) the Lanczos recurrences are the
     preconditioned ones: each iteration takes z = P^-1 r and
     beta = sqrt(r . z), so the norms, estimates and stopping tests are in
     the P^-1-norm; when their convergence test passes but the recomputed
     Euclidean residual does not meet ``rtol``, the sweep goes on with the
-    P^-1-norm target tightened by that gap.  A preconditioner that gives
-    r . z < 0 (not SPD) ends the sweep as non-finite.
+    P^-1-norm target tightened by that gap.  ``xres`` is that Euclidean
+    ||b - Bx|| when it was measured for the returned x, else None.  A
+    preconditioner that gives r . z < 0 (not SPD) ends the sweep as
+    non-finite.
     """
     n = op.dim
     rtol = rtol_p = cfg.rtol
@@ -158,10 +165,10 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
         beta1 = _precond_norm(b, z)
         bnorm = float(np.linalg.norm(b))
         if not math.isfinite(beta1):
-            return np.zeros(n), 0, 0, 0.0, 1.0, 0.0, [beta1], True
+            return np.zeros(n), 0, 0, 0.0, 1.0, [beta1], True, None
     history = [beta1]
     if beta1 == 0.0:
-        return np.zeros(n), 0, 0, 0.0, 1.0, 0.0, history, False
+        return np.zeros(n), 0, 0, 0.0, 1.0, history, False, None
 
     FLAG_GO = -2
     flag = FLAG_GO
@@ -198,6 +205,7 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
     anorm, acond = 0.0, 1.0
     relres = rnorm / (beta1 + 1e-50)
     gmin = gminl = 0.0
+    xres = None
 
     x = np.zeros(n)
     w = np.zeros(n)
@@ -390,14 +398,16 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
             if flag == 1 and precond is not None and iters < maxit:
                 # that test is in the P^-1-norm: continue, towards a
                 # tighter target, until the Euclidean residual meets rtol
-                rel = float(np.linalg.norm(b - apply(op, x))) / bnorm
+                xres = float(np.linalg.norm(b - apply(op, x)))
+                rel = xres / bnorm
                 if not rel <= rtol:
                     rtol_p *= 0.5 * rtol / rel
                     flag = FLAG_GO
+                    xres = None
 
     if flag == FLAG_GO:
         flag = 0
-    return x, iters, flag, max(anorm, _REALMIN), acond, rnorm, history, nonfinite
+    return x, iters, flag, max(anorm, _REALMIN), acond, history, nonfinite, xres
 
 
 def _precond_norm(r: np.ndarray, z: np.ndarray) -> float:
@@ -429,7 +439,7 @@ def minres_qlp(op: LinearOperator, b, cfg: SolverConfig | None = None,
     in the P^-1-norm, so on a singular inconsistent system it stops at a
     P-weighted least-squares point instead.  Otherwise the solve starts
     over with P = I as above, and ``iters`` counts every sweep.  The
-    estimates of a preconditioned result (``anorm``, ``acond``,
+    estimates of a preconditioned result (``acond``,
     ``residual_estimates``) are those of the preconditioned operator.
     """
     cfg = cfg or SolverConfig()
@@ -438,13 +448,13 @@ def minres_qlp(op: LinearOperator, b, cfg: SolverConfig | None = None,
     maxit = cfg.resolve_max_iters(op.dim)
     if precond is None:
         return _minres_qlp_unpreconditioned(op, b, cfg, maxit)
-    x, iters, _, anorm, acond, rnorm_est, history, nonfinite = \
+    x, iters, _, _, acond, history, nonfinite, rnorm = \
         _minres_qlp_pass(op, b, cfg, maxit, precond)
     if not nonfinite and np.all(np.isfinite(x)):
-        rnorm = float(np.linalg.norm(b - apply(op, x)))
+        if rnorm is None:
+            rnorm = float(np.linalg.norm(b - apply(op, x)))
         if rnorm <= cfg.rtol * float(np.linalg.norm(b)):
-            return KrylovSolution(x, rnorm, iters, CONVERGED, rnorm_est, anorm, acond,
-                                  history)
+            return KrylovSolution(x, rnorm, iters, CONVERGED, acond, history)
     sol = _minres_qlp_unpreconditioned(op, b, cfg, maxit)
     sol.iters += iters
     return sol
@@ -454,18 +464,19 @@ def _minres_qlp_unpreconditioned(op: LinearOperator, b: np.ndarray, cfg: SolverC
                                  maxit: int) -> KrylovSolution:
     """The P = I solve: a direct sweep, then the squared-system sweep if
     the direct one ended least-squares-type."""
-    x, iters, flag, anorm, acond, rnorm_est, history, nonfinite = \
-        _minres_qlp_pass(op, b, cfg, maxit)
-    sol = _classify(op, b, x, cfg.rtol, anorm, flag in (2, 4), nonfinite,
-                    iters, rnorm_est, acond, history)
-    if sol.status in (CONVERGED, BREAKDOWN) or flag in (1, 3, 5):
+    x, iters, flag, anorm, acond, history, nonfinite, _ = _minres_qlp_pass(op, b, cfg, maxit)
+    if nonfinite or not np.all(np.isfinite(x)):
+        return KrylovSolution(x, float("inf"), iters, BREAKDOWN, acond, history)
+    bnorm = float(np.linalg.norm(b))
+    first = _Iterate(op, b, x)
+    sol = _classify(first, bnorm, cfg.rtol, anorm, flag in (2, 4), iters, acond, history)
+    if sol.status == CONVERGED or flag in (1, 3, 5):
         # flags 1/3/5 mean the sweep converged as far as f64 allows; the
         # squared-system sweep would only trade a floor-level iterate for
         # one with cond^2 error amplification
         return sol
     if flag == 8:
-        bnorm = float(np.linalg.norm(b))
-        nrbe = sol.residual_norm / (anorm * np.linalg.norm(x) + bnorm)
+        nrbe = first.rnorm / (anorm * np.linalg.norm(x) + bnorm)
         if nrbe <= 1e-10:
             # ran out of iterations but the normwise relative backward error
             # is at roundoff level: the iterate already sits on the
@@ -476,23 +487,20 @@ def _minres_qlp_unpreconditioned(op: LinearOperator, b: np.ndarray, cfg: SolverC
     # null-space component.  Re-solve through the squared system and keep
     # whichever iterate is least-squares better, shorter on ties.
     sq = LinearOperator(op.dim, lambda v: apply(op, apply(op, v)))
-    x2, it2, flag2, anorm2, acond2, _, _, nonfinite2 = \
+    x2, it2, flag2, _, acond2, _, nonfinite2, _ = \
         _minres_qlp_pass(sq, apply(op, b), cfg, maxit)
     if nonfinite2 or not np.all(np.isfinite(x2)):
         return sol
-    r1 = b - apply(op, x)
-    r2 = b - apply(op, x2)
-    if not _ls_better(np.linalg.norm(r2), np.linalg.norm(apply(op, r2)), np.linalg.norm(x2),
-                      np.linalg.norm(r1), np.linalg.norm(apply(op, r1)), np.linalg.norm(x)):
+    second = _Iterate(op, b, x2)
+    if not _ls_better(second, first):
         return sol
-    rnorm2 = float(np.linalg.norm(r2))
-    history = history + [min(history[-1], rnorm2)]
-    return _classify(op, b, x2, cfg.rtol, anorm, flag2 in (1, 2, 3, 4), False,
-                     iters + it2, rnorm2, max(acond, acond2), history)
+    history = history + [min(history[-1], second.rnorm)]
+    return _classify(second, bnorm, cfg.rtol, anorm, flag2 in (1, 2, 3, 4),
+                     iters + it2, max(acond, acond2), history)
 
 
-def _ls_better(r2n, ar2n, x2n, r1n, ar1n, x1n) -> bool:
-    """Is (r2n, ar2n, x2n) a better least-squares candidate than (r1n, ...)?
+def _ls_better(new: _Iterate, old: _Iterate) -> bool:
+    """Is ``new`` a better least-squares candidate than ``old``?
 
     Residual norms decide when they clearly differ.  When they are
     comparable, a drastically shorter iterate wins (minimum-length tie),
@@ -500,12 +508,13 @@ def _ls_better(r2n, ar2n, x2n, r1n, ar1n, x1n) -> bool:
     residual norm saturates, so ||B r|| is the only measure left that
     still separates a clean iterate from one polluted mid-sweep.
     """
-    if r2n > r1n * (1.0 + 1e-6):
+    if new.rnorm > old.rnorm * (1.0 + 1e-6):
         return False
-    if r2n < r1n * (1.0 - 1e-6):
+    if new.rnorm < old.rnorm * (1.0 - 1e-6):
         return True
-    if x2n < 0.5 * x1n:
+    xn, xo = np.linalg.norm(new.x), np.linalg.norm(old.x)
+    if xn < 0.5 * xo:
         return True
-    if x1n < 0.5 * x2n:
+    if xo < 0.5 * xn:
         return False
-    return ar2n <= ar1n
+    return new.arnorm <= old.arnorm

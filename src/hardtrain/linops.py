@@ -1,9 +1,9 @@
 """Flat float64 vectors and implicit symmetric linear operators.
 
 Everything downstream (Krylov solvers, saddle-point assembly) works with
-1-D float64 arrays and operators that expose nothing but a matvec.  A
-dense matrix enters only through :func:`from_dense`, for the solver
-self-check; assembling an operator's dense matrix is left to the tests.
+1-D float64 arrays and operators that expose nothing but a matvec; no
+dense matrix enters or leaves the library (the tests wrap and assemble
+dense matrices for their oracles).
 """
 
 from __future__ import annotations
@@ -64,13 +64,3 @@ def apply(op: LinearOperator, v: Vector) -> Vector:
     out = np.asarray(op.matvec(v), dtype=np.float64)
     check_length(out, op.dim, "matvec result")
     return out
-
-
-def from_dense(a) -> LinearOperator:
-    """Wrap a dense symmetric matrix as an implicit operator."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return LinearOperator(a.shape[0], lambda v: a @ v)
-
-

@@ -11,7 +11,7 @@ from hardtrain import autodiff as ad
 from hardtrain import benchmarks as bm
 from hardtrain import cli
 from hardtrain import constraints as cs
-from hardtrain import kkt, linops
+from hardtrain import kkt
 from hardtrain import trainers as tr
 from hardtrain.krylov import SolverConfig, minres_qlp
 
@@ -20,6 +20,7 @@ from util import (
     ModelOutputs,
     anchor_residuals,
     dense_random_mlp,
+    from_dense,
     materialize,
     random_symmetric_system,
     risk,
@@ -43,7 +44,7 @@ def test_criterion_1_krylov_conformance():
     for _ in range(200):
         B, b, x_star, cond, deficient = random_symmetric_system(rng)
         cfg = SolverConfig(rtol=1e-11, max_iters=min(max(8 * B.shape[0], 400), 3000))
-        sol = minres_qlp(linops.from_dense(B), b, cfg)
+        sol = minres_qlp(from_dense(B), b, cfg)
         err = np.linalg.norm(sol.x - x_star) / max(np.linalg.norm(x_star), 1e-300)
         tol = 1e-8 if (cond <= 1e6 and not deficient) else 1e-6
         n_deficient += deficient

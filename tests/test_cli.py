@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +48,16 @@ def test_parse_config_rejects_bad_values_and_duplicates(tmp_path):
         cli.parse_config(write(tmp_path, "c.txt", "dim = 8\n"))
     with pytest.raises(cli.ConfigError, match="unknown kind"):
         cli.parse_config(write(tmp_path, "d.txt", "kind = lattice\n"))
+    with pytest.raises(cli.ConfigError, match="unknown kind"):
+        cli.parse_config(write(tmp_path, "e.txt", "kind = solve_check\n"))
+
+
+def test_readme_config_examples_parse(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^cat > (\S+) <<'CFG'\n(.*?)^CFG$", readme, re.M | re.S)
+    assert blocks
+    for name, text in blocks:
+        cli.parse_config(write(tmp_path, name, text))
 
 
 def test_run_malformed_config_exits_2_without_outputs(tmp_path, capsys):
@@ -60,8 +72,7 @@ def test_run_malformed_config_exits_2_without_outputs(tmp_path, capsys):
 POSE_SMALL = "kind = toy_pose\nepochs = 1\nn_samples = 60\nn_pool = 10\n"
 
 BAD_VALUE_BASES = {"spheres": SPHERES_SMALL, "toy_pose": POSE_SMALL,
-                   "toy_pose_mined": POSE_SMALL + "mine = true\n",
-                   "solve_check": "kind = solve_check\nn_systems = 2\n"}
+                   "toy_pose_mined": POSE_SMALL + "mine = true\n"}
 
 
 @pytest.mark.parametrize("kind, line", [
@@ -84,7 +95,6 @@ BAD_VALUE_BASES = {"spheres": SPHERES_SMALL, "toy_pose": POSE_SMALL,
     ("toy_pose", "n_samples = 1"),
     ("toy_pose", "init_checkpoint = no_such_params.bin"),
     ("toy_pose", "init_checkpoint = {nan_checkpoint}"),
-    ("solve_check", "max_dim = 1"),
 ])
 def test_run_bad_config_value_exits_2_without_outputs(tmp_path, capsys, kind, line):
     base = BAD_VALUE_BASES[kind]
@@ -197,15 +207,6 @@ seed = 1
     # checkpoints are loadable flat-parameter files
     w = ad.load_params(out2 / "params.bin")
     assert np.isfinite(w).all()
-
-
-def test_solve_check_run(tmp_path):
-    cfg = "kind = solve_check\nn_systems = 12\nmax_dim = 40\nseed = 2\n"
-    out = tmp_path / "o"
-    assert cli.main(["run", write(tmp_path, "sc.txt", cfg), "--out-dir", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["worst_rel_error"] <= 1e-6
-    assert len(cli.read_metrics(out / "metrics.csv")) == 12
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point

@@ -47,8 +47,7 @@ def symmetric_pose(rng=None, scale=1.0):
 
 
 def test_joint_table_matches_published_rows():
-    table = cs.JointIndexTable.default()
-    names = [tuple(cs.JOINT_NAMES[i] for i in row) for row in table.rows]
+    names = [tuple(cs.JOINT_NAMES[i] for i in row) for row in cs.SYMMETRY_JOINTS]
     assert names[0] == ("left shoulder", "left elbow", "right shoulder", "right elbow")
     assert names[1] == ("left elbow", "left hand", "right elbow", "right hand")
     assert names[2] == ("left hip", "left knee", "right hip", "right knee")
@@ -78,16 +77,15 @@ def test_symmetry_residuals_detects_long_left_arm():
 
 def test_symmetry_residuals_match_scalar_distance_oracle():
     rng = np.random.default_rng(1)
-    table = cs.JointIndexTable.default()
     for _ in range(20):
         pose = rng.standard_normal(51)
-        got = symmetry_residuals(pose, table)
+        got = symmetry_residuals(pose)
         y = pose.reshape(17, 3)
-        for j, (a, b, c, d) in enumerate(table.rows):
+        for j, (a, b, c, d) in enumerate(cs.SYMMETRY_JOINTS):
             expect = (sum((y[a][k] - y[b][k]) ** 2 for k in range(3)) ** 0.5
                       - sum((y[c][k] - y[d][k]) ** 2 for k in range(3)) ** 0.5)
             assert abs(got[j] - expect) <= 1e-12
-        np.testing.assert_allclose(cs.SymmetryHead(table).value(pose[None])[0], got,
+        np.testing.assert_allclose(cs.SymmetryHead().value(pose[None])[0], got,
                                    rtol=0, atol=1e-12)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hardtrain import linops
+from hardtrain import krylov, linops
 from hardtrain.krylov import (
     CONVERGED,
     SINGULAR_MIN_LENGTH,
@@ -10,7 +10,7 @@ from hardtrain.krylov import (
     minres_qlp,
 )
 
-from util import identity, random_symmetric_system
+from util import from_dense, identity, random_symmetric_system
 
 
 def test_config_defaults():
@@ -36,7 +36,7 @@ def test_minres_identity_one_iteration():
 
 
 def test_minres_diagonal():
-    sol = minres_qlp(linops.from_dense(np.diag([2.0, 3.0])), np.array([2.0, 3.0]))
+    sol = minres_qlp(from_dense(np.diag([2.0, 3.0])), np.array([2.0, 3.0]))
     np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-10)
     assert sol.status == CONVERGED
 
@@ -46,7 +46,7 @@ def test_minres_matches_dense_solve():
     a = rng.standard_normal((50, 50))
     a = (a + a.T) / 2 + 10 * np.eye(50)  # well conditioned
     b = rng.standard_normal(50)
-    sol = minres_qlp(linops.from_dense(a), b, SolverConfig(rtol=1e-10))
+    sol = minres_qlp(from_dense(a), b, SolverConfig(rtol=1e-10))
     expect = np.linalg.solve(a, b)
     assert np.linalg.norm(sol.x - expect) / np.linalg.norm(expect) <= 1e-8
     assert sol.status == CONVERGED
@@ -73,14 +73,14 @@ def test_qlp_identity():
 
 def test_qlp_singular_consistent_min_norm():
     # B = [[1,1],[1,1]], b = (2,2): solutions are x1+x2 = 2; min-norm (1,1)
-    sol = minres_qlp(linops.from_dense([[1.0, 1.0], [1.0, 1.0]]), np.array([2.0, 2.0]))
+    sol = minres_qlp(from_dense([[1.0, 1.0], [1.0, 1.0]]), np.array([2.0, 2.0]))
     np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-10)
     assert sol.status == CONVERGED
 
 
 def test_qlp_singular_inconsistent_min_length():
     # B = diag(1, 0), b = (1,1): least-squares solutions are (1, t); min-length (1,0)
-    sol = minres_qlp(linops.from_dense([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 1.0]))
+    sol = minres_qlp(from_dense([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 1.0]))
     np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-10)
     assert sol.status == SINGULAR_MIN_LENGTH
 
@@ -95,7 +95,7 @@ def test_residual_norm_matches_independent_recompute():
     rng = np.random.default_rng(5)
     for _ in range(20):
         B, b, _, _, _ = random_symmetric_system(rng)
-        sol = minres_qlp(linops.from_dense(B), b, SolverConfig(rtol=1e-10))
+        sol = minres_qlp(from_dense(B), b, SolverConfig(rtol=1e-10))
         recomputed = np.linalg.norm(b - B @ sol.x)
         assert abs(recomputed - sol.residual_norm) <= 1e-8 * np.linalg.norm(b)
         if sol.status == CONVERGED:
@@ -106,7 +106,7 @@ def test_internal_residual_estimates_non_increasing():
     rng = np.random.default_rng(6)
     for _ in range(40):
         B, b, _, _, _ = random_symmetric_system(rng)
-        sol = minres_qlp(linops.from_dense(B), b, SolverConfig(rtol=1e-10))
+        sol = minres_qlp(from_dense(B), b, SolverConfig(rtol=1e-10))
         est = sol.residual_estimates
         assert all(b_ <= a_ * (1 + 1e-12) + 1e-300 for a_, b_ in zip(est, est[1:]))
 
@@ -119,7 +119,7 @@ def test_minres_and_qlp_agree_on_well_conditioned():
         a = (a + a.T) / 2 + (3 + n / 10) * np.eye(n)
         b = rng.standard_normal(n)
         x1 = np.linalg.solve(a, b)
-        x2 = minres_qlp(linops.from_dense(a), b, SolverConfig(rtol=1e-12)).x
+        x2 = minres_qlp(from_dense(a), b, SolverConfig(rtol=1e-12)).x
         assert np.linalg.norm(x1 - x2) <= 1e-8 * np.linalg.norm(x1)
 
 
@@ -128,7 +128,7 @@ def test_solution_invariant_to_matrix_free_supply():
     a = rng.standard_normal((30, 30))
     a = (a + a.T) / 2
     b = rng.standard_normal(30)
-    dense = minres_qlp(linops.from_dense(a), b)
+    dense = minres_qlp(from_dense(a), b)
     free = minres_qlp(linops.LinearOperator(30, lambda v: a @ v), b)
     np.testing.assert_allclose(dense.x, free.x, rtol=0, atol=1e-12 * np.linalg.norm(dense.x))
 
@@ -140,7 +140,7 @@ def test_qlp_pseudoinverse_battery_small():
     for _ in range(60):
         B, b, x_star, cond, deficient = random_symmetric_system(rng)
         cfg = SolverConfig(rtol=1e-11, max_iters=min(max(8 * B.shape[0], 400), 3000))
-        sol = minres_qlp(linops.from_dense(B), b, cfg)
+        sol = minres_qlp(from_dense(B), b, cfg)
         err = np.linalg.norm(sol.x - x_star) / max(np.linalg.norm(x_star), 1e-300)
         tol = 1e-8 if (cond <= 1e6 and not deficient) else 1e-6
         assert err <= tol, f"cond={cond:.3g} n={B.shape[0]} deficient={deficient}: {err:.3g}"
@@ -170,7 +170,7 @@ def test_preconditioned_solve_matches_dense_solve():
         b = rng.standard_normal(n)
         p_inv = np.linalg.inv(_spd(rng, n, 1e2))
         cfg = SolverConfig(rtol=1e-10)
-        sol = minres_qlp(linops.from_dense(a), b, cfg, precond=lambda r: p_inv @ r)
+        sol = minres_qlp(from_dense(a), b, cfg, precond=lambda r: p_inv @ r)
         expect = np.linalg.solve(a, b)
         # the result is the preconditioned sweep's: its estimates start at
         # the P^-1-norm of b
@@ -180,7 +180,7 @@ def test_preconditioned_solve_matches_dense_solve():
         assert np.linalg.norm(b - a @ sol.x) == pytest.approx(sol.residual_norm, rel=1e-12)
     spd = _spd(rng, 30, 1e3)
     exact = np.linalg.inv(spd)
-    sol = minres_qlp(linops.from_dense(spd), np.ones(30), precond=lambda r: exact @ r)
+    sol = minres_qlp(from_dense(spd), np.ones(30), precond=lambda r: exact @ r)
     assert sol.status == CONVERGED and sol.iters <= 2
 
 
@@ -190,8 +190,8 @@ def test_preconditioned_solve_without_spd_preconditioner_falls_back():
     rng = np.random.default_rng(10)
     a = _spd(rng, 12, 10.0)
     b = rng.standard_normal(12)
-    plain = minres_qlp(linops.from_dense(a), b)
-    sol = minres_qlp(linops.from_dense(a), b, precond=lambda r: -r)
+    plain = minres_qlp(from_dense(a), b)
+    sol = minres_qlp(from_dense(a), b, precond=lambda r: -r)
     np.testing.assert_array_equal(sol.x, plain.x)
     assert sol.status == CONVERGED and sol.iters == plain.iters
 
@@ -199,8 +199,61 @@ def test_preconditioned_solve_without_spd_preconditioner_falls_back():
 def test_preconditioned_inconsistent_system_ends_min_length():
     # preconditioned MINRES stops at a P-weighted least-squares point; the
     # solve must still return the minimum-length least-squares solution
-    sol = minres_qlp(linops.from_dense([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]]),
+    sol = minres_qlp(from_dense([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]]),
                      np.array([1.0, 1.0, 1.0]),
                      precond=lambda r: np.array([4.0, 0.5, 1.0]) * r)
     np.testing.assert_allclose(sol.x, [1.0, 0.5, 0.0], atol=1e-10)
     assert sol.status == SINGULAR_MIN_LENGTH
+
+
+def _counting(a):
+    """A dense operator that records a copy of every operand it is applied to."""
+    a = np.asarray(a, dtype=np.float64)
+    operands = []
+
+    def matvec(v):
+        operands.append(v.copy())
+        return a @ v
+
+    return linops.LinearOperator(a.shape[0], matvec), operands
+
+
+def test_converged_solves_evaluate_the_final_residual_once():
+    # one matvec per iteration, plus the single b - Bx that both the
+    # preconditioned sweep's stopping check and the verdict read; P = |B|
+    # passes that check the first time it is made
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        n = int(rng.integers(2, 60))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(0, np.log(1e2), n))
+        a = (q * lam) @ q.T
+        a = (a + a.T) / 2
+        b = rng.standard_normal(n)
+        p_inv = (q / np.abs(lam)) @ q.T
+        for precond in (None, lambda r: p_inv @ r):
+            op, operands = _counting(a)
+            sol = minres_qlp(op, b, SolverConfig(rtol=1e-10), precond=precond)
+            assert sol.status == CONVERGED
+            assert len(operands) == sol.iters + 1
+
+
+def test_least_squares_verdict_evaluates_each_iterate_once(monkeypatch):
+    # diag(1, 0), b = (1, 1) ends the direct sweep least-squares-type and
+    # takes the squared-system sweep; outside the sweeps the solve applies
+    # B to b once (the squared system's right-hand side) and, for each of
+    # the two iterates, to x (for r = b - Bx) and to r (for ||B r||) once
+    sweeps = []
+    real_pass = krylov._minres_qlp_pass
+
+    def recording_pass(*args, **kwargs):
+        start = len(operands)
+        out = real_pass(*args, **kwargs)
+        sweeps.append(range(start, len(operands)))
+        return out
+
+    monkeypatch.setattr(krylov, "_minres_qlp_pass", recording_pass)
+    op, operands = _counting([[1.0, 0.0], [0.0, 0.0]])
+    sol = minres_qlp(op, np.array([1.0, 1.0]))
+    assert sol.status == SINGULAR_MIN_LENGTH and len(sweeps) == 2
+    assert len(operands) - sum(len(s) for s in sweeps) == 5

@@ -3,7 +3,7 @@ import pytest
 
 from hardtrain import linops
 
-from util import LinearMap, MATERIALIZE_CAP, identity, materialize, symmetry_defect
+from util import LinearMap, MATERIALIZE_CAP, from_dense, identity, materialize, symmetry_defect
 
 
 def test_apply_identity():
@@ -17,7 +17,7 @@ def test_apply_zero_operator():
 
 
 def test_apply_diagonal():
-    op = linops.from_dense(np.diag([2.0, 3.0]))
+    op = from_dense(np.diag([2.0, 3.0]))
     np.testing.assert_allclose(linops.apply(op, np.array([1.0, 1.0])), [2.0, 3.0])
 
 
@@ -28,7 +28,7 @@ def test_apply_dimension_mismatch_reports_both_lengths():
 
 
 def test_apply_does_not_mutate_input():
-    op = linops.from_dense(np.diag([2.0, 2.0]))
+    op = from_dense(np.diag([2.0, 2.0]))
     v = np.array([1.0, 4.0])
     linops.apply(op, v)
     np.testing.assert_array_equal(v, [1.0, 4.0])
@@ -42,7 +42,7 @@ def test_materialize_round_trips_dense():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((7, 7))
     a = a + a.T
-    np.testing.assert_array_equal(materialize(linops.from_dense(a)), a)
+    np.testing.assert_array_equal(materialize(from_dense(a)), a)
 
 
 def test_materialize_refuses_above_cap():
@@ -75,8 +75,8 @@ def test_symmetry_probe_on_library_operators():
     a = rng.standard_normal((20, 20))
     ops = [
         identity(20),
-        linops.from_dense(np.diag(rng.standard_normal(20))),
-        linops.from_dense((a + a.T) / 2),
+        from_dense(np.diag(rng.standard_normal(20))),
+        from_dense((a + a.T) / 2),
     ]
     for op in ops:
         assert symmetry_defect(op, n_probes=100, seed=7) <= 1e-10
@@ -85,7 +85,7 @@ def test_symmetry_probe_on_library_operators():
 def test_symmetry_probe_flags_asymmetric_operator():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((10, 10))  # not symmetric
-    assert symmetry_defect(linops.from_dense(a), n_probes=20, seed=0) > 1e-3
+    assert symmetry_defect(from_dense(a), n_probes=20, seed=0) > 1e-3
 
 
 def test_materialize_saddle_point_operator_matches_block_assembly():

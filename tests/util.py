@@ -128,16 +128,15 @@ class ModelOutputs(ad.DiffFunction):
                 lambda u: vjp(u.reshape(Y.shape)))
 
 
-def symmetry_residuals(pose, table=None):
+def symmetry_residuals(pose):
     """Six signed length differences for one 17x3 pose (flat, length 51),
     one scalar distance at a time: the oracle of ``SymmetryHead``."""
     pose = np.asarray(pose, dtype=np.float64)
     if pose.shape != (51,):
         raise ValueError(f"pose must have 51 coordinates, got shape {pose.shape}")
-    table = table or cs.JointIndexTable.default()
     y = pose.reshape(17, 3)
     out = np.empty(6)
-    for j, (a, b, c, d) in enumerate(table.rows):
+    for j, (a, b, c, d) in enumerate(cs.SYMMETRY_JOINTS):
         out[j] = np.linalg.norm(y[a] - y[b]) - np.linalg.norm(y[c] - y[d])
     return out
 
@@ -210,6 +209,14 @@ def risk_gradient(f, w):
 
 def identity(dim: int) -> LinearOperator:
     return LinearOperator(dim, lambda v: v.copy())
+
+
+def from_dense(a) -> LinearOperator:
+    """Wrap a dense symmetric matrix as an implicit operator."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return LinearOperator(a.shape[0], lambda v: a @ v)
 
 
 def materialize(op: LinearOperator, cap: int = MATERIALIZE_CAP) -> np.ndarray:
