@@ -86,25 +86,33 @@ class Mlp:
         return w
 
     def forward(self, w: Vector, X: np.ndarray) -> np.ndarray:
-        return self.tape(w, X).out
+        """Outputs of the batch X; records nothing for differentiation."""
+        return self._layers(w, X, None)
 
     def tape(self, w: Vector, X: np.ndarray) -> MlpTape:
+        tape = MlpTape([], [], None)
+        tape.out = self._layers(w, X, tape)
+        return tape
+
+    def _layers(self, w: Vector, X: np.ndarray, tape: MlpTape | None) -> np.ndarray:
+        """The forward pass: each layer's bias add and ReLU run in place on
+        its GEMM output; inputs and masks are appended to ``tape`` if given."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.in_dim:
             raise ValueError(f"input width {X.shape[1]} != {self.in_dim}")
-        layers = self.unpack(w)
-        acts, masks = [X], []
         a = X
-        for l, (W, b) in enumerate(layers):
-            z = a @ W.T + b
+        for l, (W, b) in enumerate(self.unpack(w)):
+            if tape is not None:
+                tape.acts.append(a)
+            z = a @ W.T
+            z += b
             if l < self.n_layers - 1:
                 mask = z > 0.0          # subgradient 0 at the ReLU kink
-                a = z * mask
-                masks.append(mask)
-                acts.append(a)
-            else:
-                a = z
-        return MlpTape(acts, masks, a)
+                z *= mask
+                if tape is not None:
+                    tape.masks.append(mask)
+            a = z
+        return a
 
     def linearize(self, w: Vector, X: np.ndarray):
         """(outputs, jvp, vjp, gram) over one tape of the batch X."""
@@ -113,28 +121,40 @@ class Mlp:
                 lambda rows, H, d_inv: self.gram(w, rows, H, d_inv, tape))
 
     def jvp(self, w: Vector, v: Vector, tape: MlpTape) -> np.ndarray:
-        """Directional derivative of the taped batch's output along parameter tangent v."""
+        """Directional derivative of the taped batch's output along parameter tangent v.
+
+        The inputs are fixed data, so layer 0 has no tangent-input term.
+        """
         check_length(v, self.n_params, "tangent")
-        da = np.zeros_like(tape.acts[0])  # inputs are fixed data
         layers = self.unpack(w)
         tangents = self.unpack(v)
+        da = None
         for l, ((W, _), (dW, db)) in enumerate(zip(layers, tangents)):
-            dz = da @ W.T + tape.acts[l] @ dW.T + db
-            da = dz * tape.masks[l] if l < self.n_layers - 1 else dz
+            dz = tape.acts[l] @ dW.T
+            if da is not None:
+                dz += da @ W.T
+            dz += db
+            if l < self.n_layers - 1:
+                dz *= tape.masks[l]
+            da = dz
         return da
 
     def vjp(self, w: Vector, U: np.ndarray, tape: MlpTape) -> Vector:
-        """Adjoint product: flat parameter gradient of <U, output> over the taped batch."""
-        U = np.atleast_2d(np.asarray(U, dtype=np.float64))
+        """Adjoint product: flat parameter gradient of <U, output> over the taped batch.
+
+        Each layer's gradient is written straight into its slice of the
+        flat result.
+        """
+        g = np.atleast_2d(np.asarray(U, dtype=np.float64))
         layers = self.unpack(w)
-        grad = np.zeros(self.n_params)
-        g = U
+        grad = np.empty(self.n_params)
         for l in range(self.n_layers - 1, -1, -1):
             w_sl, shape, b_sl = self.layout[l]
-            grad[w_sl] = (g.T @ tape.acts[l]).ravel()
-            grad[b_sl] = g.sum(axis=0)
+            np.matmul(g.T, tape.acts[l], out=grad[w_sl].reshape(shape))
+            np.sum(g, axis=0, out=grad[b_sl])
             if l > 0:
-                g = (g @ layers[l][0]) * tape.masks[l - 1]
+                g = g @ layers[l][0]
+                g *= tape.masks[l - 1]
         return grad
 
     def gram(self, w: Vector, rows: np.ndarray, H: np.ndarray, d_inv, tape: MlpTape) -> np.ndarray:
@@ -144,29 +164,35 @@ class Mlp:
         The m rows of H are backpropagated together: at layer l, Delta_l
         holds each row's output cotangent and A_l its sample's layer input,
         and G's layer-l block of row k is the outer product
-        Delta_l[k] A_l[k]^T plus the bias part Delta_l[k].  For a scalar
-        d_inv the Gram matrix is d_inv * sum_l (Delta_l Delta_l^T) *
-        (A_l A_l^T + 1), elementwise, and G is never formed; a vector
-        d_inv weights each layer's block entrywise, so that block is formed
-        one layer at a time and scaled by sqrt(d_inv), which makes its Gram
-        product one symmetric rank-k update.
+        Delta_l[k] A_l[k]^T plus the bias part Delta_l[k].  G is never
+        formed.  For a scalar d_inv the Gram matrix is
+        d_inv * sum_l (Delta_l Delta_l^T) * (A_l A_l^T + 1), elementwise.
+        A vector d_inv weights layer l's weights by D_l (out x in) and its
+        bias by d_b, so rows k and k' of samples a and b meet through
+        M_a[b] = (A_a * A_b) D_l^T + d_b: for each distinct sample a, the
+        rows K_a of that sample get Delta[K_a] (Delta * M_a[r])^T, where
+        r maps each row to its sample.
         """
         layers = self.unpack(w)
         scalar = np.ndim(d_inv) == 0
-        root = None if scalar else np.sqrt(d_inv)
         m = len(rows)
         S = np.zeros((m, m))
         g = np.atleast_2d(np.asarray(H, dtype=np.float64))
+        if not scalar:
+            samples, r = np.unique(rows, return_inverse=True)
+            groups = [np.flatnonzero(r == a) for a in range(len(samples))]
         for l in range(self.n_layers - 1, -1, -1):
-            A = tape.acts[l][rows]
             if scalar:
+                A = tape.acts[l][rows]
                 S += (g @ g.T) * (A @ A.T + 1.0)
             else:
-                w_sl, _, b_sl = self.layout[l]
-                block = (g[:, :, None] * A[:, None, :]).reshape(m, -1)
-                block *= root[w_sl]
-                bias = g * root[b_sl]
-                S += block @ block.T + bias @ bias.T
+                w_sl, shape, b_sl = self.layout[l]
+                A = tape.acts[l][samples]
+                D_t = d_inv[w_sl].reshape(shape).T
+                for a, K in enumerate(groups):
+                    M = (A[a] * A) @ D_t
+                    M += d_inv[b_sl]
+                    S[K] += g[K] @ (g * M[r]).T
             if l > 0:
                 g = (g @ layers[l][0]) * tape.masks[l - 1][rows]
         return d_inv * S if scalar else S
@@ -184,8 +210,10 @@ class IdentityOffset:
         self.in_dim = dim
         self.out_dim = dim
 
-    def forward(self, w: Vector, X: np.ndarray) -> np.ndarray:
-        return w[None, :] - np.atleast_2d(X)
+    def forward(self, w: Vector, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """w - x_k for every row of X, written into ``out`` if given (which
+        may be X itself)."""
+        return np.subtract(w, np.atleast_2d(X), out=out)
 
     def linearize(self, w: Vector, X: np.ndarray):
         """(outputs, jvp, vjp, gram): every sample's output moves with w
@@ -283,7 +311,10 @@ class ScaledResiduals(DiffFunction):
         self.scale = 1.0 / np.sqrt(self.Y.size)
 
     def value(self, w):
-        return (self.model.forward(w, self.X) - self.Y).ravel() * self.scale
+        r = self.model.forward(w, self.X)
+        r -= self.Y
+        r *= self.scale
+        return r.ravel()
 
     def linearize(self, w):
         pred, jvp, vjp, _ = self.model.linearize(w, self.X)

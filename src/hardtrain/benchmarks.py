@@ -44,9 +44,11 @@ def prediction_error(preds, truths) -> float:
     truths = np.asarray(truths, dtype=np.float64)
     if preds.shape != truths.shape:
         raise ValueError(f"shape mismatch: {preds.shape} vs {truths.shape}")
-    p = preds.reshape(-1, 17, 3)
-    t = truths.reshape(-1, 17, 3)
-    return float(np.mean(np.linalg.norm(p - t, axis=2)))
+    d = preds.reshape(-1, 17, 3) - truths.reshape(-1, 17, 3)
+    d *= d
+    # the joint distances: np.linalg.norm's sums in its order, without its
+    # slow reduction over an axis of length 3
+    return float(np.mean(np.sqrt(d[..., 0] + d[..., 1] + d[..., 2])))
 
 
 def median_violation(residuals) -> float:

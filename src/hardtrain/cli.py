@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import os
 import sys
@@ -192,6 +193,26 @@ def write_resolved_config(path, cfg: dict) -> None:
             fh.write(f"{key} = {value}\n")
 
 
+def _blas_threads() -> int | None:
+    """Thread count OpenBLAS reports, or None where it cannot be asked.
+
+    Byte-identical reruns hold only at a fixed count, so the summary
+    records it.
+    """
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            dll = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            fn = getattr(dll, name, None)
+            if fn is not None:
+                return int(fn())
+    return None
+
+
 def _write_summary(out_dir: Path, payload: dict) -> None:
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -230,6 +251,7 @@ def _finish_run(out_dir: Path, cfg: dict, problem, report, status: str) -> None:
         "final_pred_error": last.pred_error,
         "final_median_violation": last.median_violation,
         "best_val_error": report.best_val_error,
+        "blas_threads": _blas_threads(),
     })
 
 

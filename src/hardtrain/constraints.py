@@ -64,6 +64,13 @@ SYMMETRY_JOINTS = tuple(tuple(JOINT_NAMES.index(n) for n in row) for row in SYMM
 # ---------------------------------------------------------------------------
 
 
+def _lengths(d: np.ndarray) -> np.ndarray:
+    """Lengths of the 3-vectors along d's last axis: np.linalg.norm's sums
+    in its order, without its slow reduction over an axis of length 3."""
+    sq = d * d
+    return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+
+
 def _incidence(first, second, n_joints: int) -> np.ndarray:
     """Signed (rows x joints) matrix with +1 at first[j], -1 at second[j]."""
     m = np.zeros((len(first), n_joints))
@@ -86,22 +93,21 @@ class SymmetryHead:
         self._inc1_t = _incidence(self._a, self._b, len(JOINT_NAMES)).T
         self._inc2_t = _incidence(self._c, self._d, len(JOINT_NAMES)).T
 
-    def _units(self, Y):
+    def _bones(self, Y):
+        """The two bone vectors (n, 6, 3) of every row and their lengths."""
         y = Y.reshape(-1, 17, 3)
-        d1 = y[:, self._a] - y[:, self._b]          # (n, 6, 3)
+        d1 = y[:, self._a] - y[:, self._b]
         d2 = y[:, self._c] - y[:, self._d]
-        n1 = np.linalg.norm(d1, axis=2)
-        n2 = np.linalg.norm(d2, axis=2)
-        u1 = d1 / np.maximum(n1, 1e-30)[:, :, None]
-        u2 = d2 / np.maximum(n2, 1e-30)[:, :, None]
-        return n1, n2, u1, u2
+        return d1, d2, _lengths(d1), _lengths(d2)
 
     def value(self, Y):
-        n1, n2, _, _ = self._units(Y)
+        _, _, n1, n2 = self._bones(Y)
         return n1 - n2
 
     def linearize(self, Y):
-        n1, n2, u1, u2 = self._units(Y)
+        d1, d2, n1, n2 = self._bones(Y)
+        u1 = d1 / np.maximum(n1, 1e-30)[:, :, None]
+        u2 = d2 / np.maximum(n2, 1e-30)[:, :, None]
 
         def jvp(dY):
             dy = np.asarray(dY).reshape(-1, 17, 3)
@@ -134,12 +140,23 @@ class SphereRadiusHead:
         return (self._norms(Y) - self.radius)[:, None]
 
     def directions(self, Y):
-        """(residuals (n, 1), unit rows Y / ||Y||): the head's Jacobian."""
-        norms = self._norms(Y)
-        return (norms - self.radius)[:, None], Y / norms[:, None]
+        """(residuals (n, 1), unit rows Y / ||Y||): the head's Jacobian.
+
+        The unit rows are written over Y, so the only n x d array is the
+        caller's.  The squares go through one d-vector, a row at a time,
+        so the norms are ``value``'s bit for bit.
+        """
+        sq = np.empty(Y.shape[1])
+        norms = np.empty(Y.shape[0])
+        for i, row in enumerate(Y):
+            np.multiply(row, row, out=sq)
+            norms[i] = sq.sum()
+        norms = np.maximum(np.sqrt(norms), 1e-30)
+        Y /= norms[:, None]
+        return (norms - self.radius)[:, None], Y
 
     def linearize(self, Y):
-        C, units = self.directions(Y)
+        C, units = self.directions(np.array(Y, dtype=np.float64))
         return (C, lambda dY: np.einsum("nd,nd->n", units, dY)[:, None],
                 lambda U: U[:, :1] * units)
 
@@ -336,12 +353,14 @@ class StackedConstraints(ad.DiffFunction):
 class SphereRows(StackedConstraints):
     """Active sphere residuals of an :class:`~hardtrain.autodiff.IdentityOffset`
     model.  Their Jacobian is the matrix of unit directions
-    U = (w - X) / ||w - X||, formed once per linearization, so a product
-    is one GEMV: jvp is U v, vjp is u U, and the Gram matrix is
-    U diag(d_inv) U^T gathered to the active rows."""
+    U = (w - X) / ||w - X||, formed once per linearization in the buffer
+    that gathers the active X, so a product is one GEMV: jvp is U v, vjp is
+    u U, and the Gram matrix is U diag(d_inv) U^T gathered to the active
+    rows."""
 
     def linearize(self, w):
-        C, units = self.pool.head.directions(self.model.forward(w, self.X))
+        X = self.X
+        C, units = self.pool.head.directions(self.model.forward(w, X, out=X))
 
         def gram(d_inv):
             S = d_inv * (units @ units.T) if np.ndim(d_inv) == 0 else (units * d_inv) @ units.T

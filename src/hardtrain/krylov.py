@@ -9,7 +9,9 @@ It recomputes the true residual ``b - Bx`` on exit and classifies the
 result from that, so ``status == "converged"`` always means the *recomputed*
 residual is within ``rtol * ||b||``.  Systems that only converge in the
 least-squares sense (singular, inconsistent) come back as
-``"singular_min_length"``.  Each iterate's residual, and ``||B r||`` when
+``"singular_min_length"``; one that meets neither test is ``"max_iters"``
+when its sweep ran to the iteration cap and ``"stalled"`` when another
+stopping test ended it first.  Each iterate's residual, and ``||B r||`` when
 the verdict needs it, is computed once and read by every test after it.
 
 An optional symmetric positive definite preconditioner P, given as a
@@ -33,6 +35,7 @@ from .linops import LinearOperator, apply, as_vector, check_length
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
+STALLED = "stalled"
 SINGULAR_MIN_LENGTH = "singular_min_length"
 BREAKDOWN = "breakdown"
 
@@ -127,15 +130,20 @@ class _Iterate:
 
 
 def _classify(it: _Iterate, bnorm: float, rtol: float, anorm: float, ls_flagged: bool,
-              iters: int, acond: float, history: list) -> KrylovSolution:
-    """Final verdict from the independently recomputed residual."""
+              ran_out: bool, iters: int, acond: float, history: list) -> KrylovSolution:
+    """Final verdict from the independently recomputed residual.
+
+    An iterate that meets neither test is ``max_iters`` when its sweep ran
+    to the iteration cap (``ran_out``) and ``stalled`` when another of the
+    sweep's stopping tests ended it first.
+    """
     if it.rnorm <= rtol * bnorm:
         status = CONVERGED
     elif ls_flagged or it.arnorm <= max(100.0 * rtol, 1e-8) * max(anorm, _REALMIN) * it.rnorm:
         # least-squares optimality: B r ~ 0 even though r itself is not
         status = SINGULAR_MIN_LENGTH
     else:
-        status = MAX_ITERS
+        status = MAX_ITERS if ran_out else STALLED
     return KrylovSolution(it.x, it.rnorm, iters, status, acond, history)
 
 
@@ -469,7 +477,8 @@ def _minres_qlp_unpreconditioned(op: LinearOperator, b: np.ndarray, cfg: SolverC
         return KrylovSolution(x, float("inf"), iters, BREAKDOWN, acond, history)
     bnorm = float(np.linalg.norm(b))
     first = _Iterate(op, b, x)
-    sol = _classify(first, bnorm, cfg.rtol, anorm, flag in (2, 4), iters, acond, history)
+    sol = _classify(first, bnorm, cfg.rtol, anorm, flag in (2, 4), iters >= maxit,
+                    iters, acond, history)
     if sol.status == CONVERGED or flag in (1, 3, 5):
         # flags 1/3/5 mean the sweep converged as far as f64 allows; the
         # squared-system sweep would only trade a floor-level iterate for
@@ -495,7 +504,7 @@ def _minres_qlp_unpreconditioned(op: LinearOperator, b: np.ndarray, cfg: SolverC
     if not _ls_better(second, first):
         return sol
     history = history + [min(history[-1], second.rnorm)]
-    return _classify(second, bnorm, cfg.rtol, anorm, flag2 in (1, 2, 3, 4),
+    return _classify(second, bnorm, cfg.rtol, anorm, flag2 in (1, 2, 3, 4), it2 >= maxit,
                      iters + it2, max(acond, acond2), history)
 
 

@@ -62,13 +62,21 @@ def adam_update(state: AdamState, grad: Vector, lr: float):
     """One moment update; returns the new state and the parameter step.
 
     The step is -lr * f * m / (sqrt(v) + eps) with the bias correction f
-    at the new counter.
+    at the new counter.  The new moments and the step are fresh arrays,
+    updated in place; ``state`` is left unchanged.
     """
     grad = np.asarray(grad, dtype=np.float64)
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+    m = state.beta1 * state.m
+    m += (1.0 - state.beta1) * grad
+    v = state.beta2 * state.v
+    sq = (1.0 - state.beta2) * grad
+    sq *= grad
+    v += sq
     state = replace(state, m=m, v=v, t=state.t + 1)
-    dw = -lr * state.bias_correction() * m / (np.sqrt(v) + state.eps)
+    dw = -lr * state.bias_correction() * m
+    den = np.sqrt(v)
+    den += state.eps
+    dw /= den
     return state, dw
 
 

@@ -83,6 +83,32 @@ def test_mlp_value_matches_straight_line_oracle():
         np.testing.assert_array_equal(got, expect)
 
 
+def test_forward_equals_the_taped_output():
+    # the forward-only pass runs the tape's float operations in its order
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        mlp = ad.Mlp(dense_random_mlp(rng))
+        w = mlp.init_params(rng)
+        X = rng.standard_normal((5, mlp.in_dim))
+        np.testing.assert_array_equal(mlp.forward(w, X), mlp.tape(w, X).out)
+    # every hidden pre-activation negative: the ReLUs pass no signal
+    mlp = ad.Mlp([2, 3, 2])
+    w = np.zeros(mlp.n_params)
+    (W0, b0), (_, b1) = mlp.unpack(w)
+    W0[:] = 1.0
+    b0[:] = -10.0
+    b1[:] = [0.5, -0.5]
+    X = rng.uniform(-1.0, 1.0, (4, 2))
+    out = mlp.forward(w, X)
+    np.testing.assert_array_equal(out, mlp.tape(w, X).out)
+    np.testing.assert_array_equal(out, np.tile([0.5, -0.5], (4, 1)))
+    # NaN inputs propagate the same way through both passes
+    X[1, 0] = np.nan
+    out = mlp.forward(w, X)
+    np.testing.assert_array_equal(out, mlp.tape(w, X).out)
+    assert np.isnan(out[1]).all() and np.isfinite(np.delete(out, 1, axis=0)).all()
+
+
 def test_gradient_quadratic_norm():
     f = anchor_residuals(np.zeros(2))
     w = np.array([1.0, -2.0])

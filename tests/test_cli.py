@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +210,21 @@ seed = 1
     # checkpoints are loadable flat-parameter files
     w = ad.load_params(out2 / "params.bin")
     assert np.isfinite(w).all()
+
+
+def test_summary_records_the_blas_thread_count(tmp_path):
+    # a fresh process, so the pinned count is the one OpenBLAS starts with;
+    # null where the BLAS is not an OpenBLAS the query can reach
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "run"
+    subprocess.run([sys.executable, "-m", "hardtrain.cli", "run",
+                    write(tmp_path, "s.txt", SPHERES_SMALL), "--out-dir", str(out)],
+                   env=env, check=True, timeout=120)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "ok"
+    assert summary["blas_threads"] in (1, None)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point

@@ -104,6 +104,13 @@ def test_symmetry_residuals_length_check():
         symmetry_residuals(np.zeros(50))
 
 
+def test_symmetry_value_equals_the_linearized_value():
+    rng = np.random.default_rng(4)
+    Y = rng.standard_normal((7, 51))
+    head = cs.SymmetryHead()
+    np.testing.assert_array_equal(head.value(Y), head.linearize(Y)[0])
+
+
 def test_hypersphere_residuals_basics():
     w = np.array([10.0, 0.0])
     centers = np.zeros((1, 2))
@@ -194,6 +201,33 @@ def test_violation_matrix_one_row_chunks_match_the_sphere_oracle():
         tracemalloc.stop()
     np.testing.assert_array_equal(V, hypersphere_residuals(w, centers, 10.0)[:, None])
     assert peak <= 4 * 8 * d
+
+
+def test_sphere_rows_linearize_in_one_buffer_and_leave_the_pool_intact():
+    # the unit directions are written over the gathered active centers: one
+    # m x d array, and the pool's own samples are never touched
+    rng = np.random.default_rng(8)
+    m, d = 8, 20_000
+    centers = rng.standard_normal((2 * m, d))
+    kept = centers.copy()
+    pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(10.0), (cs.EQUALITY,))
+    model = ad.IdentityOffset(d)
+    rows = cs.active_constraint_function(pool, model, cs.ActiveSet.cross(range(1, 2 * m, 2), 1))
+    w = rng.standard_normal(d)
+    tracemalloc.start()
+    try:
+        lin = ad.linearize(rows, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * m * d
+    np.testing.assert_array_equal(pool.samples, kept)
+    expect = hypersphere_residuals(w, kept[1::2], 10.0)
+    np.testing.assert_array_equal(lin.value, expect)
+    Y = w - kept[1::2]
+    v = rng.standard_normal(d)
+    np.testing.assert_allclose(lin.jvp(v), (Y / np.linalg.norm(Y, axis=1)[:, None]) @ v,
+                               rtol=1e-12)
 
 
 def test_select_random_bounds_and_determinism():

@@ -4,7 +4,9 @@ import pytest
 from hardtrain import krylov, linops
 from hardtrain.krylov import (
     CONVERGED,
+    MAX_ITERS,
     SINGULAR_MIN_LENGTH,
+    STALLED,
     KrylovSolution,
     SolverConfig,
     minres_qlp,
@@ -144,6 +146,28 @@ def test_qlp_pseudoinverse_battery_small():
         err = np.linalg.norm(sol.x - x_star) / max(np.linalg.norm(x_star), 1e-300)
         tol = 1e-8 if (cond <= 1e6 and not deficient) else 1e-6
         assert err <= tol, f"cond={cond:.3g} n={B.shape[0]} deficient={deficient}: {err:.3g}"
+
+
+def test_a_sweep_cut_at_the_iteration_cap_reports_max_iters():
+    B = np.diag(np.arange(1.0, 11.0))
+    sol = minres_qlp(from_dense(B), np.ones(10), SolverConfig(rtol=1e-10, max_iters=1))
+    assert sol.status == MAX_ITERS
+    assert not sol.ok
+
+
+def test_a_sweep_that_stops_short_of_rtol_reports_stalled():
+    # the second system of criterion 1's stream (n=171, cond ~4e3) cannot
+    # reach rtol=1e-11 in float64: the sweep stops at the attainable floor,
+    # far below its iteration cap, and is not a least-squares point
+    rng = np.random.default_rng(20260809)
+    for _ in range(2):
+        B, b, _, _, deficient = random_symmetric_system(rng)
+    maxit = min(max(8 * B.shape[0], 400), 3000)
+    sol = minres_qlp(from_dense(B), b, SolverConfig(rtol=1e-11, max_iters=maxit))
+    assert not deficient
+    assert sol.status == STALLED
+    assert sol.iters < maxit
+    assert not sol.ok
 
 
 def test_solution_dataclass_flags():

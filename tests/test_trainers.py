@@ -75,6 +75,24 @@ def test_adam_first_update_moments():
     assert state.t == 1
 
 
+def test_adam_update_leaves_its_input_state_and_matches_the_closed_form():
+    rng = np.random.default_rng(5)
+    state = tr.AdamState(rng.standard_normal(4), rng.uniform(0.1, 1.0, 4), t=6)
+    m0, v0 = state.m.copy(), state.v.copy()
+    g = rng.standard_normal(4)
+    new, dw = tr.adam_update(state, g, lr=0.01)
+    np.testing.assert_array_equal(state.m, m0)
+    np.testing.assert_array_equal(state.v, v0)
+    assert state.t == 6
+    m = 0.9 * m0 + (1.0 - 0.9) * g
+    v = 0.999 * v0 + (1.0 - 0.999) * g * g
+    f = np.sqrt(1.0 - 0.999 ** 7) / (1.0 - 0.9 ** 7)
+    np.testing.assert_array_equal(new.m, m)
+    np.testing.assert_array_equal(new.v, v)
+    np.testing.assert_array_equal(dw, -0.01 * f * m / (np.sqrt(v) + 1e-8))
+    assert new.t == 7
+
+
 def test_adam_zero_gradient_never_moves():
     state = tr.AdamState.zeros(3)
     for _ in range(50):
@@ -387,26 +405,30 @@ SMALL_POSE = dict(seed=0, n_samples=60, n_pool=20, in_dim=8, hidden=(12,))
 
 
 @pytest.mark.parametrize("settings, tapes", [
-    # the constraint linearization and the risk gradient, then the
-    # validation error, the batch risk and the pool at the new parameters
-    (dict(method=tr.SOFT_ADAM, lr=1e-3, soft_lambda=0.01, batch_constraints=4), 5),
+    # the constraint linearization and the risk gradient
+    (dict(method=tr.SOFT_ADAM, lr=1e-3, soft_lambda=0.01, batch_constraints=4), 2),
     # lambda = 0: no constraint linearization
-    (dict(method=tr.SOFT_ADAM, lr=1e-3, soft_lambda=0.0, batch_constraints=4), 4),
+    (dict(method=tr.SOFT_ADAM, lr=1e-3, soft_lambda=0.0, batch_constraints=4), 1),
     # mining reads the pool evaluated at the end of the previous iteration
-    (dict(method=tr.HARD_SGD, lr=0.3, mine=True, n_mined=3), 5),
+    (dict(method=tr.HARD_SGD, lr=0.3, mine=True, n_mined=3), 2),
 ], ids=["soft", "soft_lambda_0", "hard_mined"])
 def test_iteration_tapes_the_mlp_a_fixed_number_of_times(monkeypatch, settings, tapes):
-    # a one-epoch run of one iteration minus the zero-epoch run's initial metrics
+    # a one-epoch run of one iteration minus the zero-epoch run's initial
+    # metrics; the validation error, the batch risk and the pool at the new
+    # parameters are three forward-only passes, which record no tape
     problem = bm.gen_toy_pose(**SMALL_POSE)
-    counted = _counting(monkeypatch, ad.Mlp, "tape")
+    taped = _counting(monkeypatch, ad.Mlp, "tape")
+    forward = _counting(monkeypatch, ad.Mlp, "forward")
     counts = []
     for epochs in (0, 1):
         cfg = tr.TrainConfig(epochs=epochs, batch_data=problem.n_train, **settings)
-        counted.clear()
+        taped.clear()
+        forward.clear()
         report = tr.train(cfg, problem)
-        counts.append(len(counted))
+        counts.append((len(taped), len(forward)))
     assert len(report.rows) == 1
-    assert counts[1] - counts[0] == tapes
+    assert counts[1][0] - counts[0][0] == tapes
+    assert counts[1][1] - counts[0][1] == 3
 
 
 def test_train_evaluates_the_pool_once_per_iterate(monkeypatch):
