@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -192,6 +193,12 @@ class ConstraintPool:
     def n_constraints(self) -> int:
         return self.head.n_constraints
 
+    @cached_property
+    def sample_sq_norms(self) -> np.ndarray:
+        """||x_k||^2 of every sample: a constant of the pool, computed on
+        first use."""
+        return np.einsum("ij,ij->i", self.samples, self.samples)
+
 
 @dataclass(frozen=True)
 class ActiveSet:
@@ -243,13 +250,32 @@ def _check_active(pool: ConstraintPool, active: ActiveSet) -> None:
         raise IndexError("active constraint index out of range")
 
 
+def _sphere_pool(pool: ConstraintPool, model) -> bool:
+    """Whether the pool holds sphere residuals ||w - x_k|| - radius, whose
+    values and products come from w and the samples alone."""
+    return isinstance(model, ad.IdentityOffset) and isinstance(pool.head, SphereRadiusHead)
+
+
 def violation_matrix(pool: ConstraintPool, model, w: Vector) -> np.ndarray:
     """All residuals C_jk as an (n_samples, n_constraints) matrix.
 
-    The pool goes through the model in chunks of rows whose outputs take
-    about ``_CHUNK_BYTES``: a pose pool is one batch, while a full-scale
-    sphere chunk is one row instead of an (n_samples, dim) temporary.
+    A sphere pool is one GEMV: ||w - x_k||^2 = ||w||^2 - 2 x_k.w + ||x_k||^2
+    with the pool constant ||x_k||^2, clamped at 0 so that rounding at a
+    center keeps the square root real.  It differs from the row norms of
+    w - x_k by rounding alone (about 1e-14 absolute at ||w - x_k|| ~ 10).
+    Any other pool goes through the model in chunks of rows whose outputs
+    take about ``_CHUNK_BYTES``: a pose pool is one batch.
     """
+    if _sphere_pool(pool, model):
+        sq = pool.samples @ w
+        sq *= -2.0
+        sq += w @ w
+        sq += pool.sample_sq_norms
+        np.maximum(sq, 0.0, out=sq)
+        np.sqrt(sq, out=sq)
+        np.maximum(sq, 1e-30, out=sq)
+        sq -= pool.head.radius
+        return sq[:, None]
     rows = max(1, _CHUNK_BYTES // (8 * model.out_dim))
     return np.concatenate([
         np.atleast_2d(pool.head.value(model.forward(w, pool.samples[lo:lo + rows])))
@@ -371,6 +397,6 @@ class SphereRows(StackedConstraints):
 
 
 def active_constraint_function(pool: ConstraintPool, model, active: ActiveSet) -> StackedConstraints:
-    if isinstance(model, ad.IdentityOffset) and isinstance(pool.head, SphereRadiusHead):
+    if _sphere_pool(pool, model):
         return SphereRows(pool, model, active)
     return StackedConstraints(pool, model, active)

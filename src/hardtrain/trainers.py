@@ -224,7 +224,18 @@ def _risk(problem, data_idx, w: Vector) -> float:
 
 
 def _median_abs(values: np.ndarray) -> float:
-    return float(np.median(np.abs(values))) if values.size else 0.0
+    """np.median(|values|) bit for bit, without its wrapper's overhead: the
+    middle element, or the mean of the middle two, of one partition.  The
+    partition also places the largest element last, where a NaN sorts, so a
+    NaN anywhere gives NaN as np.median does."""
+    n = values.size
+    if n == 0:
+        return 0.0
+    half, odd = divmod(n, 2)
+    part = np.partition(np.abs(values).ravel(), (half - 1 + odd, half, n - 1))
+    if np.isnan(part[-1]):
+        return math.nan
+    return float(part[half] if odd else (part[half - 1] + part[half]) / 2)
 
 
 def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
@@ -236,8 +247,11 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
     the same batches.  ``w0`` overrides the problem's own initialization,
     e.g. to fine-tune a constrained run from an unconstrained checkpoint.
     No parameter vector is written in place, so ``w0`` is used as given
-    and left unchanged, and the report's best and final parameters are
-    the same array when the last iterate is the best.  The pool's
+    and left unchanged.  The best parameters are the latest of the
+    iterates with the lowest validation error: the final array itself
+    whenever the last iterate is or ties the best, as on a problem whose
+    validation error is constant, which so keeps no copy of its initial
+    iterate.  The pool's
     violation matrix V is computed once per iterate; the pool median, the
     next active set and the active-median delta all read it.
     """
@@ -295,6 +309,6 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
             w = w_prev  # keep the last finite parameters as the checkpoint
             raise TrainingDiverged(f"non-finite metrics at iteration {it}", report())
         rows.append(row)
-        if val < best_val:
+        if val <= best_val:
             best_val, best_w = val, w
     return report()

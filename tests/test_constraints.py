@@ -183,11 +183,33 @@ def test_evaluate_matches_double_loop_oracle():
     np.testing.assert_allclose(got, expect, atol=1e-12)
 
 
-def test_violation_matrix_one_row_chunks_match_the_sphere_oracle():
+def test_violation_matrix_one_row_chunks_match_the_row_oracle():
     # at this dimension a chunk of the pool is a single row: the values are
-    # the norm path's exactly, and the peak stays a few rows, not the pool
+    # the per-row head's exactly, and the peak stays a few rows, not the pool
     d, n = 150_000, 16
     assert cs._CHUNK_BYTES // (8 * d) == 0
+    rng = np.random.default_rng(10)
+    samples = rng.normal(0.0, 0.1, (n, d))
+    w = rng.standard_normal(d)
+    head = BoundHead([0, d - 1], [0.5, -0.5])
+    pool = cs.ConstraintPool(samples, head, (cs.INEQUALITY,) * 2)
+    model = ad.IdentityOffset(d)
+    tracemalloc.start()
+    try:
+        V = cs.violation_matrix(pool, model, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    expect = np.array([head.value((w - x)[None])[0] for x in samples])
+    np.testing.assert_array_equal(V, expect)
+    assert peak <= 4 * 8 * d
+
+
+@pytest.mark.parametrize("d, n, at_center", [(10_000, 200, 1e-6), (150_000, 16, 1e-5)])
+def test_sphere_pool_is_one_gemv_within_rounding_of_the_norms(d, n, at_center):
+    # ||w||^2 - 2 C w + ||c||^2 rounds differently from the row norms of
+    # w - c, by about 1e-14 at |V| ~ 10-400; the pass, the pool constant
+    # ||c||^2 included, allocates a few n-vectors plus array headers, no d
     rng = np.random.default_rng(10)
     centers = rng.normal(0.0, 0.1, (n, d))
     w = rng.standard_normal(d)
@@ -199,8 +221,18 @@ def test_violation_matrix_one_row_chunks_match_the_sphere_oracle():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    np.testing.assert_array_equal(V, hypersphere_residuals(w, centers, 10.0)[:, None])
-    assert peak <= 4 * 8 * d
+    assert V.shape == (n, 1)
+    np.testing.assert_allclose(V[:, 0], hypersphere_residuals(w, centers, 10.0),
+                               rtol=0, atol=1e-11)
+    assert peak <= 4 * 8 * n + 2048
+    # at a center ||w - c||^2 is a rounding error of size eps ||c||^2
+    # (||c||^2 ~ 100 and 1500 here), negative at about half the centers:
+    # the clamp keeps the square root real, and V is -radius to within
+    # the square root of that error
+    for k in range(n):
+        V = cs.violation_matrix(pool, model, centers[k].copy())
+        assert np.isfinite(V).all()
+        assert abs(V[k, 0] + 10.0) <= at_center
 
 
 def test_sphere_rows_linearize_in_one_buffer_and_leave_the_pool_intact():

@@ -480,3 +480,26 @@ def test_report_holds_no_parameter_copies():
     assert report.best_val_error == report.rows[-1].pred_error
     assert report.best_params is report.final_params
     np.testing.assert_array_equal(w0, [3.0, 2.0])
+
+
+def test_constant_validation_reports_the_final_iterate_as_best():
+    # equally good iterates keep the latest: with no validation signal the
+    # best parameters are the final ones, not a copy of the initial ones
+    prob = ToyProblem([2.0, 0.0], sphere_pool([[0.0, 0.0]], 1.0))
+    report = tr.train(tr.TrainConfig(method=tr.SOFT_SGD, lr=0.1, iterations=4), prob)
+    assert report.best_val_error == 0.0
+    assert report.best_params is report.final_params
+
+
+def test_median_abs_is_np_median_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for n in list(range(1, 61)) + [200, 2304]:
+        for scale in (1e-300, 1.0, 1e300):
+            v = rng.standard_normal(n) * scale
+            for values in (v, np.round(v / scale, 1) * scale, v.reshape(1, n)):
+                got = tr._median_abs(values)
+                assert type(got) is float
+                assert got == float(np.median(np.abs(values))), (n, scale)
+        # a NaN anywhere is NaN, so the row of a non-finite iterate fails
+        v[rng.integers(n)] = np.nan
+        assert np.isnan(tr._median_abs(v)), n
