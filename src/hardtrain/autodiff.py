@@ -78,11 +78,11 @@ class Mlp:
         check_length(w, self.n_params, "params")
         return [(w[w_sl].reshape(shape), w[b_sl]) for w_sl, shape, b_sl in self.layout]
 
-    def init_params(self, rng: np.random.Generator, scale: float = 1.0) -> Vector:
+    def init_params(self, rng: np.random.Generator) -> Vector:
         """He-style initialization; biases start at zero."""
         w = np.zeros(self.n_params)
         for (w_sl, shape, _), width in zip(self.layout, self.widths[:-1]):
-            w[w_sl] = rng.standard_normal(shape[0] * shape[1]) * scale * np.sqrt(2.0 / width)
+            w[w_sl] = rng.standard_normal(shape[0] * shape[1]) * np.sqrt(2.0 / width)
         return w
 
     def forward(self, w: Vector, X: np.ndarray) -> np.ndarray:

@@ -44,19 +44,7 @@ def prediction_error(preds, truths) -> float:
     truths = np.asarray(truths, dtype=np.float64)
     if preds.shape != truths.shape:
         raise ValueError(f"shape mismatch: {preds.shape} vs {truths.shape}")
-    d = preds.reshape(-1, 17, 3) - truths.reshape(-1, 17, 3)
-    d *= d
-    # the joint distances: np.linalg.norm's sums in its order, without its
-    # slow reduction over an axis of length 3
-    return float(np.mean(np.sqrt(d[..., 0] + d[..., 1] + d[..., 2])))
-
-
-def median_violation(residuals) -> float:
-    """Median of the absolute residuals."""
-    residuals = np.asarray(residuals, dtype=np.float64)
-    if residuals.size == 0:
-        raise ValueError("no residuals")
-    return float(np.median(np.abs(residuals)))
+    return float(np.mean(cs.lengths_3d(preds.reshape(-1, 17, 3) - truths.reshape(-1, 17, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +80,6 @@ class SphereProblem:
     pool: cs.ConstraintPool = field(repr=False, default=None)
     model: ad.IdentityOffset = field(repr=False, default=None)
     n_train: int = 0
-
-    @property
-    def centers(self) -> np.ndarray:
-        return self.pool.samples
 
     def initial_params(self, rng) -> Vector:
         return self.x0.copy()
@@ -135,10 +119,7 @@ def gen_spheres(d: int, n_constraints: int = SPHERE_DEFAULT_CONSTRAINTS,
 
 def run_sphere_comparison(d: int, iters: int = 500, n_active: int = 20,
                           seed: int = 0,
-                          n_constraints: int = SPHERE_DEFAULT_CONSTRAINTS,
-                          hard_lr: float = SPHERE_HARD_LR,
-                          soft_lr: float = SPHERE_SOFT_LR,
-                          soft_lambda: float = SPHERE_SOFT_LAMBDA):
+                          n_constraints: int = SPHERE_DEFAULT_CONSTRAINTS):
     """Paired hard/soft runs over shared batch streams.
 
     Returns (hard_report, soft_report); both rotate the same random active
@@ -146,10 +127,10 @@ def run_sphere_comparison(d: int, iters: int = 500, n_active: int = 20,
     """
     problem = gen_spheres(d, n_constraints, seed)
     solver = SolverConfig(rtol=1e-8, max_iters=500)
-    hard_cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=hard_lr, iterations=iters,
+    hard_cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=SPHERE_HARD_LR, iterations=iters,
                               batch_constraints=n_active, seed=seed, solver=solver)
-    soft_cfg = tr.TrainConfig(method=tr.SOFT_SGD, lr=soft_lr,
-                              soft_lambda=soft_lambda, iterations=iters,
+    soft_cfg = tr.TrainConfig(method=tr.SOFT_SGD, lr=SPHERE_SOFT_LR,
+                              soft_lambda=SPHERE_SOFT_LAMBDA, iterations=iters,
                               batch_constraints=n_active, seed=seed, solver=solver)
     hard = tr.train(hard_cfg, problem)
     soft = tr.train(soft_cfg, problem)
@@ -215,7 +196,6 @@ class ToyPoseProblem:
     pool: cs.ConstraintPool
     asym_noise: float
     input_noise: float
-    init_scale: float = 1.0
 
     @property
     def model(self):
@@ -226,7 +206,7 @@ class ToyPoseProblem:
         return self.train_x.shape[0]
 
     def initial_params(self, rng) -> Vector:
-        return self.mlp.init_params(rng, self.init_scale)
+        return self.mlp.init_params(rng)
 
     def residual_function(self, idx) -> ad.DiffFunction:
         if idx is None:
@@ -292,7 +272,7 @@ _POSE_SOLVER = SolverConfig(rtol=1e-8, max_iters=800)
 
 def pose_metrics(problem: ToyPoseProblem, w) -> tuple:
     """(validation prediction error, pool median violation) of one model."""
-    mv = median_violation(cs.violation_matrix(problem.pool, problem.mlp, w))
+    mv = cs.median_violation(cs.violation_matrix(problem.pool, problem.mlp, w))
     return problem.prediction_error(w), mv
 
 

@@ -224,15 +224,12 @@ def _write_summary(out_dir: Path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _train_config(cfg: dict, iterations=None) -> tr.TrainConfig:
+def _train_config(cfg: dict, **kind_fields) -> tr.TrainConfig:
+    """The fields both kinds' schemas define, plus ``kind_fields``; any
+    other field keeps TrainConfig's default."""
     solver = SolverConfig(rtol=cfg["solver_rtol"], max_iters=cfg["solver_max_iters"])
-    return tr.TrainConfig(
-        method=cfg["method"], lr=cfg["lr"], soft_lambda=cfg["soft_lambda"],
-        epochs=cfg.get("epochs", 1), iterations=iterations,
-        batch_data=cfg.get("batch_data", 128),
-        batch_constraints=cfg.get("batch_constraints", 128),
-        mine=cfg.get("mine", False), n_mined=cfg.get("n_mined", 16),
-        solver=solver, seed=cfg["seed"])
+    return tr.TrainConfig(method=cfg["method"], lr=cfg["lr"], soft_lambda=cfg["soft_lambda"],
+                          solver=solver, seed=cfg["seed"], **kind_fields)
 
 
 def _finish_run(out_dir: Path, cfg: dict, problem, report, status: str) -> None:
@@ -271,8 +268,8 @@ def _setup_spheres(cfg: dict) -> tuple:
     if cfg["lr"] is None:
         cfg["lr"] = bm.SPHERE_HARD_LR if cfg["method"].startswith("hard") else bm.SPHERE_SOFT_LR
     problem = bm.gen_spheres(cfg["dim"], cfg["n_constraints"], cfg["seed"])
-    train_cfg = _train_config({**cfg, "batch_constraints": cfg["n_active"]},
-                              iterations=cfg["iterations"])
+    train_cfg = _train_config(cfg, iterations=cfg["iterations"],
+                              batch_constraints=cfg["n_active"])
     return problem, train_cfg, None
 
 
@@ -281,7 +278,8 @@ def _setup_toy_pose(cfg: dict) -> tuple:
     problem = bm.gen_toy_pose(cfg["seed"], cfg["n_samples"], cfg["n_pool"],
                               cfg["in_dim"], cfg["hidden"],
                               cfg["asym_noise"], cfg["input_noise"])
-    train_cfg = _train_config(cfg)
+    train_cfg = _train_config(cfg, **{key: cfg[key] for key in (
+        "epochs", "batch_data", "batch_constraints", "mine", "n_mined")})
     if train_cfg.mine and train_cfg.n_mined > problem.pool.n_samples:
         raise ConfigError(f"bad value for 'n_mined': {train_cfg.n_mined}, expected "
                           f"<= n_pool ({problem.pool.n_samples}) when mining")

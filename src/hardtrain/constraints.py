@@ -17,6 +17,7 @@ indices are reproducible across runs.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,7 +66,7 @@ SYMMETRY_JOINTS = tuple(tuple(JOINT_NAMES.index(n) for n in row) for row in SYMM
 # ---------------------------------------------------------------------------
 
 
-def _lengths(d: np.ndarray) -> np.ndarray:
+def lengths_3d(d: np.ndarray) -> np.ndarray:
     """Lengths of the 3-vectors along d's last axis: np.linalg.norm's sums
     in its order, without its slow reduction over an axis of length 3."""
     sq = d * d
@@ -99,7 +100,7 @@ class SymmetryHead:
         y = Y.reshape(-1, 17, 3)
         d1 = y[:, self._a] - y[:, self._b]
         d2 = y[:, self._c] - y[:, self._d]
-        return d1, d2, _lengths(d1), _lengths(d2)
+        return d1, d2, lengths_3d(d1), lengths_3d(d2)
 
     def value(self, Y):
         _, _, n1, n2 = self._bones(Y)
@@ -280,6 +281,24 @@ def violation_matrix(pool: ConstraintPool, model, w: Vector) -> np.ndarray:
     return np.concatenate([
         np.atleast_2d(pool.head.value(model.forward(w, pool.samples[lo:lo + rows])))
         for lo in range(0, pool.n_samples, rows)])
+
+
+def median_violation(V: np.ndarray) -> float:
+    """Median of the absolute residuals in V, 0.0 when there are none.
+
+    np.median(|V|) bit for bit, without its wrapper's overhead: the middle
+    element, or the mean of the middle two, of one partition.  The
+    partition also places the largest element last, where a NaN sorts, so a
+    NaN anywhere gives NaN as np.median does.
+    """
+    n = V.size
+    if n == 0:
+        return 0.0
+    half, odd = divmod(n, 2)
+    part = np.partition(np.abs(V).ravel(), (half - 1 + odd, half, n - 1))
+    if np.isnan(part[-1]):
+        return math.nan
+    return float(part[half] if odd else (part[half - 1] + part[half]) / 2)
 
 
 def select_random(pool: ConstraintPool, batch: int, rng_seed) -> ActiveSet:

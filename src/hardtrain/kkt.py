@@ -45,6 +45,9 @@ log = logging.getLogger(__name__)
 
 # relative shift of the Schur complement before its Cholesky factorization
 _SCHUR_SHIFT = 1e-10
+# residual, relative to ||rhs||, below which a solve that missed its own
+# tolerance is still taken as a step
+_ACCEPT_RTOL = 1e-3
 
 
 class SolverBreakdown(RuntimeError):
@@ -165,25 +168,24 @@ def solve_step(state: KktState, cfg: SolverConfig | None = None) -> KktStep:
     return KktStep(sol.x[:state.n_params], sol.x[state.n_params:], sol)
 
 
-def solve_step_with_retry(state: KktState, cfg: SolverConfig | None = None,
-                          accept_rtol: float = 1e-3):
+def solve_step_with_retry(state: KktState, cfg: SolverConfig | None = None):
     """Solve; on a poor solve retry once with the diagonal of D doubled (a
     half-size step), then give up.
 
     Returns ``(step, retried)`` where ``step`` is None when both attempts
-    left a residual above ``accept_rtol * ||rhs||`` (the caller should skip
+    left a residual above ``_ACCEPT_RTOL * ||rhs||`` (the caller should skip
     the update).
     """
     cfg = cfg or SolverConfig()
     step = solve_step(state, cfg)
     rhs_norm = float(np.linalg.norm(kkt_rhs(state)))
-    if step.solution.ok or step.solution.residual_norm <= accept_rtol * rhs_norm:
+    if step.solution.ok or step.solution.residual_norm <= _ACCEPT_RTOL * rhs_norm:
         return step, False
     retry_state = replace(state, diag=2.0 * state.diag)
     step = solve_step(retry_state, cfg)
     rhs_norm = float(np.linalg.norm(kkt_rhs(retry_state)))
-    if step.solution.ok or step.solution.residual_norm <= accept_rtol * rhs_norm:
+    if step.solution.ok or step.solution.residual_norm <= _ACCEPT_RTOL * rhs_norm:
         return step, True
     log.warning("skipping update: inner solve residual %.3e above %.1e of rhs "
-                "after damping retry", step.solution.residual_norm, accept_rtol)
+                "after damping retry", step.solution.residual_norm, _ACCEPT_RTOL)
     return None, True

@@ -26,7 +26,7 @@ every sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -75,8 +75,7 @@ class SolverConfig:
 @dataclass
 class KrylovSolution:
     """Solver output.  ``residual_norm`` is ||b - Bx|| recomputed on exit;
-    ``acond`` is the solver's condition estimate, and ``residual_estimates``
-    the per-iteration residual-estimate trace (non-increasing).
+    ``acond`` is the solver's condition estimate.
     """
 
     x: np.ndarray
@@ -84,11 +83,6 @@ class KrylovSolution:
     iters: int
     status: str
     acond: float = 1.0
-    residual_estimates: list = field(default_factory=list)
-
-    @property
-    def converged(self) -> bool:
-        return self.status == CONVERGED
 
     @property
     def ok(self) -> bool:
@@ -130,7 +124,7 @@ class _Iterate:
 
 
 def _classify(it: _Iterate, bnorm: float, rtol: float, anorm: float, ls_flagged: bool,
-              ran_out: bool, iters: int, acond: float, history: list) -> KrylovSolution:
+              ran_out: bool, iters: int, acond: float) -> KrylovSolution:
     """Final verdict from the independently recomputed residual.
 
     An iterate that meets neither test is ``max_iters`` when its sweep ran
@@ -144,12 +138,12 @@ def _classify(it: _Iterate, bnorm: float, rtol: float, anorm: float, ls_flagged:
         status = SINGULAR_MIN_LENGTH
     else:
         status = MAX_ITERS if ran_out else STALLED
-    return KrylovSolution(it.x, it.rnorm, iters, status, acond, history)
+    return KrylovSolution(it.x, it.rnorm, iters, status, acond)
 
 
 def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit: int,
                      precond=None):
-    """One MINRES-QLP sweep; returns (x, iters, flag, anorm, acond, history,
+    """One MINRES-QLP sweep; returns (x, iters, flag, anorm, acond,
     nonfinite, xres).
 
     With ``precond`` (applying P^-1) the Lanczos recurrences are the
@@ -173,10 +167,9 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
         beta1 = _precond_norm(b, z)
         bnorm = float(np.linalg.norm(b))
         if not math.isfinite(beta1):
-            return np.zeros(n), 0, 0, 0.0, 1.0, [beta1], True, None
-    history = [beta1]
+            return np.zeros(n), 0, 0, 0.0, 1.0, True, None
     if beta1 == 0.0:
-        return np.zeros(n), 0, 0, 0.0, 1.0, history, False, None
+        return np.zeros(n), 0, 0, 0.0, 1.0, False, None
 
     FLAG_GO = -2
     flag = FLAG_GO
@@ -248,7 +241,6 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
                 break                      # B b = 0: x = 0 is minimum-length
             x = z / alfa                   # B z = alfa b (z = b without P)
             flag = 1
-            history.append(0.0)
             break
         pnorm = math.sqrt(betal * betal + alfa * alfa + betan * betan)
 
@@ -383,7 +375,6 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
         relres = rnorm / (anorm * xnorm + beta1)
         rootl = math.hypot(gbar, dltan)
         relaresl = rootl / max(anorm, _REALMIN)
-        history.append(rnorm)
 
         if flag == FLAG_GO or flag == 9:
             epsx = anorm * xnorm * _EPS
@@ -415,7 +406,7 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
 
     if flag == FLAG_GO:
         flag = 0
-    return x, iters, flag, max(anorm, _REALMIN), acond, history, nonfinite, xres
+    return x, iters, flag, max(anorm, _REALMIN), acond, nonfinite, xres
 
 
 def _precond_norm(r: np.ndarray, z: np.ndarray) -> float:
@@ -447,8 +438,8 @@ def minres_qlp(op: LinearOperator, b, cfg: SolverConfig | None = None,
     in the P^-1-norm, so on a singular inconsistent system it stops at a
     P-weighted least-squares point instead.  Otherwise the solve starts
     over with P = I as above, and ``iters`` counts every sweep.  The
-    estimates of a preconditioned result (``acond``,
-    ``residual_estimates``) are those of the preconditioned operator.
+    condition estimate ``acond`` of a preconditioned result is that of the
+    preconditioned operator.
     """
     cfg = cfg or SolverConfig()
     b = as_vector(b, "rhs")
@@ -456,13 +447,12 @@ def minres_qlp(op: LinearOperator, b, cfg: SolverConfig | None = None,
     maxit = cfg.resolve_max_iters(op.dim)
     if precond is None:
         return _minres_qlp_unpreconditioned(op, b, cfg, maxit)
-    x, iters, _, _, acond, history, nonfinite, rnorm = \
-        _minres_qlp_pass(op, b, cfg, maxit, precond)
+    x, iters, _, _, acond, nonfinite, rnorm = _minres_qlp_pass(op, b, cfg, maxit, precond)
     if not nonfinite and np.all(np.isfinite(x)):
         if rnorm is None:
             rnorm = float(np.linalg.norm(b - apply(op, x)))
         if rnorm <= cfg.rtol * float(np.linalg.norm(b)):
-            return KrylovSolution(x, rnorm, iters, CONVERGED, acond, history)
+            return KrylovSolution(x, rnorm, iters, CONVERGED, acond)
     sol = _minres_qlp_unpreconditioned(op, b, cfg, maxit)
     sol.iters += iters
     return sol
@@ -472,13 +462,13 @@ def _minres_qlp_unpreconditioned(op: LinearOperator, b: np.ndarray, cfg: SolverC
                                  maxit: int) -> KrylovSolution:
     """The P = I solve: a direct sweep, then the squared-system sweep if
     the direct one ended least-squares-type."""
-    x, iters, flag, anorm, acond, history, nonfinite, _ = _minres_qlp_pass(op, b, cfg, maxit)
+    x, iters, flag, anorm, acond, nonfinite, _ = _minres_qlp_pass(op, b, cfg, maxit)
     if nonfinite or not np.all(np.isfinite(x)):
-        return KrylovSolution(x, float("inf"), iters, BREAKDOWN, acond, history)
+        return KrylovSolution(x, float("inf"), iters, BREAKDOWN, acond)
     bnorm = float(np.linalg.norm(b))
     first = _Iterate(op, b, x)
     sol = _classify(first, bnorm, cfg.rtol, anorm, flag in (2, 4), iters >= maxit,
-                    iters, acond, history)
+                    iters, acond)
     if sol.status == CONVERGED or flag in (1, 3, 5):
         # flags 1/3/5 mean the sweep converged as far as f64 allows; the
         # squared-system sweep would only trade a floor-level iterate for
@@ -496,16 +486,14 @@ def _minres_qlp_unpreconditioned(op: LinearOperator, b: np.ndarray, cfg: SolverC
     # null-space component.  Re-solve through the squared system and keep
     # whichever iterate is least-squares better, shorter on ties.
     sq = LinearOperator(op.dim, lambda v: apply(op, apply(op, v)))
-    x2, it2, flag2, _, acond2, _, nonfinite2, _ = \
-        _minres_qlp_pass(sq, apply(op, b), cfg, maxit)
+    x2, it2, flag2, _, acond2, nonfinite2, _ = _minres_qlp_pass(sq, apply(op, b), cfg, maxit)
     if nonfinite2 or not np.all(np.isfinite(x2)):
         return sol
     second = _Iterate(op, b, x2)
     if not _ls_better(second, first):
         return sol
-    history = history + [min(history[-1], second.rnorm)]
     return _classify(second, bnorm, cfg.rtol, anorm, flag2 in (1, 2, 3, 4), it2 >= maxit,
-                     iters + it2, max(acond, acond2), history)
+                     iters + it2, max(acond, acond2))
 
 
 def _ls_better(new: _Iterate, old: _Iterate) -> bool:

@@ -12,7 +12,7 @@ pool once per iterate; the steps see only their active set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,11 @@ HARD_SGD = "hard_sgd"
 HARD_GN = "hard_gn"
 HARD_ADAM = "hard_adam"
 METHODS = (SOFT_SGD, SOFT_ADAM, HARD_SGD, HARD_GN, HARD_ADAM)
+
+# Adam's moment decay rates and the denominator's guard
+_BETA1 = 0.9
+_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -45,9 +50,6 @@ class AdamState:
     m: Vector
     v: Vector
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def zeros(cls, n: int) -> "AdamState":
@@ -55,7 +57,7 @@ class AdamState:
 
     def bias_correction(self) -> float:
         """f = sqrt(1 - beta2^t) / (1 - beta1^t) at the current counter."""
-        return math.sqrt(1.0 - self.beta2 ** self.t) / (1.0 - self.beta1 ** self.t)
+        return math.sqrt(1.0 - _BETA2 ** self.t) / (1.0 - _BETA1 ** self.t)
 
 
 def adam_update(state: AdamState, grad: Vector, lr: float):
@@ -66,16 +68,16 @@ def adam_update(state: AdamState, grad: Vector, lr: float):
     updated in place; ``state`` is left unchanged.
     """
     grad = np.asarray(grad, dtype=np.float64)
-    m = state.beta1 * state.m
-    m += (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v
-    sq = (1.0 - state.beta2) * grad
+    m = _BETA1 * state.m
+    m += (1.0 - _BETA1) * grad
+    v = _BETA2 * state.v
+    sq = (1.0 - _BETA2) * grad
     sq *= grad
     v += sq
-    state = replace(state, m=m, v=v, t=state.t + 1)
+    state = AdamState(m, v, state.t + 1)
     dw = -lr * state.bias_correction() * m
     den = np.sqrt(v)
-    den += state.eps
+    den += _ADAM_EPS
     dw /= den
     return state, dw
 
@@ -160,11 +162,11 @@ class Step:
     solver_status: str
 
 
-def step_soft(method: str, w: Vector, problem, data_idx, active: cs.ActiveSet,
-              cfg: TrainConfig, adam: AdamState | None = None) -> Step:
-    """One descent step on the batch risk plus ``cfg.soft_lambda`` times the
-    squared active residuals."""
-    res = ad.linearize(problem.residual_function(data_idx), w)
+def step_soft(method: str, w: Vector, problem, objective: ad.DiffFunction,
+              active: cs.ActiveSet, cfg: TrainConfig, adam: AdamState | None = None) -> Step:
+    """One descent step on the batch risk ||objective(w)||^2 plus
+    ``cfg.soft_lambda`` times the squared active residuals."""
+    res = ad.linearize(objective, w)
     g = res.vjp(2.0 * res.value)
     # with lambda = 0 the penalty's gradient is exactly zero
     if cfg.soft_lambda > 0 and active.n_pairs:
@@ -178,12 +180,13 @@ def step_soft(method: str, w: Vector, problem, data_idx, active: cs.ActiveSet,
     return Step(w_new, adam, np.zeros(0), 0, "-")
 
 
-def step_hard(method: str, w: Vector, problem, data_idx, active: cs.ActiveSet,
-              cfg: TrainConfig, adam: AdamState | None = None) -> Step:
-    """One saddle-point step over the active constraints."""
+def step_hard(method: str, w: Vector, problem, objective: ad.DiffFunction,
+              active: cs.ActiveSet, cfg: TrainConfig, adam: AdamState | None = None) -> Step:
+    """One saddle-point step on the batch risk ||objective(w)||^2 over the
+    active constraints."""
     lin = (ad.linearize(cs.active_constraint_function(problem.pool, problem.model, active), w)
            if active.n_pairs else None)
-    res = ad.linearize(problem.residual_function(data_idx), w)
+    res = ad.linearize(objective, w)
     g = res.vjp(2.0 * res.value)
     if method == HARD_GN:
         state = kkt.KktState(1.0 / cfg.lr, 0.5 * g, lin, res)
@@ -193,7 +196,7 @@ def step_hard(method: str, w: Vector, problem, data_idx, active: cs.ActiveSet,
         # D = diag(sqrt(v) + eps) / (lr * f) makes the unconstrained
         # solution D^-1 (-m) Adam's own step
         adam, _ = adam_update(adam, g, cfg.lr)
-        diag = (np.sqrt(adam.v) + adam.eps) / (cfg.lr * adam.bias_correction())
+        diag = (np.sqrt(adam.v) + _ADAM_EPS) / (cfg.lr * adam.bias_correction())
         state = kkt.KktState(diag, adam.m, lin)
 
     step, _ = kkt.solve_step_with_retry(state, cfg.solver)
@@ -218,24 +221,9 @@ def _select(problem, V: np.ndarray, cfg: TrainConfig, cseed) -> cs.ActiveSet:
     return cs.filter_inequalities(problem.pool, V, active)
 
 
-def _risk(problem, data_idx, w: Vector) -> float:
-    r = ad.value(problem.residual_function(data_idx), w)
+def _risk(objective: ad.DiffFunction, w: Vector) -> float:
+    r = ad.value(objective, w)
     return float(r @ r)
-
-
-def _median_abs(values: np.ndarray) -> float:
-    """np.median(|values|) bit for bit, without its wrapper's overhead: the
-    middle element, or the mean of the middle two, of one partition.  The
-    partition also places the largest element last, where a NaN sorts, so a
-    NaN anywhere gives NaN as np.median does."""
-    n = values.size
-    if n == 0:
-        return 0.0
-    half, odd = divmod(n, 2)
-    part = np.partition(np.abs(values).ravel(), (half - 1 + odd, half, n - 1))
-    if np.isnan(part[-1]):
-        return math.nan
-    return float(part[half] if odd else (part[half - 1] + part[half]) / 2)
 
 
 def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
@@ -253,9 +241,11 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
     validation error is constant, which so keeps no copy of its initial
     iterate.  The pool's
     violation matrix V is computed once per iterate; the pool median, the
-    next active set and the active-median delta all read it.
+    next active set and the active-median delta all read it.  Each
+    iteration gathers its data batch once, into the objective that the step
+    and the row's risk share.
     """
-    n_train = getattr(problem, "n_train", 0)
+    n_train = problem.n_train
     if cfg.iterations is None and n_train == 0:
         raise ValueError("data-free problems need cfg.iterations")
     init_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(2)
@@ -277,8 +267,8 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
 
     V = cs.violation_matrix(problem.pool, problem.model, w)
     val0 = float(problem.prediction_error(w))
-    initial_row = IterationRow(0, _risk(problem, None, w), val0, _median_abs(V),
-                               0.0, 0, "init", 0.0, "-")
+    initial_row = IterationRow(0, _risk(problem.residual_function(None), w), val0,
+                               cs.median_violation(V), 0.0, 0, "init", 0.0, "-")
     rows: list = []
     best_w, best_val = w, val0
     report = lambda: TrainReport(cfg.method, cfg.seed, initial_row, rows,
@@ -290,8 +280,9 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
         w_prev = w
         cseed = int(rng_batch.integers(2 ** 63))  # drawn even when mining ignores it
         active = _select(problem, V, cfg, cseed)
+        objective = problem.residual_function(data_idx)
         # resolved at call time, so a wrapper set on the module takes effect
-        step = (step_hard if hard else step_soft)(cfg.method, w, problem, data_idx,
+        step = (step_hard if hard else step_soft)(cfg.method, w, problem, objective,
                                                   active, cfg, adam)
         adam = step.adam
         if not np.all(np.isfinite(step.multipliers)) or not np.all(np.isfinite(step.w)):
@@ -301,8 +292,8 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
         V_prev, V = V, cs.violation_matrix(problem.pool, problem.model, w)
         pairs = (active.sample_indices, active.constraint_indices)
         val = float(problem.prediction_error(w))
-        row = IterationRow(it, _risk(problem, data_idx, w), val, _median_abs(V),
-                           _median_abs(V[pairs]) - _median_abs(V_prev[pairs]),
+        row = IterationRow(it, _risk(objective, w), val, cs.median_violation(V),
+                           cs.median_violation(V[pairs]) - cs.median_violation(V_prev[pairs]),
                            step.solver_iters, step.solver_status, step_norm,
                            active.fingerprint())
         if not row.finite():

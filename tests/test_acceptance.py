@@ -197,7 +197,7 @@ def test_criterion_4_hard_exactness_on_linear_constraints():
     w = rng.standard_normal(n_p) * 2.0
     cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=0.7, iterations=1,
                          solver=SolverConfig(rtol=1e-12))
-    step = tr.step_hard(tr.HARD_SGD, w, prob, None, active, cfg)
+    step = tr.step_hard(tr.HARD_SGD, w, prob, prob.residual_function(None), active, cfg)
     assert step.solver_status == "converged"
     V = cs.violation_matrix(prob.pool, prob.model, step.w)
     residuals = V[active.sample_indices, active.constraint_indices]
@@ -236,7 +236,7 @@ def test_criterion_5_fixed_set_two_circle_convergence():
     iters_used = 200
     targets = np.array([[0.5, np.sqrt(99.75)], [0.5, -np.sqrt(99.75)]])
     for i in range(1, 201):
-        w = tr.step_hard(tr.HARD_SGD, w, prob, None, active, cfg).w
+        w = tr.step_hard(tr.HARD_SGD, w, prob, prob.residual_function(None), active, cfg).w
         if min(np.linalg.norm(w - t) for t in targets) <= 1e-4:
             iters_used = i
             break

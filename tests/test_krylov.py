@@ -3,6 +3,7 @@ import pytest
 
 from hardtrain import krylov, linops
 from hardtrain.krylov import (
+    BREAKDOWN,
     CONVERGED,
     MAX_ITERS,
     SINGULAR_MIN_LENGTH,
@@ -104,15 +105,6 @@ def test_residual_norm_matches_independent_recompute():
             assert sol.residual_norm <= 1e-10 * np.linalg.norm(b)
 
 
-def test_internal_residual_estimates_non_increasing():
-    rng = np.random.default_rng(6)
-    for _ in range(40):
-        B, b, _, _, _ = random_symmetric_system(rng)
-        sol = minres_qlp(from_dense(B), b, SolverConfig(rtol=1e-10))
-        est = sol.residual_estimates
-        assert all(b_ <= a_ * (1 + 1e-12) + 1e-300 for a_, b_ in zip(est, est[1:]))
-
-
 def test_minres_and_qlp_agree_on_well_conditioned():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -171,10 +163,11 @@ def test_a_sweep_that_stops_short_of_rtol_reports_stalled():
 
 
 def test_solution_dataclass_flags():
-    sol = KrylovSolution(np.zeros(2), 0.0, 0, CONVERGED)
-    assert sol.converged and sol.ok
-    sol = KrylovSolution(np.zeros(2), 1.0, 5, SINGULAR_MIN_LENGTH)
-    assert not sol.converged and sol.ok
+    # only a solve on the contract is ok: converged, or the minimum-length
+    # least-squares solution of a singular system
+    for status, ok in ((CONVERGED, True), (SINGULAR_MIN_LENGTH, True), (MAX_ITERS, False),
+                       (STALLED, False), (BREAKDOWN, False)):
+        assert KrylovSolution(np.zeros(2), 1.0, 5, status).ok is ok, status
 
 
 def _spd(rng, n, cond):
@@ -194,12 +187,18 @@ def test_preconditioned_solve_matches_dense_solve():
         b = rng.standard_normal(n)
         p_inv = np.linalg.inv(_spd(rng, n, 1e2))
         cfg = SolverConfig(rtol=1e-10)
-        sol = minres_qlp(from_dense(a), b, cfg, precond=lambda r: p_inv @ r)
+        calls = []
+
+        def precond(r):
+            calls.append(1)
+            return p_inv @ r
+
+        sol = minres_qlp(from_dense(a), b, cfg, precond=precond)
         expect = np.linalg.solve(a, b)
-        # the result is the preconditioned sweep's: its estimates start at
-        # the P^-1-norm of b
+        # the result is the preconditioned sweep's: it applied P^-1 to b and
+        # once per iteration, and no P = I sweep added iterations
         assert sol.status == CONVERGED
-        assert sol.residual_estimates[0] == pytest.approx(np.sqrt(b @ p_inv @ b), rel=1e-12)
+        assert len(calls) == sol.iters + 1
         assert np.linalg.norm(sol.x - expect) <= 1e-8 * np.linalg.norm(expect)
         assert np.linalg.norm(b - a @ sol.x) == pytest.approx(sol.residual_norm, rel=1e-12)
     spd = _spd(rng, 30, 1e3)

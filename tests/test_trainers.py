@@ -123,7 +123,8 @@ def test_adam_bias_corrected_first_moment_is_exact_for_constant_gradient():
 
 def soft_sgd_step(prob, w, lam, lr=0.1):
     cfg = tr.TrainConfig(method=tr.SOFT_SGD, lr=lr, soft_lambda=lam, iterations=1)
-    return tr.step_soft(tr.SOFT_SGD, w, prob, None, full_active(prob.pool), cfg)
+    return tr.step_soft(tr.SOFT_SGD, w, prob, prob.residual_function(None),
+                        full_active(prob.pool), cfg)
 
 
 def test_soft_objective_zero_lambda_is_risk():
@@ -160,7 +161,7 @@ def test_step_soft_sgd_unconstrained_is_gradient_descent():
     w = np.array([3.0, 2.0])
     empty = cs.ActiveSet(np.zeros(0, dtype=int), np.zeros(0, dtype=int))
     cfg = tr.TrainConfig(method=tr.SOFT_SGD, lr=0.1, soft_lambda=0.0, iterations=1)
-    w2 = tr.step_soft(tr.SOFT_SGD, w, prob, None, empty, cfg).w
+    w2 = tr.step_soft(tr.SOFT_SGD, w, prob, prob.residual_function(None), empty, cfg).w
     np.testing.assert_allclose(w2, w - 0.1 * (w - prob.x0))
 
 
@@ -171,8 +172,9 @@ def test_step_soft_converges_to_analytic_penalized_minimizer():
     prob = ToyProblem([a], pool)
     cfg = tr.TrainConfig(method=tr.SOFT_SGD, lr=0.1, soft_lambda=lam, iterations=1)
     w = np.array([0.0])
+    objective = prob.residual_function(None)
     for _ in range(500):
-        w = tr.step_soft(tr.SOFT_SGD, w, prob, None, full_active(pool), cfg).w
+        w = tr.step_soft(tr.SOFT_SGD, w, prob, objective, full_active(pool), cfg).w
     np.testing.assert_allclose(w, [(a + 2 * lam * b) / (1 + 2 * lam)], atol=1e-10)
 
 
@@ -187,8 +189,9 @@ def test_step_hard_two_fixed_circles_converges_to_intersection():
     cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=1.0, iterations=1,
                          solver=SolverConfig(rtol=1e-12))
     w = prob.x0.copy()
+    objective = prob.residual_function(None)
     for _ in range(100):
-        w = tr.step_hard(tr.HARD_SGD, w, prob, None, full_active(pool), cfg).w
+        w = tr.step_hard(tr.HARD_SGD, w, prob, objective, full_active(pool), cfg).w
     expect = np.array([0.5, np.sqrt(99.75)])
     assert np.linalg.norm(w - expect) <= 1e-6
 
@@ -200,7 +203,8 @@ def test_step_hard_tangent_gradient_matches_unconstrained():
     w = np.array([0.0, 2.0])
     cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=0.5, iterations=1,
                          solver=SolverConfig(rtol=1e-12))
-    hstep = tr.step_hard(tr.HARD_SGD, w, prob, None, full_active(pool), cfg)
+    hstep = tr.step_hard(tr.HARD_SGD, w, prob, prob.residual_function(None),
+                         full_active(pool), cfg)
     np.testing.assert_allclose(hstep.w, w - 0.5 * (w - prob.x0), atol=1e-10)
     np.testing.assert_allclose(hstep.multipliers, [0.0], atol=1e-10)
 
@@ -211,7 +215,8 @@ def test_step_hard_clears_violated_linear_constraint():
     w = np.zeros(2)
     cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=0.5, iterations=1,
                          solver=SolverConfig(rtol=1e-12))
-    hstep = tr.step_hard(tr.HARD_SGD, w, prob, None, full_active(pool), cfg)
+    hstep = tr.step_hard(tr.HARD_SGD, w, prob, prob.residual_function(None),
+                         full_active(pool), cfg)
     assert abs(hstep.w[0] - 1.0) <= 1e-9
     assert active_median(prob, hstep.w, full_active(pool)) <= 1e-9
     assert len(hstep.multipliers) == 1 and np.isfinite(hstep.multipliers).all()
@@ -220,13 +225,14 @@ def test_step_hard_clears_violated_linear_constraint():
 def test_step_hard_gn_and_adam_variants_run():
     pool = sphere_pool([[0.0, 0.0]], 2.0)
     prob = ToyProblem([3.0, 0.0], pool)
+    objective = prob.residual_function(None)
     cfg = tr.TrainConfig(method=tr.HARD_GN, lr=0.5, iterations=1,
                          solver=SolverConfig(rtol=1e-10))
-    st = tr.step_hard(tr.HARD_GN, prob.x0.copy(), prob, None, full_active(pool), cfg)
+    st = tr.step_hard(tr.HARD_GN, prob.x0.copy(), prob, objective, full_active(pool), cfg)
     assert np.isfinite(st.w).all()
     cfg = tr.TrainConfig(method=tr.HARD_ADAM, lr=0.05, iterations=1,
                          solver=SolverConfig(rtol=1e-10))
-    st = tr.step_hard(tr.HARD_ADAM, prob.x0.copy(), prob, None, full_active(pool), cfg,
+    st = tr.step_hard(tr.HARD_ADAM, prob.x0.copy(), prob, objective, full_active(pool), cfg,
                       adam=tr.AdamState.zeros(2))
     assert np.isfinite(st.w).all()
     assert st.adam.t == 1
@@ -243,7 +249,8 @@ def test_step_hard_adam_without_constraints_is_adam():
     hard = ref = tr.AdamState.zeros(4)
     for _ in range(5):
         ref, dw = tr.adam_update(ref, w - prob.x0, cfg.lr)
-        step = tr.step_hard(tr.HARD_ADAM, w, prob, None, empty, cfg, adam=hard)
+        step = tr.step_hard(tr.HARD_ADAM, w, prob, prob.residual_function(None), empty, cfg,
+                            adam=hard)
         assert np.linalg.norm((step.w - w) - dw) <= 1e-10 * np.linalg.norm(dw)
         w, hard = step.w, step.adam
 
@@ -312,7 +319,7 @@ def test_train_multiplier_counts_and_finiteness():
                          batch_constraints=6, solver=SolverConfig(rtol=1e-10))
     w = prob.initial_params(np.random.default_rng(0))
     active = full_active(pool)
-    st = tr.step_hard(tr.HARD_SGD, w, prob, None, active, cfg)
+    st = tr.step_hard(tr.HARD_SGD, w, prob, prob.residual_function(None), active, cfg)
     assert st.multipliers.shape == (active.n_pairs,)
     assert np.isfinite(st.multipliers).all()
 
@@ -377,7 +384,8 @@ def test_hard_step_tapes_the_mlp_a_fixed_number_of_times(monkeypatch):
         cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=0.3, solver=solver)
         tapes.clear()
         matvecs.clear()
-        tr.step_hard(tr.HARD_SGD, w, problem, np.arange(16), active, cfg)
+        tr.step_hard(tr.HARD_SGD, w, problem, problem.residual_function(np.arange(16)),
+                     active, cfg)
         seen.append((len(matvecs), len(tapes)))
     assert seen[0][0] != seen[1][0]
     assert [n for _, n in seen] == [2, 2]
@@ -395,7 +403,7 @@ def test_hard_sphere_step_offsets_the_centers_once_per_linearization(monkeypatch
         cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=1.0, iterations=1, solver=solver)
         offsets.clear()
         matvecs.clear()
-        tr.step_hard(tr.HARD_SGD, w, problem, None, active, cfg)
+        tr.step_hard(tr.HARD_SGD, w, problem, problem.residual_function(None), active, cfg)
         seen.append((len(matvecs), len(offsets)))
     assert seen[0][0] != seen[1][0]
     assert [n for _, n in seen] == [1, 1]
@@ -429,6 +437,20 @@ def test_iteration_tapes_the_mlp_a_fixed_number_of_times(monkeypatch, settings, 
     assert len(report.rows) == 1
     assert counts[1][0] - counts[0][0] == tapes
     assert counts[1][1] - counts[0][1] == 3
+
+
+def test_train_gathers_each_data_batch_once(monkeypatch):
+    # the step and the row's risk share one objective per iteration, and
+    # the initial row builds one over the whole training set
+    problem = bm.gen_toy_pose(**SMALL_POSE)
+    calls = _counting(monkeypatch, bm.ToyPoseProblem, "residual_function")
+    for method in (tr.SOFT_ADAM, tr.HARD_SGD):
+        calls.clear()
+        cfg = tr.TrainConfig(method=method, lr=1e-3, soft_lambda=0.01, epochs=1,
+                             batch_data=8, batch_constraints=4)
+        report = tr.train(cfg, problem)
+        assert len(report.rows) == 6
+        assert len(calls) == 6 + 1
 
 
 def test_train_evaluates_the_pool_once_per_iterate(monkeypatch):
@@ -497,9 +519,9 @@ def test_median_abs_is_np_median_bit_for_bit():
         for scale in (1e-300, 1.0, 1e300):
             v = rng.standard_normal(n) * scale
             for values in (v, np.round(v / scale, 1) * scale, v.reshape(1, n)):
-                got = tr._median_abs(values)
+                got = cs.median_violation(values)
                 assert type(got) is float
                 assert got == float(np.median(np.abs(values))), (n, scale)
         # a NaN anywhere is NaN, so the row of a non-finite iterate fails
         v[rng.integers(n)] = np.nan
-        assert np.isnan(tr._median_abs(v)), n
+        assert np.isnan(cs.median_violation(v)), n
