@@ -107,8 +107,7 @@ def gen_spheres(d: int, n_constraints: int = SPHERE_DEFAULT_CONSTRAINTS,
     centers = rng_centers.normal(0.0, center_std, (n_constraints, d))
     x0 = rng_anchor.standard_normal(d)
     x0 *= (2.0 * radius) / np.linalg.norm(x0)
-    pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(radius),
-                             (cs.EQUALITY,))
+    pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(radius))
     problem = SphereProblem(dim=d, n_constraints=n_constraints, seed=seed,
                             radius=radius, center_std=center_std)
     problem.x0 = x0
@@ -244,7 +243,7 @@ def gen_toy_pose(seed: int = 0, n_samples: int = 2000, n_pool: int = 384,
     n_train = int(0.8 * n_samples)
     pool_clean = sample_symmetric_poses(rng_pool, n_pool)
     pool_x = pool_clean @ encoder.T + input_noise * rng_pool.standard_normal((n_pool, in_dim))
-    pool = cs.ConstraintPool(pool_x, cs.SymmetryHead(), (cs.EQUALITY,) * 6)
+    pool = cs.ConstraintPool(pool_x, cs.SymmetryHead())
 
     mlp = ad.Mlp([in_dim, *hidden, 51])
     return ToyPoseProblem(seed=seed, mlp=mlp,

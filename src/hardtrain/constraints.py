@@ -1,22 +1,21 @@
 """Data-dependent constraint pools and active-set selection.
 
 A pool couples a set of unlabeled samples with a head that maps the model
-output for one sample to a vector of constraint residuals, each tagged as
-an equality or an inequality (``C <= 0`` convention).  The pool is
+output for one sample to a vector of equality residuals.  The pool is
 evaluated once per parameter vector, into the violation matrix of every
 residual (:func:`violation_matrix`); each training iteration picks an
-active subset of samples, either uniformly or by mining the worst
-violators in that matrix, drops the inequalities it shows satisfied, and
-stacks the remaining (sample, constraint) pairs into one differentiable
-function of the flat parameters for the saddle-point machinery.
+active set of samples, either uniformly or by mining the worst violators
+in that matrix, and stacks every constraint of each active sample into one
+differentiable function of the flat parameters for the saddle-point
+machinery.
 
-Stacking order is always sample-major, constraint-minor, so multiplier
-indices are reproducible across runs.
+An active set is the sorted array of its pool-sample indices.  Stacking
+order is sample-major, constraint-minor, so multiplier indices are
+reproducible across runs.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,9 +24,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .linops import Vector
-
-EQUALITY = "eq"
-INEQUALITY = "ineq"
 
 # bytes of model output per chunk of the pool in violation_matrix
 _CHUNK_BYTES = 1 << 20
@@ -170,21 +166,15 @@ class SphereRadiusHead:
 
 @dataclass
 class ConstraintPool:
-    """Unlabeled samples plus a tagged constraint head."""
+    """Unlabeled samples plus the constraint head applied to each."""
 
     samples: np.ndarray
     head: object
-    kinds: tuple
 
     def __post_init__(self):
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
-        self.kinds = tuple(self.kinds)
         if self.samples.shape[0] < 1:
             raise ValueError("pool needs at least one sample")
-        if len(self.kinds) != self.head.n_constraints:
-            raise ValueError("one kind tag per constraint required")
-        if any(k not in (EQUALITY, INEQUALITY) for k in self.kinds):
-            raise ValueError(f"kinds must be {EQUALITY!r} or {INEQUALITY!r}")
 
     @property
     def n_samples(self) -> int:
@@ -199,56 +189,6 @@ class ConstraintPool:
         """||x_k||^2 of every sample: a constant of the pool, computed on
         first use."""
         return np.einsum("ij,ij->i", self.samples, self.samples)
-
-
-@dataclass(frozen=True)
-class ActiveSet:
-    """Explicit (sample, constraint) pairs, sample-major."""
-
-    sample_indices: np.ndarray
-    constraint_indices: np.ndarray
-    max_samples: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "sample_indices",
-                           np.asarray(self.sample_indices, dtype=np.intp))
-        object.__setattr__(self, "constraint_indices",
-                           np.asarray(self.constraint_indices, dtype=np.intp))
-        if self.sample_indices.shape != self.constraint_indices.shape:
-            raise ValueError("index arrays must have matching length")
-        if self.max_samples is not None and self.n_active_samples > self.max_samples:
-            raise ValueError("active set exceeds its sample bound")
-
-    @property
-    def n_pairs(self) -> int:
-        return self.sample_indices.shape[0]
-
-    @property
-    def n_active_samples(self) -> int:
-        return np.unique(self.sample_indices).shape[0]
-
-    @classmethod
-    def cross(cls, sample_idx, n_constraints: int, max_samples: int | None = None):
-        """All constraints for each listed sample, sample-major."""
-        sample_idx = np.sort(np.asarray(sample_idx, dtype=np.intp))
-        ks = np.repeat(sample_idx, n_constraints)
-        js = np.tile(np.arange(n_constraints, dtype=np.intp), len(sample_idx))
-        return cls(ks, js, max_samples)
-
-    def fingerprint(self) -> str:
-        h = hashlib.sha1()
-        h.update(self.sample_indices.astype("<i8").tobytes())
-        h.update(self.constraint_indices.astype("<i8").tobytes())
-        return h.hexdigest()[:12]
-
-
-def _check_active(pool: ConstraintPool, active: ActiveSet) -> None:
-    if active.n_pairs == 0:
-        return
-    if active.sample_indices.min() < 0 or active.sample_indices.max() >= pool.n_samples:
-        raise IndexError("active sample index out of range")
-    if active.constraint_indices.min() < 0 or active.constraint_indices.max() >= pool.n_constraints:
-        raise IndexError("active constraint index out of range")
 
 
 def _sphere_pool(pool: ConstraintPool, model) -> bool:
@@ -301,121 +241,95 @@ def median_violation(V: np.ndarray) -> float:
     return float(part[half] if odd else (part[half - 1] + part[half]) / 2)
 
 
-def select_random(pool: ConstraintPool, batch: int, rng_seed) -> ActiveSet:
-    """Uniform sample-without-replacement of ``batch`` pool samples."""
+def select_random(pool: ConstraintPool, batch: int, rng_seed) -> np.ndarray:
+    """Uniform sample-without-replacement of ``batch`` pool samples, sorted."""
     if not 1 <= batch <= pool.n_samples:
         raise ValueError(f"batch must be in [1, {pool.n_samples}], got {batch}")
     rng = np.random.default_rng(rng_seed)
-    idx = rng.choice(pool.n_samples, size=batch, replace=False)
-    return ActiveSet.cross(idx, pool.n_constraints, max_samples=batch)
+    return np.sort(rng.choice(pool.n_samples, size=batch, replace=False))
 
 
-def select_mined(V: np.ndarray, n_keep: int) -> ActiveSet:
-    """The n_keep samples whose rows of V have the largest median |C|.
+def select_mined(V: np.ndarray, n_keep: int) -> np.ndarray:
+    """The n_keep samples whose rows of V have the largest median |C|, sorted.
 
     The mined objective sums per-sample medians over the chosen subset, so
     it is separable across samples and the greedy top-n_keep selection is
     exact.  Ties break toward the lower sample index.
     """
-    n_samples, n_constraints = V.shape
+    n_samples = V.shape[0]
     if not 1 <= n_keep <= n_samples:
         raise ValueError(f"n_keep must be in [1, {n_samples}], got {n_keep}")
     med = np.median(np.abs(V), axis=1)
-    order = np.argsort(-med, kind="stable")[:n_keep]
-    return ActiveSet.cross(order, n_constraints, max_samples=n_keep)
-
-
-def filter_inequalities(pool: ConstraintPool, V: np.ndarray, active: ActiveSet) -> ActiveSet:
-    """Drop inequality pairs V shows satisfied; violated ones stay as equalities."""
-    _check_active(pool, active)
-    if active.n_pairs == 0:
-        return active
-    kinds = np.asarray(pool.kinds)
-    is_ineq = kinds[active.constraint_indices] == INEQUALITY
-    if not is_ineq.any():
-        return active
-    vals = V[active.sample_indices, active.constraint_indices]
-    keep = ~(is_ineq & (vals <= 0.0))
-    return ActiveSet(active.sample_indices[keep], active.constraint_indices[keep],
-                     active.max_samples)
+    return np.sort(np.argsort(-med, kind="stable")[:n_keep])
 
 
 class StackedConstraints(ad.DiffFunction):
-    """Active residuals as one differentiable function of the parameters."""
+    """Every constraint of each listed pool sample, sample-major, as one
+    differentiable function of the parameters.  The samples need not be
+    sorted or distinct: a repeated sample gives repeated rows."""
 
-    def __init__(self, pool: ConstraintPool, model, active: ActiveSet):
-        _check_active(pool, active)
+    def __init__(self, pool: ConstraintPool, model, samples):
+        samples = np.asarray(samples, dtype=np.intp)
+        if len(samples) and (samples.min() < 0 or samples.max() >= pool.n_samples):
+            raise IndexError("active sample index out of range")
         self.pool = pool
         self.model = model
-        self.active = active
-        self._uniq, self._rows = np.unique(active.sample_indices, return_inverse=True)
-        self._cols = active.constraint_indices
-        # flat positions of the active pairs in the (samples, constraints) grid
-        self._flat = self._rows * pool.n_constraints + self._cols
+        self.samples = samples
         self.n_params = model.n_params
-        self.n_outputs = active.n_pairs
+        self.n_outputs = len(samples) * pool.n_constraints
 
     @property
     def X(self) -> np.ndarray:
         """The active samples, gathered on use so no copy outlives a call."""
-        return self.pool.samples[self._uniq]
-
-    def _gather(self, C) -> Vector:
-        return np.atleast_2d(C).ravel()[self._flat]
-
-    def _scatter(self, u) -> np.ndarray:
-        """Adjoint of ``_gather``: u summed into the (samples, constraints) grid."""
-        grid = (len(self._uniq), self.pool.n_constraints)
-        return np.bincount(self._flat, u, grid[0] * grid[1]).reshape(grid)
+        return self.pool.samples[self.samples]
 
     def value(self, w):
-        return self._gather(self.pool.head.value(self.model.forward(w, self.X)))
+        return self.pool.head.value(self.model.forward(w, self.X)).ravel()
 
     def _head_rows(self, head_vjp) -> np.ndarray:
-        """H[k] = dC[s_k, j_k] / dY[s_k], one row per active pair.
+        """H[i] = dC_i / dY of the sample that owns stacked residual i.
 
         A head maps each sample's output to that sample's residuals alone,
         so one vjp of a constraint's indicator column gives that
         constraint's row for every active sample.
         """
-        grid = np.zeros((len(self._uniq), self.pool.n_constraints))
+        k, c = len(self.samples), self.pool.n_constraints
+        grid = np.zeros((k, c))
         H = np.empty((self.n_outputs, self.model.out_dim))
-        for j in np.unique(self._cols):
+        for j in range(c):
             grid[:, j] = 1.0
-            pick = self._cols == j
-            H[pick] = np.asarray(head_vjp(grid))[self._rows[pick]]
+            H[j::c] = head_vjp(grid)
             grid[:, j] = 0.0
         return H
 
     def linearize(self, w):
+        k, c = len(self.samples), self.pool.n_constraints
         Y, model_jvp, model_vjp, model_gram = self.model.linearize(w, self.X)
         C, head_jvp, head_vjp = self.pool.head.linearize(Y)
-        return (self._gather(C), lambda v: self._gather(head_jvp(model_jvp(v))),
-                lambda u: model_vjp(head_vjp(self._scatter(u))),
-                lambda d_inv: model_gram(self._rows, self._head_rows(head_vjp), d_inv))
+        rows = np.repeat(np.arange(k), c)
+        return (C.ravel(), lambda v: head_jvp(model_jvp(v)).ravel(),
+                lambda u: model_vjp(head_vjp(u.reshape(k, c))),
+                lambda d_inv: model_gram(rows, self._head_rows(head_vjp), d_inv))
 
 
 class SphereRows(StackedConstraints):
     """Active sphere residuals of an :class:`~hardtrain.autodiff.IdentityOffset`
-    model.  Their Jacobian is the matrix of unit directions
-    U = (w - X) / ||w - X||, formed once per linearization in the buffer
-    that gathers the active X, so a product is one GEMV: jvp is U v, vjp is
-    u U, and the Gram matrix is U diag(d_inv) U^T gathered to the active
-    rows."""
+    model, one per listed sample.  Their Jacobian is the matrix of unit
+    directions U = (w - X) / ||w - X||, formed once per linearization in
+    the buffer that gathers the active X, so a product is one GEMV: jvp is
+    U v, vjp is u U, and the Gram matrix is U diag(d_inv) U^T."""
 
     def linearize(self, w):
         X = self.X
         C, units = self.pool.head.directions(self.model.forward(w, X, out=X))
 
         def gram(d_inv):
-            S = d_inv * (units @ units.T) if np.ndim(d_inv) == 0 else (units * d_inv) @ units.T
-            return S[np.ix_(self._rows, self._rows)]
+            return d_inv * (units @ units.T) if np.ndim(d_inv) == 0 else (units * d_inv) @ units.T
 
-        return (self._gather(C), lambda v: (units @ v)[self._rows],
-                lambda u: self._scatter(u)[:, 0] @ units, gram)
+        return C.ravel(), lambda v: units @ v, lambda u: u @ units, gram
 
 
-def active_constraint_function(pool: ConstraintPool, model, active: ActiveSet) -> StackedConstraints:
+def active_constraint_function(pool: ConstraintPool, model, samples) -> StackedConstraints:
     if _sphere_pool(pool, model):
-        return SphereRows(pool, model, active)
-    return StackedConstraints(pool, model, active)
+        return SphereRows(pool, model, samples)
+    return StackedConstraints(pool, model, samples)

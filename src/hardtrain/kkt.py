@@ -26,8 +26,8 @@ added to it.
 When D is diagonal and the constraint linearization supplies its Gram
 product, the solve is preconditioned with P = diag(D, S), where
 S = G D^-1 G^T is the Schur complement (:func:`schur_preconditioner`), and
-takes about three MINRES-QLP iterations; the Gauss-Newton step runs with
-P = I.
+takes about three MINRES-QLP iterations; the Gauss-Newton step, and a
+step whose active constraints lose rank, run with P = I.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ log = logging.getLogger(__name__)
 
 # relative shift of the Schur complement before its Cholesky factorization
 _SCHUR_SHIFT = 1e-10
+# a squared Cholesky pivot below this many shifts marks S as rank-deficient
+_RANK_PIVOT = 1e3
 # residual, relative to ||rhs||, below which a solve that missed its own
 # tolerance is still taken as a step
 _ACCEPT_RTOL = 1e-3
@@ -134,9 +136,10 @@ def schur_preconditioner(state: KktState):
     full-rank G, P^-1 times the saddle-point matrix has three distinct
     eigenvalues, so preconditioned MINRES stops in three iterations
     (Murphy, Golub & Wathen 2000).  S is factored once, by Cholesky after
-    a shift of ``_SCHUR_SHIFT`` times its mean diagonal, which keeps P
-    positive definite when G loses rank; a failed factorization gives
-    None (P = I).
+    a shift of ``_SCHUR_SHIFT`` times its mean diagonal.  When G loses
+    rank, the shift would leave a null(G^T) component in the multipliers,
+    so the minimum-length answer needs P = I: a failed factorization, or
+    a squared pivot below ``_RANK_PIVOT`` shifts, gives None.
     """
     lin = state.constraint
     if state.curvature is not None or lin is None or lin.gram is None:
@@ -146,9 +149,12 @@ def schur_preconditioner(state: KktState):
     m = S.shape[0]
     shift = _SCHUR_SHIFT * max(float(np.trace(S)) / m, np.finfo(np.float64).tiny)
     try:
-        L_inv = np.linalg.inv(np.linalg.cholesky(S + shift * np.eye(m)))
+        L = np.linalg.cholesky(S + shift * np.eye(m))
     except np.linalg.LinAlgError:
         return None
+    if np.min(np.diagonal(L)) ** 2 < _RANK_PIVOT * shift:
+        return None
+    L_inv = np.linalg.inv(L)
     n = state.n_params
     return lambda r: np.concatenate([r[:n] * d_inv, L_inv.T @ (L_inv @ r[n:])])
 
@@ -168,6 +174,13 @@ def solve_step(state: KktState, cfg: SolverConfig | None = None) -> KktStep:
     return KktStep(sol.x[:state.n_params], sol.x[state.n_params:], sol)
 
 
+def _acceptable(step: KktStep, state: KktState) -> bool:
+    """Whether the solve met its own tolerance or, failing that, left a
+    residual within ``_ACCEPT_RTOL`` of ||rhs|| (built only then)."""
+    return (step.solution.ok or step.solution.residual_norm
+            <= _ACCEPT_RTOL * float(np.linalg.norm(kkt_rhs(state))))
+
+
 def solve_step_with_retry(state: KktState, cfg: SolverConfig | None = None):
     """Solve; on a poor solve retry once with the diagonal of D doubled (a
     half-size step), then give up.
@@ -178,13 +191,11 @@ def solve_step_with_retry(state: KktState, cfg: SolverConfig | None = None):
     """
     cfg = cfg or SolverConfig()
     step = solve_step(state, cfg)
-    rhs_norm = float(np.linalg.norm(kkt_rhs(state)))
-    if step.solution.ok or step.solution.residual_norm <= _ACCEPT_RTOL * rhs_norm:
+    if _acceptable(step, state):
         return step, False
     retry_state = replace(state, diag=2.0 * state.diag)
     step = solve_step(retry_state, cfg)
-    rhs_norm = float(np.linalg.norm(kkt_rhs(retry_state)))
-    if step.solution.ok or step.solution.residual_norm <= _ACCEPT_RTOL * rhs_norm:
+    if _acceptable(step, retry_state):
         return step, True
     log.warning("skipping update: inner solve residual %.3e above %.1e of rhs "
                 "after damping retry", step.solution.residual_norm, _ACCEPT_RTOL)

@@ -11,6 +11,7 @@ pool once per iterate; the steps see only their active set.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -163,13 +164,13 @@ class Step:
 
 
 def step_soft(method: str, w: Vector, problem, objective: ad.DiffFunction,
-              active: cs.ActiveSet, cfg: TrainConfig, adam: AdamState | None = None) -> Step:
+              active: np.ndarray, cfg: TrainConfig, adam: AdamState | None = None) -> Step:
     """One descent step on the batch risk ||objective(w)||^2 plus
-    ``cfg.soft_lambda`` times the squared active residuals."""
+    ``cfg.soft_lambda`` times the squared residuals of the active samples."""
     res = ad.linearize(objective, w)
     g = res.vjp(2.0 * res.value)
     # with lambda = 0 the penalty's gradient is exactly zero
-    if cfg.soft_lambda > 0 and active.n_pairs:
+    if cfg.soft_lambda > 0 and len(active):
         lin = ad.linearize(cs.active_constraint_function(problem.pool, problem.model, active), w)
         g = g + lin.vjp(2.0 * cfg.soft_lambda * lin.value)
     if method == SOFT_SGD:
@@ -181,11 +182,11 @@ def step_soft(method: str, w: Vector, problem, objective: ad.DiffFunction,
 
 
 def step_hard(method: str, w: Vector, problem, objective: ad.DiffFunction,
-              active: cs.ActiveSet, cfg: TrainConfig, adam: AdamState | None = None) -> Step:
-    """One saddle-point step on the batch risk ||objective(w)||^2 over the
-    active constraints."""
+              active: np.ndarray, cfg: TrainConfig, adam: AdamState | None = None) -> Step:
+    """One saddle-point step on the batch risk ||objective(w)||^2 over every
+    constraint of the active samples."""
     lin = (ad.linearize(cs.active_constraint_function(problem.pool, problem.model, active), w)
-           if active.n_pairs else None)
+           if len(active) else None)
     res = ad.linearize(objective, w)
     g = res.vjp(2.0 * res.value)
     if method == HARD_GN:
@@ -201,7 +202,8 @@ def step_hard(method: str, w: Vector, problem, objective: ad.DiffFunction,
 
     step, _ = kkt.solve_step_with_retry(state, cfg.solver)
     if step is None:
-        return Step(w, adam, np.zeros(active.n_pairs), 0, "skipped")
+        return Step(w, adam, np.zeros(len(active) * problem.pool.n_constraints), 0,
+                    "skipped")
     return Step(w + step.dw, adam, step.multipliers, step.solution.iters,
                 step.solution.status)
 
@@ -211,14 +213,12 @@ def step_hard(method: str, w: Vector, problem, objective: ad.DiffFunction,
 # ---------------------------------------------------------------------------
 
 
-def _select(problem, V: np.ndarray, cfg: TrainConfig, cseed) -> cs.ActiveSet:
-    """The iteration's active set from the pool's violation matrix V."""
+def _select(problem, V: np.ndarray, cfg: TrainConfig, cseed) -> np.ndarray:
+    """The iteration's active samples from the pool's violation matrix V."""
     if cfg.mine:
-        active = cs.select_mined(V, cfg.n_mined)
-    else:
-        batch = min(cfg.batch_constraints, problem.pool.n_samples)
-        active = cs.select_random(problem.pool, batch, cseed)
-    return cs.filter_inequalities(problem.pool, V, active)
+        return cs.select_mined(V, cfg.n_mined)
+    batch = min(cfg.batch_constraints, problem.pool.n_samples)
+    return cs.select_random(problem.pool, batch, cseed)
 
 
 def _risk(objective: ad.DiffFunction, w: Vector) -> float:
@@ -290,12 +290,11 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
         step_norm = float(np.linalg.norm(step.w - w))
         w = step.w
         V_prev, V = V, cs.violation_matrix(problem.pool, problem.model, w)
-        pairs = (active.sample_indices, active.constraint_indices)
         val = float(problem.prediction_error(w))
         row = IterationRow(it, _risk(objective, w), val, cs.median_violation(V),
-                           cs.median_violation(V[pairs]) - cs.median_violation(V_prev[pairs]),
+                           cs.median_violation(V[active]) - cs.median_violation(V_prev[active]),
                            step.solver_iters, step.solver_status, step_norm,
-                           active.fingerprint())
+                           hashlib.sha1(active.astype("<i8").tobytes()).hexdigest()[:12])
         if not row.finite():
             w = w_prev  # keep the last finite parameters as the checkpoint
             raise TrainingDiverged(f"non-finite metrics at iteration {it}", report())

@@ -163,7 +163,7 @@ class _LinearProblem:
         self.model = ad.IdentityOffset(len(self.x0))
         self.n_train = 0
         head = _LinHead(H, shifts)
-        self.pool = cs.ConstraintPool(samples, head, (cs.EQUALITY,) * head.n_constraints)
+        self.pool = cs.ConstraintPool(samples, head)
 
     def residual_function(self, idx):
         return anchor_residuals(self.x0)
@@ -193,14 +193,14 @@ def test_criterion_4_hard_exactness_on_linear_constraints():
     # one pooled sample at the origin, shifts chosen so C(w_feasible) = 0
     shifts = -(H @ w_feasible)
     prob = _LinearProblem(rng.standard_normal(n_p), H, np.zeros((1, n_p)), shifts)
-    active = cs.ActiveSet.cross([0], n_c)
+    active = np.array([0])
     w = rng.standard_normal(n_p) * 2.0
     cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=0.7, iterations=1,
                          solver=SolverConfig(rtol=1e-12))
     step = tr.step_hard(tr.HARD_SGD, w, prob, prob.residual_function(None), active, cfg)
     assert step.solver_status == "converged"
     V = cs.violation_matrix(prob.pool, prob.model, step.w)
-    residuals = V[active.sample_indices, active.constraint_indices]
+    residuals = V[active]
     worst = np.max(np.abs(residuals))
     ok = worst <= 1e-9
     _report(4, "hard-constraint exactness", ok,
@@ -212,7 +212,7 @@ def test_criterion_4_hard_exactness_on_linear_constraints():
 
 def test_criterion_5_fixed_set_two_circle_convergence():
     centers = np.array([[0.0, 0.0], [1.0, 0.0]])
-    pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(10.0), (cs.EQUALITY,))
+    pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(10.0))
 
     class P:
         model = ad.IdentityOffset(2)
@@ -229,7 +229,7 @@ def test_criterion_5_fixed_set_two_circle_convergence():
             return 0.0
 
     prob = P()
-    active = cs.ActiveSet.cross([0, 1], 1)
+    active = np.array([0, 1])
     cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=1.0, iterations=1,
                          solver=SolverConfig(rtol=1e-12))
     w = prob.x0.copy()
@@ -311,7 +311,7 @@ def test_criterion_8_mining_optimality():
         H = rng.standard_normal((n_c, 3))
         shift = rng.standard_normal(n_c)
         pool = cs.ConstraintPool(rng.standard_normal((n, 3)),
-                                 _LinHead(H, shift), (cs.EQUALITY,) * n_c)
+                                 _LinHead(H, shift))
         model = ad.IdentityOffset(3)
         w = rng.standard_normal(3)
         n_keep = int(rng.integers(1, n + 1))
@@ -320,7 +320,7 @@ def test_criterion_8_mining_optimality():
         best = max(float(np.sum(med[list(s)]))
                    for s in itertools.combinations(range(n), n_keep))
         mined = cs.select_mined(V, n_keep)
-        got = float(np.sum(med[np.unique(mined.sample_indices)]))
+        got = float(np.sum(med[mined]))
         worst_gap = max(worst_gap, best - got)
     ok = worst_gap <= 1e-12
     _report(8, "mining optimality", ok,

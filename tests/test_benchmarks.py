@@ -163,7 +163,7 @@ def test_near_parallel_linearizations_send_step_far():
     # travels an order of magnitude farther than the distance to either
     # circle (the projection overshoot behind the erratic regime)
     centers = np.array([[0.0, 0.0], [0.05, 0.0]])
-    pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(10.0), (cs.EQUALITY,))
+    pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(10.0))
 
     class P:
         model = ad.IdentityOffset(2)
@@ -184,7 +184,7 @@ def test_near_parallel_linearizations_send_step_far():
     dist_to_surface = max(abs(hypersphere_residuals(w, centers, 10.0)))
     cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=1.0, iterations=1,
                          solver=SolverConfig(rtol=1e-12))
-    active = cs.ActiveSet.cross([0, 1], 1)
+    active = np.array([0, 1])
     step = tr.step_hard(tr.HARD_SGD, w, prob, prob.residual_function(None), active, cfg)
     assert np.linalg.norm(step.w - w) >= 10.0 * dist_to_surface
 

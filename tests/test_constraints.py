@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hardtrain import autodiff as ad
+from hardtrain import benchmarks as bm
 from hardtrain import constraints as cs
 
 from util import BoundHead, hypersphere_residuals, symmetry_residuals
@@ -126,8 +127,8 @@ def test_hypersphere_gradient_unit_norm_and_fd():
     centers = rng.standard_normal((4, d))
     w = rng.standard_normal(d) * 3
     model = ad.IdentityOffset(d)
-    pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(10.0), (cs.EQUALITY,))
-    fn = cs.active_constraint_function(pool, model, cs.ActiveSet.cross(range(4), 1))
+    pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(10.0))
+    fn = cs.active_constraint_function(pool, model, np.arange(4))
     h = 1e-6
     for i in range(4):
         e = np.zeros(4)
@@ -141,19 +142,19 @@ def test_hypersphere_gradient_unit_norm_and_fd():
 
 
 def gather(V, active):
-    """The active pairs' residuals, sample-major, read off the violation matrix."""
-    return V[active.sample_indices, active.constraint_indices]
+    """The active samples' residuals, sample-major, read off the violation matrix."""
+    return V[active].ravel()
 
 
 def make_scalar_pool(samples):
     """Pool with one sphere constraint; per-sample residual | ||w-x||-1 |."""
-    return cs.ConstraintPool(samples, cs.SphereRadiusHead(1.0), (cs.EQUALITY,))
+    return cs.ConstraintPool(samples, cs.SphereRadiusHead(1.0))
 
 
 def test_evaluate_zero_when_constraints_satisfied():
     pool = make_scalar_pool([[-1.0], [1.0]])
     model = ad.IdentityOffset(1)
-    active = cs.ActiveSet.cross([0, 1], 1)
+    active = np.array([0, 1])
     V = cs.violation_matrix(pool, model, np.zeros(1))
     np.testing.assert_allclose(gather(V, active), np.zeros(2), atol=1e-12)
 
@@ -161,7 +162,7 @@ def test_evaluate_zero_when_constraints_satisfied():
 def test_evaluate_single_pair_is_scalar_residual():
     pool = make_scalar_pool([[-3.0]])
     model = ad.IdentityOffset(1)
-    got = gather(cs.violation_matrix(pool, model, np.zeros(1)), cs.ActiveSet.cross([0], 1))
+    got = gather(cs.violation_matrix(pool, model, np.zeros(1)), np.array([0]))
     np.testing.assert_allclose(got, [2.0])
 
 
@@ -169,11 +170,10 @@ def test_evaluate_matches_double_loop_oracle():
     rng = np.random.default_rng(4)
     H = rng.standard_normal((3, 4))
     c = rng.standard_normal(3)
-    pool = cs.ConstraintPool(rng.standard_normal((6, 4)), LinearHead(H, c),
-                             (cs.EQUALITY,) * 3)
+    pool = cs.ConstraintPool(rng.standard_normal((6, 4)), LinearHead(H, c))
     model = ad.IdentityOffset(4)
     w = rng.standard_normal(4)
-    active = cs.ActiveSet.cross([1, 3, 5], 3)
+    active = np.array([1, 3, 5])
     got = gather(cs.violation_matrix(pool, model, w), active)
     expect = []
     for k in [1, 3, 5]:
@@ -192,7 +192,7 @@ def test_violation_matrix_one_row_chunks_match_the_row_oracle():
     samples = rng.normal(0.0, 0.1, (n, d))
     w = rng.standard_normal(d)
     head = BoundHead([0, d - 1], [0.5, -0.5])
-    pool = cs.ConstraintPool(samples, head, (cs.INEQUALITY,) * 2)
+    pool = cs.ConstraintPool(samples, head)
     model = ad.IdentityOffset(d)
     tracemalloc.start()
     try:
@@ -213,7 +213,7 @@ def test_sphere_pool_is_one_gemv_within_rounding_of_the_norms(d, n, at_center):
     rng = np.random.default_rng(10)
     centers = rng.normal(0.0, 0.1, (n, d))
     w = rng.standard_normal(d)
-    pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(10.0), (cs.EQUALITY,))
+    pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(10.0))
     model = ad.IdentityOffset(d)
     tracemalloc.start()
     try:
@@ -242,9 +242,9 @@ def test_sphere_rows_linearize_in_one_buffer_and_leave_the_pool_intact():
     m, d = 8, 20_000
     centers = rng.standard_normal((2 * m, d))
     kept = centers.copy()
-    pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(10.0), (cs.EQUALITY,))
+    pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(10.0))
     model = ad.IdentityOffset(d)
-    rows = cs.active_constraint_function(pool, model, cs.ActiveSet.cross(range(1, 2 * m, 2), 1))
+    rows = cs.active_constraint_function(pool, model, np.arange(1, 2 * m, 2))
     w = rng.standard_normal(d)
     tracemalloc.start()
     try:
@@ -265,13 +265,12 @@ def test_sphere_rows_linearize_in_one_buffer_and_leave_the_pool_intact():
 def test_select_random_bounds_and_determinism():
     pool = make_scalar_pool(np.arange(10.0)[:, None])
     full = cs.select_random(pool, 10, 0)
-    assert full.n_active_samples == 10
+    assert len(np.unique(full)) == 10
     one = cs.select_random(pool, 1, 0)
-    assert one.n_active_samples == 1
+    assert len(np.unique(one)) == 1
     a = cs.select_random(pool, 4, 123)
     b = cs.select_random(pool, 4, 123)
-    np.testing.assert_array_equal(a.sample_indices, b.sample_indices)
-    assert a.fingerprint() == b.fingerprint()
+    np.testing.assert_array_equal(a, b)
     with pytest.raises(ValueError):
         cs.select_random(pool, 0, 0)
     with pytest.raises(ValueError):
@@ -283,7 +282,7 @@ def test_select_mined_picks_largest_medians():
     pool = make_scalar_pool([[-1.5], [-3.0], [-2.0]])
     model = ad.IdentityOffset(1)
     active = cs.select_mined(cs.violation_matrix(pool, model, np.zeros(1)), 2)
-    np.testing.assert_array_equal(np.unique(active.sample_indices), [1, 2])
+    np.testing.assert_array_equal(active, [1, 2])
 
 
 def test_select_mined_tie_break_and_full_keep():
@@ -291,9 +290,9 @@ def test_select_mined_tie_break_and_full_keep():
     model = ad.IdentityOffset(1)
     V = cs.violation_matrix(pool, model, np.zeros(1))
     active = cs.select_mined(V, 2)
-    np.testing.assert_array_equal(np.unique(active.sample_indices), [0, 1])
+    np.testing.assert_array_equal(active, [0, 1])
     full = cs.select_mined(V, 3)
-    assert full.n_active_samples == 3
+    assert len(np.unique(full)) == 3
 
 
 def test_select_mined_matches_brute_force_subsets():
@@ -302,8 +301,7 @@ def test_select_mined_matches_brute_force_subsets():
         n = int(rng.integers(3, 9))
         n_c = int(rng.integers(1, 4))
         H = rng.standard_normal((n_c, 2))
-        pool = cs.ConstraintPool(rng.standard_normal((n, 2)), LinearHead(H),
-                                 (cs.EQUALITY,) * n_c)
+        pool = cs.ConstraintPool(rng.standard_normal((n, 2)), LinearHead(H))
         model = ad.IdentityOffset(2)
         w = rng.standard_normal(2)
         n_keep = int(rng.integers(1, n + 1))
@@ -311,40 +309,39 @@ def test_select_mined_matches_brute_force_subsets():
         med = np.median(np.abs(V), axis=1)
         best = max(sum(med[list(s)]) for s in itertools.combinations(range(n), n_keep))
         mined = cs.select_mined(V, n_keep)
-        got = sum(med[np.unique(mined.sample_indices)])
+        got = sum(med[mined])
         assert abs(got - best) <= 1e-12
 
 
-def test_filter_inequalities():
+def test_selections_are_sorted_unique_sample_indices():
     rng = np.random.default_rng(6)
-    head = BoundHead([0, 1], [0.0, 0.0])
-    pool = cs.ConstraintPool(np.zeros((2, 2)), head, (cs.EQUALITY, cs.INEQUALITY))
-    model = ad.IdentityOffset(2)
-    active = cs.ActiveSet.cross([0, 1], 2)
+    pool = make_scalar_pool(rng.standard_normal((30, 1)))
+    V = cs.violation_matrix(pool, ad.IdentityOffset(1), np.zeros(1))
+    for active in (cs.select_random(pool, 12, 5), cs.select_mined(V, 12)):
+        assert len(active) == 12
+        assert np.all(np.diff(active) > 0)
+        assert active[0] >= 0 and active[-1] < pool.n_samples
 
-    all_eq_pool = cs.ConstraintPool(np.zeros((2, 2)), head, (cs.EQUALITY, cs.EQUALITY))
-    V = cs.violation_matrix(all_eq_pool, model, np.array([-0.3, -0.3]))
-    unchanged = cs.filter_inequalities(all_eq_pool, V, active)
-    assert unchanged.n_pairs == active.n_pairs
 
-    # inequality coordinate satisfied (-0.3 <= 0): dropped
-    filt = cs.filter_inequalities(pool, cs.violation_matrix(pool, model, np.array([0.5, -0.3])),
-                                  active)
-    assert filt.n_pairs == 2  # the two equality pairs survive
-    assert set(filt.constraint_indices.tolist()) == {0}
-
-    # inequality coordinate violated (+0.3 > 0): retained as equality row
-    filt = cs.filter_inequalities(pool, cs.violation_matrix(pool, model, np.array([0.5, 0.3])),
-                                  active)
-    assert filt.n_pairs == 4
+def test_stacked_constraints_take_every_constraint_of_each_listed_sample():
+    # unsorted samples with one repeat: every constraint of each listed
+    # sample, in the listed order, bit for bit the head's own values
+    problem = bm.gen_toy_pose(seed=1, n_samples=50, n_pool=12, in_dim=8, hidden=(16,))
+    pool, model = problem.pool, problem.mlp
+    w = model.init_params(np.random.default_rng(2))
+    samples = np.array([7, 2, 9, 2, 0])
+    fn = cs.StackedConstraints(pool, model, samples)
+    assert fn.n_outputs == 5 * 6
+    expect = pool.head.value(model.forward(w, pool.samples[samples])).ravel()
+    np.testing.assert_array_equal(ad.value(fn, w), expect)
+    np.testing.assert_array_equal(ad.linearize(fn, w).value, expect)
 
 
 def test_stacked_constraints_adjoint_and_fd():
     rng = np.random.default_rng(7)
     mlp = ad.Mlp([5, 16, 51])
     w = mlp.init_params(rng)
-    pool = cs.ConstraintPool(rng.standard_normal((6, 5)), cs.SymmetryHead(),
-                             (cs.EQUALITY,) * 6)
+    pool = cs.ConstraintPool(rng.standard_normal((6, 5)), cs.SymmetryHead())
     active = cs.select_random(pool, 3, 0)
     fn = cs.active_constraint_function(pool, mlp, active)
     assert fn.n_outputs == 18
@@ -366,9 +363,8 @@ def test_bound_head_gradient_matches_fd():
     mlp = ad.Mlp([4, 12, 5])
     w = mlp.init_params(rng)
     head = BoundHead([0, 3], [0.2, -0.1])
-    pool = cs.ConstraintPool(rng.standard_normal((3, 4)), head,
-                             (cs.INEQUALITY, cs.INEQUALITY))
-    fn = cs.active_constraint_function(pool, mlp, cs.ActiveSet.cross([0, 1, 2], 2))
+    pool = cs.ConstraintPool(rng.standard_normal((3, 4)), head)
+    fn = cs.active_constraint_function(pool, mlp, np.array([0, 1, 2]))
     v = rng.standard_normal(fn.n_params)
     v /= np.linalg.norm(v)
     h = 1e-6
@@ -382,31 +378,24 @@ def test_bound_head_gradient_matches_fd():
 def test_evaluate_stacking_is_sample_major():
     rng = np.random.default_rng(8)
     H = rng.standard_normal((2, 3))
-    pool = cs.ConstraintPool(rng.standard_normal((4, 3)), LinearHead(H),
-                             (cs.EQUALITY,) * 2)
+    pool = cs.ConstraintPool(rng.standard_normal((4, 3)), LinearHead(H))
     model = ad.IdentityOffset(3)
     w = rng.standard_normal(3)
-    active = cs.ActiveSet.cross([2, 0], 2)   # cross() sorts samples ascending
-    np.testing.assert_array_equal(active.sample_indices, [0, 0, 2, 2])
-    np.testing.assert_array_equal(active.constraint_indices, [0, 1, 0, 1])
-    got = gather(cs.violation_matrix(pool, model, w), active)
+    got = gather(cs.violation_matrix(pool, model, w), np.array([0, 2]))
     expect = np.concatenate([H @ (w - pool.samples[0]), H @ (w - pool.samples[2])])
     np.testing.assert_allclose(got, expect, atol=1e-12)
+    # the stack keeps the listed sample order
+    stacked = ad.value(cs.StackedConstraints(pool, model, np.array([2, 0])), w)
+    np.testing.assert_allclose(stacked, np.concatenate([expect[2:], expect[:2]]), atol=1e-12)
 
 
 def test_active_set_validation():
-    with pytest.raises(ValueError):
-        cs.ActiveSet(np.array([0, 1]), np.array([0]))
-    with pytest.raises(ValueError, match="bound"):
-        cs.ActiveSet(np.array([0, 1]), np.array([0, 0]), max_samples=1)
     pool = make_scalar_pool([[0.0]])
-    V = cs.violation_matrix(pool, ad.IdentityOffset(1), np.zeros(1))
-    with pytest.raises(IndexError):
-        cs.filter_inequalities(pool, V, cs.ActiveSet.cross([3], 1))
+    for bad in ([3], [0, -1]):
+        with pytest.raises(IndexError):
+            cs.StackedConstraints(pool, ad.IdentityOffset(1), np.array(bad))
 
 
 def test_pool_validation():
-    with pytest.raises(ValueError, match="kind"):
-        cs.ConstraintPool(np.zeros((2, 2)), cs.SphereRadiusHead(1.0), ())
-    with pytest.raises(ValueError, match="kinds"):
-        cs.ConstraintPool(np.zeros((2, 2)), cs.SphereRadiusHead(1.0), ("maybe",))
+    with pytest.raises(ValueError, match="at least one sample"):
+        cs.ConstraintPool(np.zeros((0, 2)), cs.SphereRadiusHead(1.0))

@@ -288,8 +288,11 @@ def test_preconditioned_step_matches_dense_solve(vector):
 @pytest.mark.parametrize("vector", [False, True], ids=["scalar_D", "vector_D"])
 def test_preconditioned_step_on_rank_deficient_constraints(vector):
     # duplicated and dependent rows: for a compatible right-hand side the
-    # step dw is unique and equals the pseudoinverse solution's; for an
-    # incompatible one the solve still ends on the least-squares contract
+    # step dw is unique, and dw and the minimum-length multipliers equal the
+    # pseudoinverse solution's; for an incompatible one the solve still ends
+    # on the least-squares contract.  Rank loss sends the solve to P = I,
+    # since the shifted Schur complement would leave a null(G^T) component
+    # in the multipliers (about 1e-6 to 1e-3 of them)
     rng = np.random.default_rng(9)
     for trial in range(12):
         n, m = 10, 5
@@ -300,11 +303,14 @@ def test_preconditioned_step_on_rank_deficient_constraints(vector):
         c = G @ rng.standard_normal(n) if consistent else rng.standard_normal(m)
         state = kkt.KktState(random_diag(rng, n, vector), rng.standard_normal(n),
                              gram_linearization(G, c))
+        assert kkt.schur_preconditioner(state) is None
         step = kkt.solve_step(state, SolverConfig(rtol=1e-10))
         oracle = np.linalg.pinv(materialize(kkt.kkt_operator(state))) @ kkt.kkt_rhs(state)
         assert step.solution.status in ("converged", "singular_min_length")
         if consistent:
             assert np.linalg.norm(step.dw - oracle[:n]) <= 1e-8 * np.linalg.norm(oracle[:n])
+            assert (np.linalg.norm(step.multipliers - oracle[n:])
+                    <= 1e-8 * np.linalg.norm(oracle[n:]))
 
 
 def test_preconditioner_only_for_a_diagonal_block_with_a_gram_product():
@@ -318,3 +324,7 @@ def test_preconditioner_only_for_a_diagonal_block_with_a_gram_product():
     without = ad.linearize(linear_constraints(G), np.zeros(4))
     assert without.gram is None
     assert kkt.schur_preconditioner(kkt.KktState(1.0, np.ones(4), without)) is None
+    # a duplicated row leaves S singular: P = I keeps the multipliers
+    # minimum-length
+    dup = gram_linearization(np.vstack([G, G[:1]]), np.zeros(3))
+    assert kkt.schur_preconditioner(kkt.KktState(1.0, np.ones(4), dup)) is None

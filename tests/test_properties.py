@@ -23,11 +23,9 @@ def _mlp(rng, in_dim=None, out_dim=None):
     return mlp, mlp.init_params(rng)
 
 
-def _stacked(rng, head, n_constraints, model, in_dim):
-    pool = cs.ConstraintPool(rng.standard_normal((5, in_dim)), head,
-                             (cs.EQUALITY,) * n_constraints)
-    active = cs.ActiveSet(rng.integers(0, 5, 7), rng.integers(0, n_constraints, 7))
-    return cs.StackedConstraints(pool, model, active)
+def _stacked(rng, head, model, in_dim):
+    pool = cs.ConstraintPool(rng.standard_normal((5, in_dim)), head)
+    return cs.StackedConstraints(pool, model, rng.integers(0, 5, 7))
 
 
 def _functions(rng):
@@ -40,21 +38,21 @@ def _functions(rng):
     d = int(rng.integers(2, 30))
     w_off = rng.standard_normal(d) * 3.0
     sphere_pool = cs.ConstraintPool(rng.standard_normal((6, d)),
-                                    cs.SphereRadiusHead(2.0), (cs.EQUALITY,))
-    sphere_active = cs.ActiveSet.cross(rng.choice(6, 4, replace=False), 1)
+                                    cs.SphereRadiusHead(2.0))
+    sphere_active = np.sort(rng.choice(6, 4, replace=False))
     A = rng.standard_normal((int(rng.integers(1, 6)), d))
     return [
         ("outputs", ModelOutputs(mlp, X), w),
         ("residuals", ad.ScaledResiduals(mlp, X, Y), w),
         ("linear", LinearMap(A, rng.standard_normal(A.shape[0])), w_off),
         ("anchor", bm._AnchorResiduals(rng.standard_normal(d)), w_off),
-        ("symmetry", _stacked(rng, cs.SymmetryHead(), 6, pose_mlp, pose_mlp.in_dim),
+        ("symmetry", _stacked(rng, cs.SymmetryHead(), pose_mlp, pose_mlp.in_dim),
          pose_w),
-        ("sphere", _stacked(rng, cs.SphereRadiusHead(2.0), 1, ad.IdentityOffset(d), d),
+        ("sphere", _stacked(rng, cs.SphereRadiusHead(2.0), ad.IdentityOffset(d), d),
          w_off),
         ("sphere_rows", cs.active_constraint_function(sphere_pool, ad.IdentityOffset(d),
                                                       sphere_active), w_off),
-        ("bound", _stacked(rng, BoundHead([0, 3], [0.1, -0.2]), 2, bound_mlp,
+        ("bound", _stacked(rng, BoundHead([0, 3], [0.1, -0.2]), bound_mlp,
                            bound_mlp.in_dim), bound_w),
     ]
 
@@ -97,9 +95,8 @@ def test_gram_matches_the_jacobian_built_from_vjps(seed):
 def test_sphere_rows_match_the_generic_stack():
     rng = np.random.default_rng(0)
     d = 9
-    pool = cs.ConstraintPool(rng.standard_normal((5, d)), cs.SphereRadiusHead(3.0),
-                             (cs.EQUALITY,))
-    active = cs.ActiveSet(np.array([3, 1, 3, 0]), np.zeros(4, dtype=int))
+    pool = cs.ConstraintPool(rng.standard_normal((5, d)), cs.SphereRadiusHead(3.0))
+    active = np.array([3, 1, 3, 0])
     model = ad.IdentityOffset(d)
     rows = cs.active_constraint_function(pool, model, active)
     assert isinstance(rows, cs.SphereRows)
@@ -117,7 +114,7 @@ def test_sphere_rows_match_the_generic_stack():
 def test_kkt_operators_are_symmetric(seed, variant):
     rng = np.random.default_rng(seed)
     mlp, w = _mlp(rng, out_dim=51)
-    constraint = ad.linearize(_stacked(rng, cs.SymmetryHead(), 6, mlp, mlp.in_dim), w)
+    constraint = ad.linearize(_stacked(rng, cs.SymmetryHead(), mlp, mlp.in_dim), w)
     X = rng.standard_normal((4, mlp.in_dim))
     Y = rng.standard_normal((4, 51))
     n = mlp.n_params

@@ -44,22 +44,22 @@ class ToyProblem:
 
 
 def sphere_pool(centers, radius):
-    return cs.ConstraintPool(centers, cs.SphereRadiusHead(radius), (cs.EQUALITY,))
+    return cs.ConstraintPool(centers, cs.SphereRadiusHead(radius))
 
 
 def linear_pool(H, samples, c=None):
     H = np.atleast_2d(H)
-    return cs.ConstraintPool(samples, LinearHead(H, c), (cs.EQUALITY,) * H.shape[0])
+    return cs.ConstraintPool(samples, LinearHead(H, c))
 
 
 def full_active(pool):
-    return cs.ActiveSet.cross(range(pool.n_samples), pool.n_constraints)
+    return np.arange(pool.n_samples)
 
 
 def active_median(prob, w, active):
-    """Median |C| over the active pairs at w, read off the pool's violation matrix."""
+    """Median |C| over the active samples at w, read off the pool's violation matrix."""
     V = cs.violation_matrix(prob.pool, prob.model, w)
-    return float(np.median(np.abs(V[active.sample_indices, active.constraint_indices])))
+    return float(np.median(np.abs(V[active])))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,7 @@ def test_step_soft_sgd_unconstrained_is_gradient_descent():
     pool = sphere_pool([[9.0, 9.0]], 1.0)
     prob = ToyProblem([1.0, -1.0], pool)
     w = np.array([3.0, 2.0])
-    empty = cs.ActiveSet(np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+    empty = np.zeros(0, dtype=int)
     cfg = tr.TrainConfig(method=tr.SOFT_SGD, lr=0.1, soft_lambda=0.0, iterations=1)
     w2 = tr.step_soft(tr.SOFT_SGD, w, prob, prob.residual_function(None), empty, cfg).w
     np.testing.assert_allclose(w2, w - 0.1 * (w - prob.x0))
@@ -242,7 +242,7 @@ def test_step_hard_adam_without_constraints_is_adam():
     # with no active constraint the saddle-point system is D dw = -m, and
     # its solution must be the bias-corrected Adam step
     prob = ToyProblem([1.0, -2.0, 3.0, 0.5], sphere_pool([[0.0] * 4], 1.0))
-    empty = cs.ActiveSet(np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+    empty = np.zeros(0, dtype=int)
     cfg = tr.TrainConfig(method=tr.HARD_ADAM, lr=0.05, iterations=1,
                          solver=SolverConfig(rtol=1e-14))
     w = np.zeros(4)
@@ -320,7 +320,7 @@ def test_train_multiplier_counts_and_finiteness():
     w = prob.initial_params(np.random.default_rng(0))
     active = full_active(pool)
     st = tr.step_hard(tr.HARD_SGD, w, prob, prob.residual_function(None), active, cfg)
-    assert st.multipliers.shape == (active.n_pairs,)
+    assert st.multipliers.shape == (len(active) * pool.n_constraints,)
     assert np.isfinite(st.multipliers).all()
 
 
@@ -461,6 +461,18 @@ def test_train_evaluates_the_pool_once_per_iterate(monkeypatch):
     report = tr.train(cfg, problem)
     assert len(report.rows) == 4
     assert len(calls) == 4 + 1
+
+
+def test_converged_hard_steps_build_the_rhs_once(monkeypatch):
+    # the residual check of the retry policy builds its own right-hand
+    # side only when a solve misses its tolerance
+    problem = bm.gen_spheres(200, 40, seed=0)
+    calls = _counting(monkeypatch, kkt, "kkt_rhs")
+    cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=bm.SPHERE_HARD_LR, iterations=20,
+                         batch_constraints=10, solver=SolverConfig(rtol=1e-8, max_iters=500))
+    report = tr.train(cfg, problem)
+    assert set(report.column("solver_status")) == {"converged"}
+    assert len(calls) == 20
 
 
 def test_mined_hard_adam_on_small_pose_never_skips():

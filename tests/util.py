@@ -153,8 +153,8 @@ def hypersphere_residuals(w, centers, radius: float):
 
 
 class BoundHead:
-    """Residuals y_i - cap_i per tracked output coordinate; meant to be
-    tagged as inequalities (violated when the coordinate exceeds its cap)."""
+    """Residuals y_i - cap_i per tracked output coordinate: a head of
+    several constraints that each read one output coordinate."""
 
     def __init__(self, coords: Sequence[int], caps: Sequence[float]):
         self.coords = np.asarray(coords, dtype=int)
