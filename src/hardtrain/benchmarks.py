@@ -3,7 +3,7 @@
 Two problem families: the hypersphere-intersection projection problem (a
 decision vector pulled toward an anchor while constrained to 200 nearly
 identical spheres) and a synthetic 17-joint pose regression task whose
-labels carry controllable asymmetry noise.  Both plug into
+labels carry asymmetry noise.  Both plug into
 :func:`hardtrain.trainers.train`.
 """
 
@@ -31,6 +31,13 @@ SPHERE_FULL_DIM = 1_000_000
 # 999 at the demo dimension (lowest final median violation without blowup)
 SPHERE_SOFT_LR = 3e-4
 SPHERE_HARD_LR = 1.0
+
+# inner-solve settings of the sphere and pose runs
+SPHERE_SOLVER = SolverConfig(rtol=1e-8, max_iters=500)
+POSE_SOLVER = SolverConfig(rtol=1e-8, max_iters=800)
+# label and input noise of the synthetic pose task
+POSE_ASYM_NOISE = 0.06
+POSE_INPUT_NOISE = 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -69,13 +76,11 @@ class _AnchorResiduals(ad.DiffFunction):
 
 @dataclass
 class SphereProblem:
-    """Minimize 0.5||w - x0||^2 subject to ||w - c_i|| = radius for all i."""
+    """Minimize 0.5||w - x0||^2 subject to ||w - c_i|| = SPHERE_RADIUS for all i."""
 
     dim: int
     n_constraints: int
     seed: int
-    radius: float = SPHERE_RADIUS
-    center_std: float = SPHERE_CENTER_STD
     x0: Vector = field(repr=False, default=None)
     pool: cs.ConstraintPool = field(repr=False, default=None)
     model: ad.IdentityOffset = field(repr=False, default=None)
@@ -92,24 +97,23 @@ class SphereProblem:
 
     def spec_dict(self) -> dict:
         return {"kind": "spheres", "dim": self.dim, "n_constraints": self.n_constraints,
-                "seed": self.seed, "radius": self.radius, "center_std": self.center_std}
+                "seed": self.seed}
 
 
 def gen_spheres(d: int, n_constraints: int = SPHERE_DEFAULT_CONSTRAINTS,
-                seed: int = 0, radius: float = SPHERE_RADIUS,
-                center_std: float = SPHERE_CENTER_STD) -> SphereProblem:
-    """Deterministic sphere problem: centers ~ N(0, center_std^2 I), anchor
-    at a seeded random direction of norm 2 * radius (outside every sphere)."""
+                seed: int = 0) -> SphereProblem:
+    """Deterministic sphere problem: centers ~ N(0, SPHERE_CENTER_STD^2 I),
+    anchor at a seeded random direction of norm 2 * SPHERE_RADIUS (outside
+    every sphere)."""
     if d < 2 or n_constraints < 1:
         raise ValueError("need d >= 2 and at least one constraint")
     ss = np.random.SeedSequence([seed, 0x5EED])
     rng_centers, rng_anchor = (np.random.default_rng(s) for s in ss.spawn(2))
-    centers = rng_centers.normal(0.0, center_std, (n_constraints, d))
+    centers = rng_centers.normal(0.0, SPHERE_CENTER_STD, (n_constraints, d))
     x0 = rng_anchor.standard_normal(d)
-    x0 *= (2.0 * radius) / np.linalg.norm(x0)
-    pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(radius))
-    problem = SphereProblem(dim=d, n_constraints=n_constraints, seed=seed,
-                            radius=radius, center_std=center_std)
+    x0 *= (2.0 * SPHERE_RADIUS) / np.linalg.norm(x0)
+    pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(SPHERE_RADIUS))
+    problem = SphereProblem(dim=d, n_constraints=n_constraints, seed=seed)
     problem.x0 = x0
     problem.pool = pool
     problem.model = ad.IdentityOffset(d)
@@ -125,12 +129,11 @@ def run_sphere_comparison(d: int, iters: int = 500, n_active: int = 20,
     subsets of constraints and log the active-median delta per iteration.
     """
     problem = gen_spheres(d, n_constraints, seed)
-    solver = SolverConfig(rtol=1e-8, max_iters=500)
     hard_cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=SPHERE_HARD_LR, iterations=iters,
-                              batch_constraints=n_active, seed=seed, solver=solver)
+                              batch_constraints=n_active, seed=seed, solver=SPHERE_SOLVER)
     soft_cfg = tr.TrainConfig(method=tr.SOFT_SGD, lr=SPHERE_SOFT_LR,
                               soft_lambda=SPHERE_SOFT_LAMBDA, iterations=iters,
-                              batch_constraints=n_active, seed=seed, solver=solver)
+                              batch_constraints=n_active, seed=seed, solver=SPHERE_SOLVER)
     hard = tr.train(hard_cfg, problem)
     soft = tr.train(soft_cfg, problem)
     return hard, soft
@@ -193,8 +196,6 @@ class ToyPoseProblem:
     val_x: np.ndarray
     val_y: np.ndarray
     pool: cs.ConstraintPool
-    asym_noise: float
-    input_noise: float
 
     @property
     def model(self):
@@ -219,13 +220,11 @@ class ToyPoseProblem:
         return {"kind": "toy_pose", "seed": self.seed,
                 "n_samples": self.n_train + self.val_x.shape[0],
                 "n_pool": self.pool.n_samples,
-                "in_dim": self.mlp.widths[0], "hidden": list(self.mlp.widths[1:-1]),
-                "asym_noise": self.asym_noise, "input_noise": self.input_noise}
+                "in_dim": self.mlp.widths[0], "hidden": list(self.mlp.widths[1:-1])}
 
 
 def gen_toy_pose(seed: int = 0, n_samples: int = 2000, n_pool: int = 384,
-                 in_dim: int = 48, hidden=(192,), asym_noise: float = 0.06,
-                 input_noise: float = 0.01) -> ToyPoseProblem:
+                 in_dim: int = 48, hidden=(192,)) -> ToyPoseProblem:
     """Synthetic pose task: symmetric ground truth, asymmetric label noise.
 
     Inputs are fixed random linear encodings of the clean pose plus noise;
@@ -237,20 +236,19 @@ def gen_toy_pose(seed: int = 0, n_samples: int = 2000, n_pool: int = 384,
 
     clean = sample_symmetric_poses(rng_pose, n_samples)
     encoder = rng_enc.standard_normal((in_dim, 51)) / np.sqrt(51)
-    x = clean @ encoder.T + input_noise * rng_noise.standard_normal((n_samples, in_dim))
-    y = clean + asym_noise * rng_noise.standard_normal(clean.shape)
+    x = clean @ encoder.T + POSE_INPUT_NOISE * rng_noise.standard_normal((n_samples, in_dim))
+    y = clean + POSE_ASYM_NOISE * rng_noise.standard_normal(clean.shape)
 
     n_train = int(0.8 * n_samples)
     pool_clean = sample_symmetric_poses(rng_pool, n_pool)
-    pool_x = pool_clean @ encoder.T + input_noise * rng_pool.standard_normal((n_pool, in_dim))
+    pool_x = pool_clean @ encoder.T + POSE_INPUT_NOISE * rng_pool.standard_normal((n_pool, in_dim))
     pool = cs.ConstraintPool(pool_x, cs.SymmetryHead())
 
     mlp = ad.Mlp([in_dim, *hidden, 51])
     return ToyPoseProblem(seed=seed, mlp=mlp,
                           train_x=x[:n_train], train_y=y[:n_train],
                           val_x=x[n_train:], val_y=y[n_train:],
-                          pool=pool, asym_noise=asym_noise,
-                          input_noise=input_noise)
+                          pool=pool)
 
 
 # Training protocol for the pose comparison: the unconstrained model is
@@ -266,7 +264,6 @@ POSE_CONSTRAINED = {
     "hard_gn": dict(method=tr.HARD_GN, lr=0.3, epochs=30, mine=True, n_mined=12),
     "hard_adam": dict(method=tr.HARD_ADAM, lr=0.05, epochs=30, mine=True, n_mined=12),
 }
-_POSE_SOLVER = SolverConfig(rtol=1e-8, max_iters=800)
 
 
 def pose_metrics(problem: ToyPoseProblem, w) -> tuple:
@@ -283,12 +280,12 @@ def run_pose_suite(seed: int, methods=("soft_adam", "soft_sgd", "hard_sgd"),
     with the baseline's, all on the same generated problem.
     """
     problem = problem or gen_toy_pose(seed=seed)
-    base = tr.train(tr.TrainConfig(seed=seed, solver=_POSE_SOLVER, **POSE_BASELINE),
+    base = tr.train(tr.TrainConfig(seed=seed, solver=POSE_SOLVER, **POSE_BASELINE),
                     problem)
     w_u = base.best_params
     out = {"baseline": pose_metrics(problem, w_u)}
     for name in methods:
-        cfg = tr.TrainConfig(seed=seed, solver=_POSE_SOLVER, **POSE_CONSTRAINED[name])
+        cfg = tr.TrainConfig(seed=seed, solver=POSE_SOLVER, **POSE_CONSTRAINED[name])
         report = tr.train(cfg, problem, w0=w_u)
         out[name] = pose_metrics(problem, report.final_params)
     return out

@@ -24,7 +24,6 @@ import numpy as np
 from . import autodiff as ad
 from . import benchmarks as bm
 from . import trainers as tr
-from .krylov import SolverConfig
 
 ENV_OUT_ROOT = "HARDTRAIN_OUT"
 
@@ -67,8 +66,6 @@ _SCHEMAS = {
         "iterations": (int, 500),
         "lr": (float, None),            # default depends on the method
         "soft_lambda": (float, bm.SPHERE_SOFT_LAMBDA),
-        "solver_rtol": (float, 1e-8),
-        "solver_max_iters": (int, 500),
     },
     "toy_pose": {
         "method": (str, "soft_adam"),
@@ -83,11 +80,7 @@ _SCHEMAS = {
         "n_pool": (int, 384),
         "in_dim": (int, 48),
         "hidden": (_parse_int_list, (192,)),
-        "asym_noise": (float, 0.06),
-        "input_noise": (float, 0.01),
         "init_checkpoint": (str, ""),
-        "solver_rtol": (float, 1e-8),
-        "solver_max_iters": (int, 800),
     },
 }
 
@@ -102,8 +95,6 @@ _VALUE_CHECKS = {
     "n_active": _AT_LEAST_1,
     "iterations": (lambda v: v >= 0, ">= 0"),
     "n_constraints": _AT_LEAST_1,
-    "solver_max_iters": _AT_LEAST_1,
-    "solver_rtol": (lambda v: v > 0, "> 0"),
     "soft_lambda": (lambda v: v >= 0, ">= 0"),
     "epochs": (lambda v: v >= 0, ">= 0"),
     "batch_data": _AT_LEAST_1,
@@ -227,9 +218,8 @@ def _write_summary(out_dir: Path, payload: dict) -> None:
 def _train_config(cfg: dict, **kind_fields) -> tr.TrainConfig:
     """The fields both kinds' schemas define, plus ``kind_fields``; any
     other field keeps TrainConfig's default."""
-    solver = SolverConfig(rtol=cfg["solver_rtol"], max_iters=cfg["solver_max_iters"])
     return tr.TrainConfig(method=cfg["method"], lr=cfg["lr"], soft_lambda=cfg["soft_lambda"],
-                          solver=solver, seed=cfg["seed"], **kind_fields)
+                          seed=cfg["seed"], **kind_fields)
 
 
 def _finish_run(out_dir: Path, cfg: dict, problem, report, status: str) -> None:
@@ -269,16 +259,15 @@ def _setup_spheres(cfg: dict) -> tuple:
         cfg["lr"] = bm.SPHERE_HARD_LR if cfg["method"].startswith("hard") else bm.SPHERE_SOFT_LR
     problem = bm.gen_spheres(cfg["dim"], cfg["n_constraints"], cfg["seed"])
     train_cfg = _train_config(cfg, iterations=cfg["iterations"],
-                              batch_constraints=cfg["n_active"])
+                              batch_constraints=cfg["n_active"], solver=bm.SPHERE_SOLVER)
     return problem, train_cfg, None
 
 
 def _setup_toy_pose(cfg: dict) -> tuple:
     """(problem, train config, initial parameters) of a pose run."""
     problem = bm.gen_toy_pose(cfg["seed"], cfg["n_samples"], cfg["n_pool"],
-                              cfg["in_dim"], cfg["hidden"],
-                              cfg["asym_noise"], cfg["input_noise"])
-    train_cfg = _train_config(cfg, **{key: cfg[key] for key in (
+                              cfg["in_dim"], cfg["hidden"])
+    train_cfg = _train_config(cfg, solver=bm.POSE_SOLVER, **{key: cfg[key] for key in (
         "epochs", "batch_data", "batch_constraints", "mine", "n_mined")})
     if train_cfg.mine and train_cfg.n_mined > problem.pool.n_samples:
         raise ConfigError(f"bad value for 'n_mined': {train_cfg.n_mined}, expected "

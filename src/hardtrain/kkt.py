@@ -23,11 +23,12 @@ Here ``eta`` is the inverse learning rate.  :class:`KktState` holds D as
 its diagonal plus an optional curvature linearization whose ``J^T J`` is
 added to it.
 
-When D is diagonal and the constraint linearization supplies its Gram
-product, the solve is preconditioned with P = diag(D, S), where
-S = G D^-1 G^T is the Schur complement (:func:`schur_preconditioner`), and
-takes about three MINRES-QLP iterations; the Gauss-Newton step, and a
-step whose active constraints lose rank, run with P = I.
+When the constraint linearization supplies its Gram product, the solve is
+preconditioned with P = diag(diag(D), S), where S = G diag(D)^-1 G^T is
+the Schur complement of D's diagonal part (:func:`schur_preconditioner`).
+It takes about three MINRES-QLP iterations when D is diagonal and about
+eleven for the Gauss-Newton step on pose; a step whose active constraints
+lose rank runs with P = I.
 """
 
 from __future__ import annotations
@@ -129,20 +130,22 @@ class KktStep:
 
 
 def schur_preconditioner(state: KktState):
-    """P^-1 for the block-diagonal P = diag(D, S), S = G D^-1 G^T, or None.
+    """P^-1 for P = diag(diag(D), S), S = G diag(D)^-1 G^T, or None.
 
-    P is built when D is diagonal (no curvature) and the constraint
-    linearization supplies its Gram product.  With the exact S and a
-    full-rank G, P^-1 times the saddle-point matrix has three distinct
-    eigenvalues, so preconditioned MINRES stops in three iterations
-    (Murphy, Golub & Wathen 2000).  S is factored once, by Cholesky after
-    a shift of ``_SCHUR_SHIFT`` times its mean diagonal.  When G loses
-    rank, the shift would leave a null(G^T) component in the multipliers,
-    so the minimum-length answer needs P = I: a failed factorization, or
-    a squared pivot below ``_RANK_PIVOT`` shifts, gives None.
+    P is built from D's diagonal part alone (eta * I for the Gauss-Newton
+    step) when the constraint linearization supplies its Gram product.  For
+    a diagonal D and a full-rank G, P^-1 times the saddle-point matrix has
+    three distinct eigenvalues, so preconditioned MINRES stops in three
+    iterations (Murphy, Golub & Wathen 2000); with curvature they cluster
+    near those three (Benzi, Golub & Liesen 2005, section 10.1).  S is
+    factored once, by Cholesky after a shift of ``_SCHUR_SHIFT`` times its
+    mean diagonal.  When G loses rank, the shift would leave a null(G^T)
+    component in the multipliers, so the minimum-length answer needs
+    P = I: a failed factorization, or a squared pivot below ``_RANK_PIVOT``
+    shifts, gives None.
     """
     lin = state.constraint
-    if state.curvature is not None or lin is None or lin.gram is None:
+    if lin is None or lin.gram is None:
         return None
     d_inv = 1.0 / state.diag
     S = lin.gram(d_inv)

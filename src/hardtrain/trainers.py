@@ -37,7 +37,8 @@ _ADAM_EPS = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
-    """A metric went non-finite; carries the last finite parameters."""
+    """A step or a metric went non-finite, or the inner solve broke down;
+    carries the report so far, with the last finite parameters."""
 
     def __init__(self, message: str, report: "TrainReport"):
         super().__init__(message)
@@ -282,8 +283,11 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
         active = _select(problem, V, cfg, cseed)
         objective = problem.residual_function(data_idx)
         # resolved at call time, so a wrapper set on the module takes effect
-        step = (step_hard if hard else step_soft)(cfg.method, w, problem, objective,
-                                                  active, cfg, adam)
+        try:
+            step = (step_hard if hard else step_soft)(cfg.method, w, problem, objective,
+                                                      active, cfg, adam)
+        except kkt.SolverBreakdown as exc:
+            raise TrainingDiverged(f"{exc} at iteration {it}", report()) from exc
         adam = step.adam
         if not np.all(np.isfinite(step.multipliers)) or not np.all(np.isfinite(step.w)):
             raise TrainingDiverged(f"non-finite step at iteration {it}", report())

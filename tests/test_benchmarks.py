@@ -18,7 +18,7 @@ def test_gen_spheres_deterministic():
     b = bm.gen_spheres(64, 10, seed=7)
     np.testing.assert_array_equal(a.pool.samples, b.pool.samples)
     np.testing.assert_array_equal(a.x0, b.x0)
-    assert np.linalg.norm(a.x0) == pytest.approx(2 * a.radius)
+    assert np.linalg.norm(a.x0) == pytest.approx(2 * bm.SPHERE_RADIUS)
 
 
 def test_gen_spheres_center_norms_match_chi_moment():
@@ -127,8 +127,7 @@ def test_problem_spec_round_trip(tmp_path):
     bm.save_problem_spec(p, path)
     spec = json.loads(path.read_text())
     assert spec["kind"] == "spheres"
-    q = bm.gen_spheres(spec["dim"], spec["n_constraints"], spec["seed"], spec["radius"],
-                       spec["center_std"])
+    q = bm.gen_spheres(spec["dim"], spec["n_constraints"], spec["seed"])
     np.testing.assert_array_equal(p.pool.samples, q.pool.samples)
     np.testing.assert_array_equal(p.x0, q.x0)
 
@@ -138,7 +137,7 @@ def test_problem_spec_round_trip(tmp_path):
     spec = json.loads(path2.read_text())
     assert spec["kind"] == "toy_pose"
     tq = bm.gen_toy_pose(spec["seed"], spec["n_samples"], spec["n_pool"], spec["in_dim"],
-                         tuple(spec["hidden"]), spec["asym_noise"], spec["input_noise"])
+                         tuple(spec["hidden"]))
     np.testing.assert_array_equal(tp.train_x, tq.train_x)
     np.testing.assert_array_equal(tp.pool.samples, tq.pool.samples)
 

@@ -10,7 +10,8 @@ import pytest
 
 from hardtrain import autodiff as ad
 from hardtrain import benchmarks as bm
-from hardtrain import cli
+from hardtrain import cli, kkt
+from hardtrain.krylov import BREAKDOWN, KrylovSolution
 
 
 def write(tmp_path, name, text):
@@ -78,6 +79,9 @@ BAD_VALUE_BASES = {"spheres": SPHERES_SMALL, "toy_pose": POSE_SMALL,
                    "toy_pose_mined": POSE_SMALL + "mine = true\n"}
 
 
+REMOVED_KEYS = ("solver_rtol", "solver_max_iters", "asym_noise", "input_noise")
+
+
 @pytest.mark.parametrize("kind, line", [
     ("spheres", "method = hard_newton"),
     ("spheres", "lr = -1"),
@@ -90,6 +94,13 @@ BAD_VALUE_BASES = {"spheres": SPHERES_SMALL, "toy_pose": POSE_SMALL,
     ("spheres", "n_constraints = 0"),
     ("spheres", "solver_max_iters = 0"),
     ("spheres", "solver_rtol = 0"),
+    # settings that became constants are unknown keys, even at their old values
+    ("spheres", "solver_max_iters = 500"),
+    ("spheres", "solver_rtol = 1e-8"),
+    ("toy_pose", "solver_max_iters = 800"),
+    ("toy_pose", "solver_rtol = 1e-8"),
+    ("toy_pose", "asym_noise = 0.06"),
+    ("toy_pose", "input_noise = 0.01"),
     ("spheres", "soft_lambda = -1"),
     ("toy_pose", "epochs = -1"),
     ("toy_pose", "batch_data = 0"),
@@ -118,7 +129,8 @@ def test_run_bad_config_value_exits_2_without_outputs(tmp_path, capsys, kind, li
     assert rc == 2
     assert not out.exists()
     err = capsys.readouterr().err
-    assert f"bad value for {key!r}" in err and "Traceback" not in err
+    expect = f"unknown key {key!r}" if key in REMOVED_KEYS else f"bad value for {key!r}"
+    assert expect in err and "Traceback" not in err
 
 
 def test_run_zero_iterations_writes_header_plus_initial_row(tmp_path):
@@ -252,6 +264,30 @@ seed = 1
     assert summary["status"] == "numerical_failure"
     for r in cli.read_metrics(out / "metrics.csv"):
         assert np.isfinite(float(r["risk"]))
+
+
+def test_solver_breakdown_exits_3_and_keeps_the_last_iterate(tmp_path, capsys, monkeypatch):
+    # a breakdown at the 5th solve leaves the rows and parameters of a
+    # 4-iteration run
+    ref = tmp_path / "ref"
+    four = SPHERES_SMALL.replace("iterations = 25", "iterations = 4")
+    assert cli.main(["run", write(tmp_path, "four.txt", four), "--out-dir", str(ref)]) == 0
+    solve, calls = kkt.minres_qlp, []
+
+    def breaks_at_the_fifth_solve(op, b, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == 5:
+            return KrylovSolution(np.full(op.dim, np.nan), np.nan, 2, BREAKDOWN)
+        return solve(op, b, *args, **kwargs)
+
+    monkeypatch.setattr(kkt, "minres_qlp", breaks_at_the_fifth_solve)
+    out = tmp_path / "o"
+    assert cli.main(["run", write(tmp_path, "c.txt", SPHERES_SMALL), "--out-dir", str(out)]) == 3
+    assert "broke down" in capsys.readouterr().err
+    assert len((out / "metrics.csv").read_text().splitlines()) == 1 + 5
+    for name in ("metrics.csv", "params.bin"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+    assert json.loads((out / "summary.json").read_text())["status"] == "numerical_failure"
 
 
 def test_compare_self_is_unit_ratio(tmp_path):

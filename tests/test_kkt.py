@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from hardtrain import autodiff as ad
+from hardtrain import benchmarks as bm
+from hardtrain import constraints as cs
 from hardtrain import kkt
 from hardtrain.krylov import SolverConfig
 
@@ -319,7 +321,7 @@ def test_preconditioner_only_for_a_diagonal_block_with_a_gram_product():
     with_gram = gram_linearization(G, np.zeros(2))
     curvature = ad.linearize(LinearMap(rng.standard_normal((3, 4))), np.zeros(4))
     assert kkt.schur_preconditioner(kkt.KktState(1.0, np.ones(4), with_gram)) is not None
-    assert kkt.schur_preconditioner(kkt.KktState(1.0, np.ones(4), with_gram, curvature)) is None
+    assert kkt.schur_preconditioner(kkt.KktState(1.0, np.ones(4), with_gram, curvature)) is not None
     assert kkt.schur_preconditioner(kkt.KktState(1.0, np.ones(4))) is None
     without = ad.linearize(linear_constraints(G), np.zeros(4))
     assert without.gram is None
@@ -328,3 +330,23 @@ def test_preconditioner_only_for_a_diagonal_block_with_a_gram_product():
     # minimum-length
     dup = gram_linearization(np.vstack([G, G[:1]]), np.zeros(3))
     assert kkt.schur_preconditioner(kkt.KktState(1.0, np.ones(4), dup)) is None
+
+
+def test_gauss_newton_step_is_preconditioned_by_the_diagonal_part_of_d():
+    # P = diag(eta I, G G^T / eta) clusters the spectrum of a Gauss-Newton
+    # system on pose constraints: about 12 iterations, against about 50
+    # with P = I
+    problem = bm.gen_toy_pose(seed=0, n_samples=100, n_pool=20, in_dim=8, hidden=(12,))
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        w = problem.mlp.init_params(rng)
+        batch = rng.choice(problem.n_train, 32, replace=False)
+        res = ad.linearize(problem.residual_function(batch), w)
+        samples = np.sort(rng.choice(problem.pool.n_samples, 4, replace=False))
+        lin = ad.linearize(cs.active_constraint_function(problem.pool, problem.mlp, samples), w)
+        state = kkt.KktState(1.0 / 0.3, 0.5 * res.vjp(2.0 * res.value), lin, res)
+        step = kkt.solve_step(state, SolverConfig(rtol=1e-8, max_iters=800))
+        assert step.solution.status == "converged" and step.solution.iters <= 16
+        expect = np.linalg.solve(materialize(kkt.kkt_operator(state)), kkt.kkt_rhs(state))
+        got = np.concatenate([step.dw, step.multipliers])
+        assert np.linalg.norm(got - expect) <= 1e-7 * np.linalg.norm(expect)
