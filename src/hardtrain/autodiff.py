@@ -202,7 +202,8 @@ class IdentityOffset:
     """Trivial model y_k = w - x_k: the decision vector shifted by each sample.
 
     Lets parameter-space constraint families reuse the data-dependent
-    machinery: the sample is the offset, the head sees w - x_k.
+    machinery: the sample is the offset, the head sees w - x_k.  It has no
+    ``linearize``: :class:`~hardtrain.constraints.SphereRows` differentiates it.
     """
 
     def __init__(self, dim: int):
@@ -214,15 +215,6 @@ class IdentityOffset:
         """w - x_k for every row of X, written into ``out`` if given (which
         may be X itself)."""
         return np.subtract(w, np.atleast_2d(X), out=out)
-
-    def linearize(self, w: Vector, X: np.ndarray):
-        """(outputs, jvp, vjp, gram): every sample's output moves with w
-        itself, so the gradient of <H[k], output k> is H[k] and the Gram
-        matrix is H diag(d_inv) H^T."""
-        Y = self.forward(w, X)
-        return (Y, lambda v: np.broadcast_to(v, Y.shape),
-                lambda U: np.atleast_2d(U).sum(axis=0),
-                lambda rows, H, d_inv: (H * d_inv) @ H.T)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ pose run) and writes ``metrics.csv``, the fully resolved config and a
 ``summary.json`` into the output directory.  ``hardtrain compare a.csv
 b.csv`` emits paired statistics for two metric traces.
 
-Exit codes: 0 success, 2 configuration error (with a line/field
-diagnostic), 3 numerical failure (the last finite checkpoint is kept).
+Exit codes: 0 success, 2 configuration error (a bad key or value with a
+line/field diagnostic, or a failed set-up: an unreadable checkpoint, an
+output directory that cannot be made, a problem too large to allocate),
+3 numerical failure (the last finite checkpoint is kept).
 """
 
 from __future__ import annotations
@@ -51,58 +53,45 @@ def _parse_int_list(s):
     return tuple(int(x) for x in s.split(",") if x.strip())
 
 
+# value checks, applied as each key is parsed: (predicate, requirement)
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+_POSITIVE = (lambda v: v > 0, "> 0")
+_METHOD = (lambda v: v in tr.METHODS, f"one of {', '.join(tr.METHODS)}")
+
+# key: (parser, default, value check or None)
 _COMMON = {
-    "kind": (str, None),
-    "seed": (int, 0),
-    "out_dir": (str, ""),
+    "kind": (str, None, None),
+    "seed": (int, 0, _NON_NEGATIVE),
+    "out_dir": (str, "", None),
 }
 
 _SCHEMAS = {
     "spheres": {
-        "method": (str, "hard_sgd"),
-        "dim": (int, bm.SPHERE_DEMO_DIM),
-        "n_constraints": (int, bm.SPHERE_DEFAULT_CONSTRAINTS),
-        "n_active": (int, 20),
-        "iterations": (int, 500),
-        "lr": (float, None),            # default depends on the method
-        "soft_lambda": (float, bm.SPHERE_SOFT_LAMBDA),
+        "method": (str, "hard_sgd", _METHOD),
+        "dim": (int, bm.SPHERE_DEMO_DIM, (lambda v: v >= 2, ">= 2")),
+        "n_constraints": (int, bm.SPHERE_DEFAULT_CONSTRAINTS, _AT_LEAST_1),
+        "n_active": (int, 20, _AT_LEAST_1),
+        "iterations": (int, 500, _NON_NEGATIVE),
+        "lr": (float, None, _POSITIVE),        # default depends on the method
+        "soft_lambda": (float, bm.SPHERE_SOFT_LAMBDA, _NON_NEGATIVE),
     },
     "toy_pose": {
-        "method": (str, "soft_adam"),
-        "lr": (float, 1e-3),
-        "soft_lambda": (float, 0.0),
-        "epochs": (int, 100),
-        "batch_data": (int, 128),
-        "batch_constraints": (int, 128),
-        "mine": (_parse_bool, False),
-        "n_mined": (int, 16),
-        "n_samples": (int, 2000),
-        "n_pool": (int, 384),
-        "in_dim": (int, 48),
-        "hidden": (_parse_int_list, (192,)),
-        "init_checkpoint": (str, ""),
+        "method": (str, "soft_adam", _METHOD),
+        "lr": (float, 1e-3, _POSITIVE),
+        "soft_lambda": (float, 0.0, _NON_NEGATIVE),
+        "epochs": (int, 100, _NON_NEGATIVE),
+        "batch_data": (int, 128, _AT_LEAST_1),
+        "batch_constraints": (int, 128, _AT_LEAST_1),
+        "mine": (_parse_bool, False, None),
+        "n_mined": (int, 16, _AT_LEAST_1),
+        "n_samples": (int, 2000, (lambda v: v >= 2, ">= 2")),
+        "n_pool": (int, 384, _AT_LEAST_1),
+        "in_dim": (int, 48, _AT_LEAST_1),
+        "hidden": (_parse_int_list, (192,), (lambda v: all(h >= 1 for h in v),
+                                             "a list of widths >= 1")),
+        "init_checkpoint": (str, "", None),
     },
-}
-
-
-# value constraints, checked as each key is parsed: (predicate, requirement)
-_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
-_VALUE_CHECKS = {
-    "method": (lambda v: v in tr.METHODS, f"one of {', '.join(tr.METHODS)}"),
-    "lr": (lambda v: v > 0, "> 0"),
-    "dim": (lambda v: v >= 2, ">= 2"),
-    "hidden": (lambda v: all(h >= 1 for h in v), "a list of widths >= 1"),
-    "n_active": _AT_LEAST_1,
-    "iterations": (lambda v: v >= 0, ">= 0"),
-    "n_constraints": _AT_LEAST_1,
-    "soft_lambda": (lambda v: v >= 0, ">= 0"),
-    "epochs": (lambda v: v >= 0, ">= 0"),
-    "batch_data": _AT_LEAST_1,
-    "batch_constraints": _AT_LEAST_1,
-    "n_mined": _AT_LEAST_1,
-    "n_samples": (lambda v: v >= 2, ">= 2"),
-    "n_pool": _AT_LEAST_1,
-    "in_dim": _AT_LEAST_1,
 }
 
 
@@ -129,19 +118,19 @@ def parse_config(path) -> dict:
         raise ConfigError(f"{path}:{raw['kind'][1]}: unknown kind {kind!r} "
                           f"(expected one of {sorted(_SCHEMAS)})")
     schema = {**_COMMON, **_SCHEMAS[kind]}
-    cfg = {name: default for name, (_, default) in schema.items()}
+    cfg = {name: default for name, (_, default, _) in schema.items()}
     cfg["kind"] = kind
     for key, (value, lineno) in raw.items():
         if key not in schema:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r} for kind {kind!r}")
-        parse = schema[key][0]
+        parse, _, check = schema[key]
         try:
             cfg[key] = parse(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}")
-        if key in _VALUE_CHECKS and not _VALUE_CHECKS[key][0](cfg[key]):
+        if check and not check[0](cfg[key]):
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: "
-                              f"{value!r}, expected {_VALUE_CHECKS[key][1]}")
+                              f"{value!r}, expected {check[1]}")
     return cfg
 
 
@@ -295,13 +284,13 @@ def cmd_run(args) -> int:
         if args.full_scale and cfg["kind"] == "spheres":
             cfg["dim"] = bm.SPHERE_FULL_DIM
         setup = _SETUPS[cfg["kind"]](cfg)
-    except (ConfigError, ValueError, OSError) as exc:
+        out_dir = resolve_out_dir(cfg, args.config, args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        cfg["out_dir"] = str(out_dir)
+        write_resolved_config(out_dir / "resolved_config.txt", cfg)
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = resolve_out_dir(cfg, args.config, args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg["out_dir"] = str(out_dir)
-    write_resolved_config(out_dir / "resolved_config.txt", cfg)
     return _train_and_write(out_dir, cfg, *setup)
 
 

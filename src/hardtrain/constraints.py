@@ -58,7 +58,8 @@ SYMMETRY_JOINTS = tuple(tuple(JOINT_NAMES.index(n) for n in row) for row in SYMM
 # Constraint heads: batched residuals of the model output.  ``value(Y)``
 # maps outputs (n, out_dim) to residuals (n, n_constraints);
 # ``linearize(Y)`` returns them with jvp (dY -> dC) and vjp (U -> dY)
-# closures that hold everything depending on Y alone.
+# closures that hold everything depending on Y alone.  The sphere head is
+# the exception: it holds a radius, and SphereRows does the rest.
 # ---------------------------------------------------------------------------
 
 
@@ -122,7 +123,8 @@ class SymmetryHead:
 
 
 class SphereRadiusHead:
-    """Single residual ||y|| - radius per sample (y = offset from a center)."""
+    """The radius of a pool of sphere residuals ||w - x_k|| - radius, one per
+    sample, which :func:`violation_matrix` and :class:`SphereRows` compute."""
 
     n_constraints = 1
 
@@ -130,33 +132,6 @@ class SphereRadiusHead:
         if radius <= 0:
             raise ValueError(f"radius must be positive, got {radius}")
         self.radius = radius
-
-    def _norms(self, Y):
-        return np.maximum(np.linalg.norm(Y, axis=1), 1e-30)
-
-    def value(self, Y):
-        return (self._norms(Y) - self.radius)[:, None]
-
-    def directions(self, Y):
-        """(residuals (n, 1), unit rows Y / ||Y||): the head's Jacobian.
-
-        The unit rows are written over Y, so the only n x d array is the
-        caller's.  The squares go through one d-vector, a row at a time,
-        so the norms are ``value``'s bit for bit.
-        """
-        sq = np.empty(Y.shape[1])
-        norms = np.empty(Y.shape[0])
-        for i, row in enumerate(Y):
-            np.multiply(row, row, out=sq)
-            norms[i] = sq.sum()
-        norms = np.maximum(np.sqrt(norms), 1e-30)
-        Y /= norms[:, None]
-        return (norms - self.radius)[:, None], Y
-
-    def linearize(self, Y):
-        C, units = self.directions(np.array(Y, dtype=np.float64))
-        return (C, lambda dY: np.einsum("nd,nd->n", units, dY)[:, None],
-                lambda U: U[:, :1] * units)
 
 
 # ---------------------------------------------------------------------------
@@ -313,20 +288,34 @@ class StackedConstraints(ad.DiffFunction):
 
 
 class SphereRows(StackedConstraints):
-    """Active sphere residuals of an :class:`~hardtrain.autodiff.IdentityOffset`
-    model, one per listed sample.  Their Jacobian is the matrix of unit
-    directions U = (w - X) / ||w - X||, formed once per linearization in
-    the buffer that gathers the active X, so a product is one GEMV: jvp is
-    U v, vjp is u U, and the Gram matrix is U diag(d_inv) U^T."""
+    """Active sphere residuals ||w - x_k|| - radius of an
+    :class:`~hardtrain.autodiff.IdentityOffset` model, one per listed
+    sample.  Their Jacobian is the matrix of unit directions
+    U = (w - X) / ||w - X||, formed once per linearization in the buffer
+    that gathers the active X, so the only m x d array is that buffer and a
+    product is one GEMV: jvp is U v, vjp is u U, and the Gram matrix is
+    U diag(d_inv) U^T."""
+
+    def value(self, w):
+        return self.linearize(w)[0]
 
     def linearize(self, w):
         X = self.X
-        C, units = self.pool.head.directions(self.model.forward(w, X, out=X))
+        units = self.model.forward(w, X, out=X)
+        # the squares go through one d-vector, a row at a time, so the
+        # norms are np.linalg.norm's bit for bit
+        sq = np.empty(units.shape[1])
+        norms = np.empty(units.shape[0])
+        for i, row in enumerate(units):
+            np.multiply(row, row, out=sq)
+            norms[i] = sq.sum()
+        norms = np.maximum(np.sqrt(norms), 1e-30)
+        units /= norms[:, None]
 
         def gram(d_inv):
             return d_inv * (units @ units.T) if np.ndim(d_inv) == 0 else (units * d_inv) @ units.T
 
-        return C.ravel(), lambda v: units @ v, lambda u: u @ units, gram
+        return norms - self.pool.head.radius, lambda v: units @ v, lambda u: u @ units, gram
 
 
 def active_constraint_function(pool: ConstraintPool, model, samples) -> StackedConstraints:

@@ -16,9 +16,10 @@ from hardtrain import trainers as tr
 from hardtrain.krylov import SolverConfig, minres_qlp
 
 from util import (
+    AnchorProblem,
+    LinearHead,
     LinearMap,
     ModelOutputs,
-    anchor_residuals,
     dense_random_mlp,
     from_dense,
     materialize,
@@ -155,36 +156,6 @@ def test_criterion_3_kkt_structural_equivalence():
 # -- 4 ----------------------------------------------------------------------
 
 
-class _LinearProblem:
-    """Quadratic risk with data-dependent linear constraints."""
-
-    def __init__(self, x0, H, samples, shifts):
-        self.x0 = np.asarray(x0, dtype=float)
-        self.model = ad.IdentityOffset(len(self.x0))
-        self.n_train = 0
-        head = _LinHead(H, shifts)
-        self.pool = cs.ConstraintPool(samples, head)
-
-    def residual_function(self, idx):
-        return anchor_residuals(self.x0)
-
-    def prediction_error(self, w):
-        return 0.0
-
-
-class _LinHead:
-    def __init__(self, H, shifts):
-        self.H = np.atleast_2d(H)
-        self.shifts = np.asarray(shifts, dtype=float)
-        self.n_constraints = self.H.shape[0]
-
-    def value(self, Y):
-        return Y @ self.H.T + self.shifts
-
-    def linearize(self, Y):
-        return self.value(Y), lambda dY: np.asarray(dY) @ self.H.T, lambda U: U @ self.H
-
-
 def test_criterion_4_hard_exactness_on_linear_constraints():
     rng = np.random.default_rng(11)
     n_p, n_c = 12, 5
@@ -192,7 +163,8 @@ def test_criterion_4_hard_exactness_on_linear_constraints():
     w_feasible = rng.standard_normal(n_p)
     # one pooled sample at the origin, shifts chosen so C(w_feasible) = 0
     shifts = -(H @ w_feasible)
-    prob = _LinearProblem(rng.standard_normal(n_p), H, np.zeros((1, n_p)), shifts)
+    prob = AnchorProblem(rng.standard_normal(n_p),
+                         cs.ConstraintPool(np.zeros((1, n_p)), LinearHead(H, shifts)))
     active = np.array([0])
     w = rng.standard_normal(n_p) * 2.0
     cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=0.7, iterations=1,
@@ -214,21 +186,7 @@ def test_criterion_5_fixed_set_two_circle_convergence():
     centers = np.array([[0.0, 0.0], [1.0, 0.0]])
     pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(10.0))
 
-    class P:
-        model = ad.IdentityOffset(2)
-        n_train = 0
-
-        def __init__(self):
-            self.pool = pool
-            self.x0 = np.array([0.3, 9.0])
-
-        def residual_function(self, idx):
-            return anchor_residuals(self.x0)
-
-        def prediction_error(self, w):
-            return 0.0
-
-    prob = P()
+    prob = AnchorProblem([0.3, 9.0], pool)
     active = np.array([0, 1])
     cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=1.0, iterations=1,
                          solver=SolverConfig(rtol=1e-12))
@@ -311,7 +269,7 @@ def test_criterion_8_mining_optimality():
         H = rng.standard_normal((n_c, 3))
         shift = rng.standard_normal(n_c)
         pool = cs.ConstraintPool(rng.standard_normal((n, 3)),
-                                 _LinHead(H, shift))
+                                 LinearHead(H, shift))
         model = ad.IdentityOffset(3)
         w = rng.standard_normal(3)
         n_keep = int(rng.integers(1, n + 1))

@@ -3,13 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from hardtrain import autodiff as ad
 from hardtrain import benchmarks as bm
 from hardtrain import constraints as cs
 from hardtrain import trainers as tr
 from hardtrain.krylov import SolverConfig
 
-from util import (anchor_residuals, hypersphere_residuals, risk, risk_gradient,
+from util import (AnchorProblem, hypersphere_residuals, risk, risk_gradient,
                   stencil_crosses_kink, symmetry_residuals)
 
 
@@ -164,21 +163,7 @@ def test_near_parallel_linearizations_send_step_far():
     centers = np.array([[0.0, 0.0], [0.05, 0.0]])
     pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(10.0))
 
-    class P:
-        model = ad.IdentityOffset(2)
-        n_train = 0
-
-        def __init__(self):
-            self.pool = pool
-            self.x0 = np.array([5.0, 9.0])
-
-        def residual_function(self, idx):
-            return anchor_residuals(self.x0)
-
-        def prediction_error(self, w):
-            return 0.0
-
-    prob = P()
+    prob = AnchorProblem([5.0, 9.0], pool)
     w = prob.x0.copy()
     dist_to_surface = max(abs(hypersphere_residuals(w, centers, 10.0)))
     cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=1.0, iterations=1,

@@ -92,6 +92,7 @@ REMOVED_KEYS = ("solver_rtol", "solver_max_iters", "asym_noise", "input_noise")
     ("toy_pose", "hidden = 16,0"),
     ("toy_pose", "lr = -0.5"),
     ("spheres", "n_constraints = 0"),
+    ("spheres", "seed = -1"),
     ("spheres", "solver_max_iters = 0"),
     ("spheres", "solver_rtol = 0"),
     # settings that became constants are unknown keys, even at their old values
@@ -131,6 +132,23 @@ def test_run_bad_config_value_exits_2_without_outputs(tmp_path, capsys, kind, li
     err = capsys.readouterr().err
     expect = f"unknown key {key!r}" if key in REMOVED_KEYS else f"bad value for {key!r}"
     assert expect in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("config, out_name", [
+    # an output directory below a regular file
+    (SPHERES_SMALL, "plain/out"),
+    # 200 centers of dimension 1e12 take 1.6e15 bytes, beyond any user
+    # address space: the allocation fails at once
+    ("kind = spheres\ndim = 1000000000000\n", "out"),
+], ids=["out_dir_below_a_file", "too_large_to_allocate"])
+def test_run_failed_set_up_exits_2_without_outputs(tmp_path, capsys, config, out_name):
+    (tmp_path / "plain").write_text("")
+    out = tmp_path / out_name
+    rc = cli.main(["run", write(tmp_path, "c.txt", config), "--out-dir", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
 
 
 def test_run_zero_iterations_writes_header_plus_initial_row(tmp_path):

@@ -8,22 +8,7 @@ from hardtrain import autodiff as ad
 from hardtrain import benchmarks as bm
 from hardtrain import constraints as cs
 
-from util import BoundHead, hypersphere_residuals, symmetry_residuals
-
-
-class LinearHead:
-    """Test head: C(y) = H y + c."""
-
-    def __init__(self, H, c=None):
-        self.H = np.atleast_2d(np.asarray(H, dtype=float))
-        self.c = np.zeros(self.H.shape[0]) if c is None else np.asarray(c, dtype=float)
-        self.n_constraints = self.H.shape[0]
-
-    def value(self, Y):
-        return Y @ self.H.T + self.c
-
-    def linearize(self, Y):
-        return self.value(Y), lambda dY: np.asarray(dY) @ self.H.T, lambda U: U @ self.H
+from util import BoundHead, LinearHead, hypersphere_residuals, symmetry_residuals
 
 
 def symmetric_pose(rng=None, scale=1.0):
@@ -256,6 +241,7 @@ def test_sphere_rows_linearize_in_one_buffer_and_leave_the_pool_intact():
     np.testing.assert_array_equal(pool.samples, kept)
     expect = hypersphere_residuals(w, kept[1::2], 10.0)
     np.testing.assert_array_equal(lin.value, expect)
+    np.testing.assert_array_equal(ad.value(rows, w), lin.value)
     Y = w - kept[1::2]
     v = rng.standard_normal(d)
     np.testing.assert_allclose(lin.jvp(v), (Y / np.linalg.norm(Y, axis=1)[:, None]) @ v,

@@ -11,7 +11,8 @@ from hardtrain import benchmarks as bm
 from hardtrain import constraints as cs
 from hardtrain import kkt, linops
 
-from util import BoundHead, LinearMap, ModelOutputs, dense_random_mlp, symmetry_defect
+from util import (BoundHead, LinearMap, ModelOutputs, OffsetModel, SphereHead, dense_random_mlp,
+                  symmetry_defect)
 
 # fixed example stream, no example database: the suite stays reproducible
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -48,7 +49,7 @@ def _functions(rng):
         ("anchor", bm._AnchorResiduals(rng.standard_normal(d)), w_off),
         ("symmetry", _stacked(rng, cs.SymmetryHead(), pose_mlp, pose_mlp.in_dim),
          pose_w),
-        ("sphere", _stacked(rng, cs.SphereRadiusHead(2.0), ad.IdentityOffset(d), d),
+        ("sphere", _stacked(rng, SphereHead(2.0), OffsetModel(d), d),
          w_off),
         ("sphere_rows", cs.active_constraint_function(sphere_pool, ad.IdentityOffset(d),
                                                       sphere_active), w_off),
@@ -102,7 +103,8 @@ def test_sphere_rows_match_the_generic_stack():
     assert isinstance(rows, cs.SphereRows)
     w = rng.standard_normal(d)
     fast = ad.linearize(rows, w)
-    generic = ad.linearize(cs.StackedConstraints(pool, model, active), w)
+    reference = cs.ConstraintPool(pool.samples, SphereHead(3.0))
+    generic = ad.linearize(cs.StackedConstraints(reference, OffsetModel(d), active), w)
     v, u = rng.standard_normal(d), rng.standard_normal(4)
     np.testing.assert_allclose(fast.value, generic.value, rtol=1e-14)
     np.testing.assert_allclose(fast.jvp(v), generic.jvp(v), rtol=1e-12)

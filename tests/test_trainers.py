@@ -8,39 +8,7 @@ from hardtrain import kkt
 from hardtrain import trainers as tr
 from hardtrain.krylov import SolverConfig
 
-from util import anchor_residuals
-
-
-class LinearHead:
-    def __init__(self, H, c=None):
-        self.H = np.atleast_2d(np.asarray(H, dtype=float))
-        self.c = np.zeros(self.H.shape[0]) if c is None else np.asarray(c, dtype=float)
-        self.n_constraints = self.H.shape[0]
-
-    def value(self, Y):
-        return Y @ self.H.T + self.c
-
-    def linearize(self, Y):
-        return self.value(Y), lambda dY: np.asarray(dY) @ self.H.T, lambda U: U @ self.H
-
-
-class ToyProblem:
-    """Quadratic risk 0.5||w - x0||^2 with a data-dependent constraint pool."""
-
-    def __init__(self, x0, pool):
-        self.x0 = np.asarray(x0, dtype=float)
-        self.model = ad.IdentityOffset(len(self.x0))
-        self.pool = pool
-        self.n_train = 0
-
-    def initial_params(self, rng):
-        return self.x0.copy()
-
-    def residual_function(self, idx):
-        return anchor_residuals(self.x0)
-
-    def prediction_error(self, w):
-        return 0.0
+from util import AnchorProblem, LinearHead
 
 
 def sphere_pool(centers, radius):
@@ -129,7 +97,7 @@ def soft_sgd_step(prob, w, lam, lr=0.1):
 
 def test_soft_objective_zero_lambda_is_risk():
     pool = sphere_pool([[5.0, 0.0]], 1.0)
-    prob = ToyProblem([1.0, 1.0], pool)
+    prob = AnchorProblem([1.0, 1.0], pool)
     w = np.array([0.5, -0.5])
     step = soft_sgd_step(prob, w, 0.0)
     np.testing.assert_allclose(step.w, w - 0.1 * (w - prob.x0), rtol=1e-15)
@@ -137,7 +105,7 @@ def test_soft_objective_zero_lambda_is_risk():
 
 def test_soft_objective_satisfied_constraints_is_risk():
     pool = sphere_pool([[0.0, 0.0]], 1.0)
-    prob = ToyProblem([2.0, 0.0], pool)
+    prob = AnchorProblem([2.0, 0.0], pool)
     w = np.array([1.0, 0.0])  # exactly on the sphere
     step = soft_sgd_step(prob, w, 100.0)
     assert active_median(prob, w, full_active(pool)) == 0.0
@@ -148,7 +116,7 @@ def test_soft_objective_single_constraint_hand_value():
     # residual 0.1 with lambda 100 adds 2 * 100 * 0.1 = 20 to the risk
     # gradient 1.1: w' = 1.1 - 0.01 * 21.1
     pool = sphere_pool([[0.0]], 1.0)
-    prob = ToyProblem([0.0], pool)
+    prob = AnchorProblem([0.0], pool)
     step = soft_sgd_step(prob, np.array([1.1]), 100.0, lr=0.01)
     np.testing.assert_allclose(step.w, [0.889], rtol=1e-12)
     assert active_median(prob, np.array([1.1]), full_active(pool)) == pytest.approx(0.1, rel=1e-12)
@@ -157,7 +125,7 @@ def test_soft_objective_single_constraint_hand_value():
 
 def test_step_soft_sgd_unconstrained_is_gradient_descent():
     pool = sphere_pool([[9.0, 9.0]], 1.0)
-    prob = ToyProblem([1.0, -1.0], pool)
+    prob = AnchorProblem([1.0, -1.0], pool)
     w = np.array([3.0, 2.0])
     empty = np.zeros(0, dtype=int)
     cfg = tr.TrainConfig(method=tr.SOFT_SGD, lr=0.1, soft_lambda=0.0, iterations=1)
@@ -169,7 +137,7 @@ def test_step_soft_converges_to_analytic_penalized_minimizer():
     # 1-D: 0.5 (w-a)^2 + lam (w-b)^2 has minimizer (a + 2 lam b) / (1 + 2 lam)
     a, b, lam = 2.0, -1.0, 3.0
     pool = linear_pool([[1.0]], [[b]])     # C(w) = w - b
-    prob = ToyProblem([a], pool)
+    prob = AnchorProblem([a], pool)
     cfg = tr.TrainConfig(method=tr.SOFT_SGD, lr=0.1, soft_lambda=lam, iterations=1)
     w = np.array([0.0])
     objective = prob.residual_function(None)
@@ -185,7 +153,7 @@ def test_step_soft_converges_to_analytic_penalized_minimizer():
 
 def test_step_hard_two_fixed_circles_converges_to_intersection():
     pool = sphere_pool([[0.0, 0.0], [1.0, 0.0]], 10.0)
-    prob = ToyProblem([0.3, 9.0], pool)
+    prob = AnchorProblem([0.3, 9.0], pool)
     cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=1.0, iterations=1,
                          solver=SolverConfig(rtol=1e-12))
     w = prob.x0.copy()
@@ -199,7 +167,7 @@ def test_step_hard_two_fixed_circles_converges_to_intersection():
 def test_step_hard_tangent_gradient_matches_unconstrained():
     # satisfied constraint w0 = 0 with gradient along the tangent direction
     pool = linear_pool([[1.0, 0.0]], [[0.0, 0.0]])
-    prob = ToyProblem([0.0, -4.0], pool)    # gradient (w - x0) points along e1
+    prob = AnchorProblem([0.0, -4.0], pool)    # gradient (w - x0) points along e1
     w = np.array([0.0, 2.0])
     cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=0.5, iterations=1,
                          solver=SolverConfig(rtol=1e-12))
@@ -211,7 +179,7 @@ def test_step_hard_tangent_gradient_matches_unconstrained():
 
 def test_step_hard_clears_violated_linear_constraint():
     pool = linear_pool([[1.0, 0.0]], [[0.0, 0.0]], c=[-1.0])  # C = w0 - 1
-    prob = ToyProblem([0.0, 0.0], pool)
+    prob = AnchorProblem([0.0, 0.0], pool)
     w = np.zeros(2)
     cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=0.5, iterations=1,
                          solver=SolverConfig(rtol=1e-12))
@@ -224,7 +192,7 @@ def test_step_hard_clears_violated_linear_constraint():
 
 def test_step_hard_gn_and_adam_variants_run():
     pool = sphere_pool([[0.0, 0.0]], 2.0)
-    prob = ToyProblem([3.0, 0.0], pool)
+    prob = AnchorProblem([3.0, 0.0], pool)
     objective = prob.residual_function(None)
     cfg = tr.TrainConfig(method=tr.HARD_GN, lr=0.5, iterations=1,
                          solver=SolverConfig(rtol=1e-10))
@@ -241,7 +209,7 @@ def test_step_hard_gn_and_adam_variants_run():
 def test_step_hard_adam_without_constraints_is_adam():
     # with no active constraint the saddle-point system is D dw = -m, and
     # its solution must be the bias-corrected Adam step
-    prob = ToyProblem([1.0, -2.0, 3.0, 0.5], sphere_pool([[0.0] * 4], 1.0))
+    prob = AnchorProblem([1.0, -2.0, 3.0, 0.5], sphere_pool([[0.0] * 4], 1.0))
     empty = np.zeros(0, dtype=int)
     cfg = tr.TrainConfig(method=tr.HARD_ADAM, lr=0.05, iterations=1,
                          solver=SolverConfig(rtol=1e-14))
@@ -262,7 +230,7 @@ def test_step_hard_adam_without_constraints_is_adam():
 
 def test_train_zero_iterations_reports_initial_metrics_only():
     pool = sphere_pool([[0.0, 0.0]], 1.0)
-    prob = ToyProblem([2.0, 0.0], pool)
+    prob = AnchorProblem([2.0, 0.0], pool)
     report = tr.train(tr.TrainConfig(method=tr.SOFT_SGD, lr=0.1, iterations=0), prob)
     assert report.rows == []
     assert report.initial_row.iteration == 0
@@ -272,7 +240,7 @@ def test_train_zero_iterations_reports_initial_metrics_only():
 def test_train_seed_reproducibility():
     rng = np.random.default_rng(0)
     pool = sphere_pool(rng.normal(0, 0.1, (12, 3)), 2.0)
-    prob = ToyProblem(rng.normal(0, 1, 3) * 3, pool)
+    prob = AnchorProblem(rng.normal(0, 1, 3) * 3, pool)
     cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=1.0, iterations=20,
                          batch_constraints=4, seed=42,
                          solver=SolverConfig(rtol=1e-10))
@@ -287,7 +255,7 @@ def test_train_seed_reproducibility():
 def test_soft_and_hard_share_batch_streams():
     rng = np.random.default_rng(1)
     pool = sphere_pool(rng.normal(0, 0.1, (10, 2)), 3.0)
-    prob = ToyProblem(np.array([4.0, 0.0]), pool)
+    prob = AnchorProblem(np.array([4.0, 0.0]), pool)
     base = dict(lr=1e-3, iterations=15, batch_constraints=3, seed=7,
                 solver=SolverConfig(rtol=1e-10))
     soft = tr.train(tr.TrainConfig(method=tr.SOFT_SGD, **base), prob)
@@ -298,9 +266,9 @@ def test_soft_and_hard_share_batch_streams():
 def test_train_fixed_feasible_linear_constraints_stay_satisfied():
     # every sample is active every iteration; constraint: first coordinate 0
     pool = linear_pool([[1.0, 0.0]], [[0.0, 0.0]])
-    prob = ToyProblem([-2.0, -3.0], pool)
+    prob = AnchorProblem([-2.0, -3.0], pool)
 
-    class Fixed(ToyProblem):
+    class Fixed(AnchorProblem):
         def initial_params(self, rng):
             return np.array([0.0, 5.0])
 
@@ -314,7 +282,7 @@ def test_train_fixed_feasible_linear_constraints_stay_satisfied():
 def test_train_multiplier_counts_and_finiteness():
     rng = np.random.default_rng(2)
     pool = sphere_pool(rng.normal(0, 0.1, (6, 2)), 5.0)
-    prob = ToyProblem(np.array([7.0, 0.0]), pool)
+    prob = AnchorProblem(np.array([7.0, 0.0]), pool)
     cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=1.0, iterations=5,
                          batch_constraints=6, solver=SolverConfig(rtol=1e-10))
     w = prob.initial_params(np.random.default_rng(0))
@@ -328,7 +296,7 @@ def test_train_validation_checkpoint_keeper():
     rng = np.random.default_rng(3)
     pool = sphere_pool(rng.normal(0, 0.1, (5, 2)), 2.0)
 
-    class WithVal(ToyProblem):
+    class WithVal(AnchorProblem):
         def prediction_error(self, w):
             return float(np.linalg.norm(w - self.x0))
 
@@ -346,7 +314,7 @@ def test_train_config_validation():
     with pytest.raises(ValueError, match="lr"):
         tr.TrainConfig(method=tr.SOFT_SGD, lr=0.0)
     pool = sphere_pool([[0.0]], 1.0)
-    prob = ToyProblem([0.0], pool)
+    prob = AnchorProblem([0.0], pool)
     with pytest.raises(ValueError, match="iterations"):
         tr.train(tr.TrainConfig(method=tr.SOFT_SGD), prob)
 
@@ -503,7 +471,7 @@ def test_hard_solves_take_a_few_krylov_iterations(problem, settings):
 def test_report_holds_no_parameter_copies():
     # nothing writes a parameter vector in place, so the report shares the
     # last iterate when it is the best, and the warm start is left as given
-    class WithVal(ToyProblem):
+    class WithVal(AnchorProblem):
         def prediction_error(self, w):
             return float(np.linalg.norm(w - self.x0))
 
@@ -519,7 +487,7 @@ def test_report_holds_no_parameter_copies():
 def test_constant_validation_reports_the_final_iterate_as_best():
     # equally good iterates keep the latest: with no validation signal the
     # best parameters are the final ones, not a copy of the initial ones
-    prob = ToyProblem([2.0, 0.0], sphere_pool([[0.0, 0.0]], 1.0))
+    prob = AnchorProblem([2.0, 0.0], sphere_pool([[0.0, 0.0]], 1.0))
     report = tr.train(tr.TrainConfig(method=tr.SOFT_SGD, lr=0.1, iterations=4), prob)
     assert report.best_val_error == 0.0
     assert report.best_params is report.final_params

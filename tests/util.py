@@ -1,5 +1,12 @@
-"""Shared generators for the solver test batteries, and test oracles and
-fixtures that the library itself does not need."""
+"""Shared generators for the solver test batteries, and the test oracles
+and fixtures that the library itself does not need.  Each fixture lives
+here once, whichever test modules use it.
+
+``SphereHead`` and ``OffsetModel`` put the sphere family on the generic
+head and model protocols (``value``/``linearize`` of the outputs), which
+the library's sphere path skips: they are the reference that
+``constraints.SphereRows`` is checked against, and ``OffsetModel`` lets any
+head stack on w - x_k through ``StackedConstraints``."""
 
 from typing import Sequence
 
@@ -171,6 +178,72 @@ class BoundHead:
             return out
 
         return self.value(Y), lambda dY: np.asarray(dY)[:, self.coords], vjp
+
+
+class LinearHead:
+    """Residuals C(y) = H y + c per sample."""
+
+    def __init__(self, H, c=None):
+        self.H = np.atleast_2d(np.asarray(H, dtype=float))
+        self.c = np.zeros(self.H.shape[0]) if c is None else np.asarray(c, dtype=float)
+        self.n_constraints = self.H.shape[0]
+
+    def value(self, Y):
+        return Y @ self.H.T + self.c
+
+    def linearize(self, Y):
+        return self.value(Y), lambda dY: np.asarray(dY) @ self.H.T, lambda U: U @ self.H
+
+
+class SphereHead:
+    """Residual ||y|| - radius per sample, from np.linalg.norm."""
+
+    n_constraints = 1
+
+    def __init__(self, radius: float):
+        self.radius = radius
+
+    def value(self, Y):
+        return np.linalg.norm(Y, axis=1)[:, None] - self.radius
+
+    def linearize(self, Y):
+        norms = np.linalg.norm(Y, axis=1)[:, None]
+        units = Y / norms
+        return (norms - self.radius, lambda dY: np.einsum("nd,nd->n", units, dY)[:, None],
+                lambda U: U[:, :1] * units)
+
+
+class OffsetModel(ad.IdentityOffset):
+    """w - x_k with the generic model linearization (outputs, jvp, vjp, gram)."""
+
+    def linearize(self, w, X):
+        """Every sample's output moves with w itself, so the gradient of
+        <H[k], output k> is H[k] and the Gram matrix is H diag(d_inv) H^T."""
+        Y = self.forward(w, X)
+        return (Y, lambda v: np.broadcast_to(v, Y.shape),
+                lambda U: np.atleast_2d(U).sum(axis=0),
+                lambda rows, H, d_inv: (H * d_inv) @ H.T)
+
+
+class AnchorProblem:
+    """Quadratic risk 0.5 ||w - x0||^2 with a data-dependent constraint pool
+    on w - x_k, started at x0."""
+
+    n_train = 0
+
+    def __init__(self, x0, pool):
+        self.x0 = np.asarray(x0, dtype=float)
+        self.model = OffsetModel(len(self.x0))
+        self.pool = pool
+
+    def initial_params(self, rng):
+        return self.x0.copy()
+
+    def residual_function(self, idx):
+        return anchor_residuals(self.x0)
+
+    def prediction_error(self, w):
+        return 0.0
 
 
 class LinearMap(ad.DiffFunction):
