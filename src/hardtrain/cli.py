@@ -280,6 +280,9 @@ def cmd_run(args) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
+            if not _NON_NEGATIVE[0](args.seed):
+                raise ConfigError(f"bad value for '--seed': {args.seed}, "
+                                  f"expected {_NON_NEGATIVE[1]}")
             cfg["seed"] = args.seed
         if args.full_scale and cfg["kind"] == "spheres":
             cfg["dim"] = bm.SPHERE_FULL_DIM
@@ -304,12 +307,25 @@ COMPARE_COLUMNS = ("median_violation", "active_delta")
 
 
 def read_metrics(path):
+    """The rows of a metrics trace, with the ``COMPARE_COLUMNS`` cells as
+    floats; a trace without rows or with a missing or non-numeric cell in
+    those columns is refused."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in COMPARE_COLUMNS if c not in (reader.fieldnames or ())]
         if missing:
             raise ConfigError(f"{path}: metrics trace lacks column(s) {', '.join(missing)}")
-        return list(reader)
+        rows = list(reader)
+    if not rows:
+        raise ConfigError(f"{path}: metrics trace has no rows")
+    for lineno, row in enumerate(rows, 2):
+        for col in COMPARE_COLUMNS:
+            try:
+                row[col] = float(row[col])
+            except (TypeError, ValueError):
+                raise ConfigError(f"{path}:{lineno}: bad value for {col!r}: "
+                                  f"{row[col]!r}, expected a number") from None
+    return rows
 
 
 def compare(rows_a, rows_b) -> dict:
@@ -318,7 +334,7 @@ def compare(rows_a, rows_b) -> dict:
         raise ConfigError(f"traces differ in length: {len(rows_a)} vs {len(rows_b)}")
 
     def trace(rows, col):
-        return np.array([float(r[col]) for r in rows])
+        return np.array([r[col] for r in rows], dtype=np.float64)
 
     mv_a, mv_b = trace(rows_a, "median_violation"), trace(rows_b, "median_violation")
     d_a, d_b = trace(rows_a, "active_delta"), trace(rows_b, "active_delta")

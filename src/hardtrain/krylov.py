@@ -21,6 +21,15 @@ preconditioned result is kept only when its recomputed residual
 meets ``rtol``; otherwise the system is solved again with P = I, which
 keeps the minimum-length least-squares contract, and ``iters`` counts
 every sweep.
+
+Each sweep takes one update form for all of its iterations.  A
+preconditioned sweep updates x in MINRES form: a P that does its job
+leaves P^-1 B well conditioned (the Schur preconditioner of the KKT
+systems leaves three eigenvalue clusters), and a result that misses
+``rtol`` goes to the P = I solve anyway.  A P = I sweep updates x in QLP
+form from its first iteration: it is the solve for singular and
+ill-conditioned systems, and the QLP form drops a direction whose pivot is
+at roundoff level instead of dividing by it.
 """
 
 from __future__ import annotations
@@ -42,12 +51,10 @@ BREAKDOWN = "breakdown"
 _EPS = np.finfo(np.float64).eps
 _REALMIN = np.finfo(np.float64).tiny
 
-# the standard MINRES-QLP safeguards: a norm cap on the iterate, a
-# condition-estimate cap, and the condition threshold at which the update
-# recurrences transfer from MINRES to QLP form
+# the standard MINRES-QLP safeguards: a norm cap on the iterate and a
+# condition-estimate cap
 _MAXXNORM = 1e12
 _ACONDLIM = 1e15
-_TRANCOND = 1e7
 
 
 @dataclass
@@ -146,15 +153,18 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
     """One MINRES-QLP sweep; returns (x, iters, flag, anorm, acond,
     nonfinite, xres).
 
-    With ``precond`` (applying P^-1) the Lanczos recurrences are the
+    Without ``precond`` the sweep updates x in QLP form throughout.  With
+    ``precond`` (applying P^-1) the Lanczos recurrences are the
     preconditioned ones: each iteration takes z = P^-1 r and
     beta = sqrt(r . z), so the norms, estimates and stopping tests are in
-    the P^-1-norm; when their convergence test passes but the recomputed
-    Euclidean residual does not meet ``rtol``, the sweep goes on with the
-    P^-1-norm target tightened by that gap.  ``xres`` is that Euclidean
-    ||b - Bx|| when it was measured for the returned x, else None.  A
-    preconditioner that gives r . z < 0 (not SPD) ends the sweep as
-    non-finite.
+    the P^-1-norm, and x is updated in MINRES form.  An iteration that
+    finds a negligible QLP pivot or an overlong iterate (flag 9 or 6) ends
+    such a sweep with x left at the last iterate.  When the convergence
+    test passes but the recomputed Euclidean residual does not meet
+    ``rtol``, the sweep goes on with the P^-1-norm target tightened by
+    that gap.  ``xres`` is that Euclidean ||b - Bx|| when it was measured
+    for the returned x, else None.  A preconditioner that gives r . z < 0
+    (not SPD) ends the sweep as non-finite.
     """
     n = op.dim
     rtol = rtol_p = cfg.rtol
@@ -174,7 +184,6 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
     FLAG_GO = -2
     flag = FLAG_GO
     iters = 0
-    qlp_iter = 0
     nonfinite = False
 
     # Lanczos state
@@ -197,9 +206,6 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
     eta, etal, etal2 = 0.0, 0.0, 0.0
     vepln, veplnl, veplnl2 = 0.0, 0.0, 0.0
     u, ul, ul2, ul3 = 0.0, 0.0, 0.0, 0.0
-
-    # transfer snapshot (last MINRES-phase quantities)
-    gamal_qlp = vepln_qlp = gama_qlp = ul_qlp = u_qlp = 0.0
 
     rnorm = betan
     xnorm, xl2norm = 0.0, 0.0
@@ -251,14 +257,13 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
         gbar = sn * dbar - cs * alfa
         eplnn = sn * betan
         dltan = -cs * betan
-        dlta_qlp = dlta
+        dlta_mr = dlta
 
         # --- current left reflection Q_k ------------------------------
-        gamal3 = gamal2
         gamal2 = gamal
         gamal = gama
         cs, sn, gama = _sym_givens(gbar, betan)
-        gama_tmp = gama
+        gama_mr = gama
         taul2 = taul
         taul = tau
         tau = cs * phi
@@ -305,28 +310,18 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
         xnorm = math.sqrt(xl2norm * xl2norm + ul * ul + u * u)
 
         # --- update w and x -------------------------------------------
-        if acond < _TRANCOND and flag == FLAG_GO and qlp_iter == 0:
-            # MINRES-style update while the system looks benign
+        if precond is not None:
+            # MINRES form, from the left-reflected entries of R_k; an
+            # iteration that sets flag 6 or 9 leaves x the last iterate
+            if flag != FLAG_GO:
+                break
             wl2 = wl
             wl = w
-            w = (v - epln * wl2 - dlta_qlp * wl) / gama_tmp
-            if xnorm < _MAXXNORM:
-                x = x + tau * w
-            else:
-                flag = 6
+            w = (v - epln * wl2 - dlta_mr * wl) / gama_mr
+            x = x + tau * w
         else:
-            # QLP update; on the first QLP pass rebuild the trailing
-            # direction vectors from the MINRES-phase snapshot
-            qlp_iter += 1
-            if qlp_iter == 1:
-                xl2 = np.zeros(n)
-                if iters > 1:
-                    if iters > 3:
-                        wl2 = gamal3 * wl2 + veplnl2 * wl + etal * w
-                    if iters > 2:
-                        wl = gamal_qlp * wl + vepln_qlp * w
-                    w = gama_qlp * w
-                    xl2 = x - wl * ul_qlp - w * u_qlp
+            # QLP form: flag 9's u = 0 drops the direction of a gamma at
+            # roundoff level, which keeps x minimum-length
             if iters == 1:
                 wl2 = wl
                 wl = v * sr1
@@ -347,15 +342,7 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
             x = xl2 + wl * ul + w * u
 
         # --- next right reflection P_{k-1,k+1} ------------------------
-        gamal_tmp = gamal
         cr2, sr2, gamal = _sym_givens(gamal, eplnn)
-
-        # snapshot for a later MINRES->QLP transfer
-        gamal_qlp = gamal_tmp
-        vepln_qlp = vepln
-        gama_qlp = gama
-        ul_qlp = ul
-        u_qlp = u
 
         # --- norm estimates and stopping tests ------------------------
         abs_gama = abs(gama)
@@ -367,9 +354,7 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
             gminl2 = gminl
             gminl = gmin
             gmin = min(gminl2, gamal, abs_gama)
-        acondl = acond
         acond = anorm / max(gmin, _REALMIN)
-        rnorml = rnorm
         if flag != 9:
             rnorm = phi
         relres = rnorm / (anorm * xnorm + beta1)
@@ -419,10 +404,10 @@ def minres_qlp(op: LinearOperator, b, cfg: SolverConfig | None = None,
                precond=None) -> KrylovSolution:
     """Minimum-length solution of a symmetric (possibly singular) system.
 
-    Runs MINRES recurrences while the condition estimate stays below
-    ``_TRANCOND`` (1e7), then transfers to the QLP update form, which remains
-    stable on singular and severely ill-conditioned problems and yields the
-    minimum-norm least-squares solution.
+    Without ``precond`` the sweeps update x in QLP form from the first
+    iteration, which remains stable on singular and severely
+    ill-conditioned problems and yields the minimum-norm least-squares
+    solution.
 
     Singular *inconsistent* systems can defeat the direct sweep: the zero
     eigenvalue surfaces in the tridiagonal factor mid-run and the sweep has
@@ -433,13 +418,14 @@ def minres_qlp(op: LinearOperator, b, cfg: SolverConfig | None = None,
 
     ``precond``, when given, applies P^-1 for a symmetric positive definite
     preconditioner P, and the first sweep runs the preconditioned
-    recurrences.  Its result is returned only if the recomputed Euclidean
-    residual meets ``rtol``; preconditioned MINRES minimizes the residual
-    in the P^-1-norm, so on a singular inconsistent system it stops at a
-    P-weighted least-squares point instead.  Otherwise the solve starts
-    over with P = I as above, and ``iters`` counts every sweep.  The
-    condition estimate ``acond`` of a preconditioned result is that of the
-    preconditioned operator.
+    recurrences, updating x in MINRES form.  Its result is returned only if
+    the recomputed Euclidean residual meets ``rtol``; preconditioned MINRES
+    minimizes the residual in the P^-1-norm, so on a singular inconsistent
+    system it stops at a P-weighted least-squares point instead, and a P
+    that leaves P^-1 B ill conditioned can stop it short.  Otherwise the
+    solve starts over with P = I as above, and ``iters`` counts every
+    sweep.  The condition estimate ``acond`` of a preconditioned result is
+    that of the preconditioned operator.
     """
     cfg = cfg or SolverConfig()
     b = as_vector(b, "rhs")

@@ -198,6 +198,26 @@ def test_seed_flag_overrides_config(tmp_path):
     assert "seed = 11" in (out1 / "resolved_config.txt").read_text()
 
 
+def test_negative_seed_flag_exits_2_naming_the_flag(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = cli.main(["run", write(tmp_path, "c.txt", SPHERES_SMALL), "--out-dir", str(out),
+                   "--seed", "-1"])
+    assert rc == 2
+    assert not out.exists()
+    assert "bad value for '--seed': -1, expected >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    SPHERES_SMALL,
+    POSE_SMALL + "method = hard_adam\nmine = true\nn_mined = 4\nhidden = 16,8\nin_dim = 12\n",
+], ids=["spheres", "toy_pose"])
+def test_resolved_config_reproduces_its_run(tmp_path, config):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert cli.main(["run", write(tmp_path, "c.txt", config), "--out-dir", str(first)]) == 0
+    assert cli.main(["run", str(first / "resolved_config.txt"), "--out-dir", str(again)]) == 0
+    assert (first / "metrics.csv").read_bytes() == (again / "metrics.csv").read_bytes()
+
+
 def test_env_var_sets_default_output_root(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.ENV_OUT_ROOT, str(tmp_path / "root"))
     p = write(tmp_path, "myrun.txt",
@@ -349,6 +369,18 @@ def test_compare_reads_only_the_columns_it_needs(tmp_path, capsys):
     rc = cli.main(["compare", str(missing), str(out / "metrics.csv")])
     assert rc == 2
     assert "active_delta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, expect", [
+    ("", "has no rows"),
+    ("1\n", ":2: bad value for 'active_delta': None"),
+    ("0.5,fog\n", ":2: bad value for 'active_delta': 'fog'"),
+], ids=["no_rows", "missing_cell", "non_numeric_cell"])
+def test_compare_refuses_a_malformed_trace(tmp_path, capsys, body, expect):
+    trace = write(tmp_path, "t.csv", "median_violation,active_delta\n" + body)
+    assert cli.main(["compare", trace, trace]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("compare error: ") and expect in err
 
 
 def test_compare_flags_soft_as_smoother(tmp_path):

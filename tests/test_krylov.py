@@ -147,19 +147,34 @@ def test_a_sweep_cut_at_the_iteration_cap_reports_max_iters():
     assert not sol.ok
 
 
+def _criterion_1_system(k):
+    """The k-th system (1-based) of criterion 1's stream, with its iteration cap."""
+    rng = np.random.default_rng(20260809)
+    for _ in range(k):
+        B, b, _, cond, deficient = random_symmetric_system(rng)
+    return B, b, cond, deficient, min(max(8 * B.shape[0], 400), 3000)
+
+
 def test_a_sweep_that_stops_short_of_rtol_reports_stalled():
-    # the second system of criterion 1's stream (n=171, cond ~4e3) cannot
+    # the sixth system of criterion 1's stream (n=185, cond ~6e6) cannot
     # reach rtol=1e-11 in float64: the sweep stops at the attainable floor,
     # far below its iteration cap, and is not a least-squares point
-    rng = np.random.default_rng(20260809)
-    for _ in range(2):
-        B, b, _, _, deficient = random_symmetric_system(rng)
-    maxit = min(max(8 * B.shape[0], 400), 3000)
+    B, b, cond, deficient, maxit = _criterion_1_system(6)
     sol = minres_qlp(from_dense(B), b, SolverConfig(rtol=1e-11, max_iters=maxit))
-    assert not deficient
+    assert not deficient and 1e6 < cond < 1e7
     assert sol.status == STALLED
     assert sol.iters < maxit
     assert not sol.ok
+
+
+def test_unpreconditioned_sweep_in_qlp_form_reaches_a_tight_rtol():
+    # the second system of criterion 1's stream (n=171, cond ~4e3): the QLP
+    # update form, taken from the first iteration, meets rtol=1e-11 where
+    # the MINRES update form stops just short of it
+    B, b, cond, deficient, maxit = _criterion_1_system(2)
+    sol = minres_qlp(from_dense(B), b, SolverConfig(rtol=1e-11, max_iters=maxit))
+    assert not deficient and cond < 1e4
+    assert sol.status == CONVERGED and sol.iters == 30
 
 
 def test_solution_dataclass_flags():
@@ -227,6 +242,21 @@ def test_preconditioned_inconsistent_system_ends_min_length():
                      precond=lambda r: np.array([4.0, 0.5, 1.0]) * r)
     np.testing.assert_allclose(sol.x, [1.0, 0.5, 0.0], atol=1e-10)
     assert sol.status == SINGULAR_MIN_LENGTH
+
+
+def test_preconditioned_sweep_keeps_the_last_iterate_on_a_negligible_pivot():
+    # the sweep's third iteration finds the zero eigenvalue (flag 9); in
+    # MINRES form it ends there and returns the second iterate unchanged
+    op = from_dense([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+    b = np.ones(3)
+
+    def precond(r):
+        return np.array([4.0, 0.5, 1.0]) * r
+
+    x, iters, flag, *_ = krylov._minres_qlp_pass(op, b, SolverConfig(), 12, precond)
+    x2, iters2, *_ = krylov._minres_qlp_pass(op, b, SolverConfig(), 2, precond)
+    assert (iters, flag, iters2) == (3, 9, 2)
+    np.testing.assert_array_equal(x, x2)
 
 
 def _counting(a):
