@@ -19,6 +19,7 @@ import ctypes
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -173,24 +174,47 @@ def write_resolved_config(path, cfg: dict) -> None:
             fh.write(f"{key} = {value}\n")
 
 
-def _blas_threads() -> int | None:
-    """Thread count OpenBLAS reports, or None where it cannot be asked.
-
-    Byte-identical reruns hold only at a fixed count, so the summary
-    records it.
-    """
+def _openblas():
+    """(get, set) of numpy's OpenBLAS thread count, or None where no
+    OpenBLAS library exposes them."""
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for lib in sorted(libs.glob("*openblas*")):
         try:
             dll = ctypes.CDLL(str(lib))
         except OSError:
             continue
-        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                     "openblas_get_num_threads"):
-            fn = getattr(dll, name, None)
-            if fn is not None:
-                return int(fn())
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get, set_ = (getattr(dll, name.format(op), None) for op in ("get", "set"))
+            if get is not None and set_ is not None:
+                return get, set_
     return None
+
+
+def _blas_threads() -> int | None:
+    """Thread count OpenBLAS reports, or None where it cannot be asked."""
+    handle = _openblas()
+    return None if handle is None else int(handle[0]())
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block at one OpenBLAS thread and restore the count after it.
+
+    Byte-identical reruns hold only at a fixed count, so a run pins it
+    wherever the library handle is found.
+    """
+    handle = _openblas()
+    if handle is None:
+        yield
+        return
+    get, set_ = handle
+    previous = int(get())
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 def _write_summary(out_dir: Path, payload: dict) -> None:
@@ -277,24 +301,26 @@ _SETUPS = {"spheres": _setup_spheres, "toy_pose": _setup_toy_pose}
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = parse_config(args.config)
-        if args.seed is not None:
-            if not _NON_NEGATIVE[0](args.seed):
-                raise ConfigError(f"bad value for '--seed': {args.seed}, "
-                                  f"expected {_NON_NEGATIVE[1]}")
-            cfg["seed"] = args.seed
-        if args.full_scale and cfg["kind"] == "spheres":
-            cfg["dim"] = bm.SPHERE_FULL_DIM
-        setup = _SETUPS[cfg["kind"]](cfg)
-        out_dir = resolve_out_dir(cfg, args.config, args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        cfg["out_dir"] = str(out_dir)
-        write_resolved_config(out_dir / "resolved_config.txt", cfg)
-    except (ConfigError, ValueError, OSError, MemoryError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    return _train_and_write(out_dir, cfg, *setup)
+    """Set up, train and write one run, at one OpenBLAS thread."""
+    with _one_blas_thread():
+        try:
+            cfg = parse_config(args.config)
+            if args.seed is not None:
+                if not _NON_NEGATIVE[0](args.seed):
+                    raise ConfigError(f"bad value for '--seed': {args.seed}, "
+                                      f"expected {_NON_NEGATIVE[1]}")
+                cfg["seed"] = args.seed
+            if args.full_scale and cfg["kind"] == "spheres":
+                cfg["dim"] = bm.SPHERE_FULL_DIM
+            setup = _SETUPS[cfg["kind"]](cfg)
+            out_dir = resolve_out_dir(cfg, args.config, args.out_dir)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            cfg["out_dir"] = str(out_dir)
+            write_resolved_config(out_dir / "resolved_config.txt", cfg)
+        except (ConfigError, ValueError, OSError, MemoryError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        return _train_and_write(out_dir, cfg, *setup)
 
 
 # ---------------------------------------------------------------------------

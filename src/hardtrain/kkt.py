@@ -27,14 +27,15 @@ When the constraint linearization supplies its Gram product, the solve is
 preconditioned with P = diag(diag(D), S), where S = G diag(D)^-1 G^T is
 the Schur complement of D's diagonal part (:func:`schur_preconditioner`).
 It takes about three MINRES-QLP iterations when D is diagonal and about
-eleven for the Gauss-Newton step on pose; a step whose active constraints
-lose rank runs with P = I.
+eleven for the Gauss-Newton step on pose.  A step whose active constraints
+lose rank keeps P, with the pseudo-inverse of S in its S block.  Each step
+is one solve, taken or skipped on its residual.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +49,9 @@ log = logging.getLogger(__name__)
 _SCHUR_SHIFT = 1e-10
 # a squared Cholesky pivot below this many shifts marks S as rank-deficient
 _RANK_PIVOT = 1e3
+# eigenvalues of a rank-deficient S below this fraction of the largest are
+# taken as zero
+_EIG_CUTOFF = 1e-10
 # residual, relative to ||rhs||, below which a solve that missed its own
 # tolerance is still taken as a step
 _ACCEPT_RTOL = 1e-3
@@ -124,9 +128,13 @@ def kkt_rhs(state: KktState) -> Vector:
 
 @dataclass
 class KktStep:
+    """The step, its multipliers and the solve's record; ``accepted`` says
+    whether the step should be taken."""
+
     dw: Vector
     multipliers: Vector
     solution: KrylovSolution
+    accepted: bool
 
 
 def schur_preconditioner(state: KktState):
@@ -139,10 +147,13 @@ def schur_preconditioner(state: KktState):
     iterations (Murphy, Golub & Wathen 2000); with curvature they cluster
     near those three (Benzi, Golub & Liesen 2005, section 10.1).  S is
     factored once, by Cholesky after a shift of ``_SCHUR_SHIFT`` times its
-    mean diagonal.  When G loses rank, the shift would leave a null(G^T)
-    component in the multipliers, so the minimum-length answer needs
-    P = I: a failed factorization, or a squared pivot below ``_RANK_PIVOT``
-    shifts, gives None.
+    mean diagonal.  When G loses rank (a failed factorization, or a squared
+    pivot below ``_RANK_PIVOT`` shifts), the shift would leave a null(G^T)
+    component in the multipliers, so the S block is built from the
+    eigenvectors of S instead: 1/lambda on the eigenvalues above
+    ``_EIG_CUTOFF`` times the largest, 1/lambda_max on the rest.  That block
+    is SPD and maps range(G) into itself, so the multipliers stay
+    minimum-length.  An S with no positive eigenvalue (G = 0) gives None.
     """
     lin = state.constraint
     if lin is None or lin.gram is None:
@@ -153,53 +164,37 @@ def schur_preconditioner(state: KktState):
     shift = _SCHUR_SHIFT * max(float(np.trace(S)) / m, np.finfo(np.float64).tiny)
     try:
         L = np.linalg.cholesky(S + shift * np.eye(m))
+        full_rank = np.min(np.diagonal(L)) ** 2 >= _RANK_PIVOT * shift
     except np.linalg.LinAlgError:
-        return None
-    if np.min(np.diagonal(L)) ** 2 < _RANK_PIVOT * shift:
-        return None
-    L_inv = np.linalg.inv(L)
+        full_rank = False
+    if full_rank:
+        F = np.linalg.inv(L)
+    else:
+        # S^+ = F^T F with F = diag(lambda)^-1/2 V^T, lambda floored as above
+        lam, V = np.linalg.eigh(S)
+        if not lam[-1] > 0:
+            return None
+        F = V.T / np.sqrt(np.where(lam > _EIG_CUTOFF * lam[-1], lam, lam[-1]))[:, None]
     n = state.n_params
-    return lambda r: np.concatenate([r[:n] * d_inv, L_inv.T @ (L_inv @ r[n:])])
+    return lambda r: np.concatenate([r[:n] * d_inv, F.T @ (F @ r[n:])])
 
 
 def solve_step(state: KktState, cfg: SolverConfig | None = None) -> KktStep:
-    """Solve the system with MINRES-QLP, preconditioned by
+    """Solve the system once with MINRES-QLP, preconditioned by
     :func:`schur_preconditioner` where it applies, and split the step.
 
-    Raises :class:`SolverBreakdown` on non-finite solver output; any other
-    status is reported upward through ``KktStep.solution``.
+    The step is accepted when the solve met its own tolerance or, failing
+    that, left a residual within ``_ACCEPT_RTOL`` of ||rhs||; otherwise the
+    caller should skip the update.  Raises :class:`SolverBreakdown` on
+    non-finite solver output.
     """
     op = kkt_operator(state)
     rhs = kkt_rhs(state)
     sol = minres_qlp(op, rhs, cfg, precond=schur_preconditioner(state))
     if sol.status == BREAKDOWN:
         raise SolverBreakdown(sol)
-    return KktStep(sol.x[:state.n_params], sol.x[state.n_params:], sol)
-
-
-def _acceptable(step: KktStep, state: KktState) -> bool:
-    """Whether the solve met its own tolerance or, failing that, left a
-    residual within ``_ACCEPT_RTOL`` of ||rhs|| (built only then)."""
-    return (step.solution.ok or step.solution.residual_norm
-            <= _ACCEPT_RTOL * float(np.linalg.norm(kkt_rhs(state))))
-
-
-def solve_step_with_retry(state: KktState, cfg: SolverConfig | None = None):
-    """Solve; on a poor solve retry once with the diagonal of D doubled (a
-    half-size step), then give up.
-
-    Returns ``(step, retried)`` where ``step`` is None when both attempts
-    left a residual above ``_ACCEPT_RTOL * ||rhs||`` (the caller should skip
-    the update).
-    """
-    cfg = cfg or SolverConfig()
-    step = solve_step(state, cfg)
-    if _acceptable(step, state):
-        return step, False
-    retry_state = replace(state, diag=2.0 * state.diag)
-    step = solve_step(retry_state, cfg)
-    if _acceptable(step, retry_state):
-        return step, True
-    log.warning("skipping update: inner solve residual %.3e above %.1e of rhs "
-                "after damping retry", step.solution.residual_norm, _ACCEPT_RTOL)
-    return None, True
+    accepted = sol.ok or sol.residual_norm <= _ACCEPT_RTOL * float(np.linalg.norm(rhs))
+    if not accepted:
+        log.warning("inner solve residual %.3e above %.1e of rhs: step not accepted",
+                    sol.residual_norm, _ACCEPT_RTOL)
+    return KktStep(sol.x[:state.n_params], sol.x[state.n_params:], sol, accepted)

@@ -14,6 +14,9 @@ when its sweep ran to the iteration cap and ``"stalled"`` when another
 stopping test ended it first.  Each iterate's residual, and ``||B r||`` when
 the verdict needs it, is computed once and read by every test after it.
 
+A direct P = I sweep that ends least-squares-type is followed by one sweep
+on the consistent squared system B^2 y = B b, whose result is returned.
+
 An optional symmetric positive definite preconditioner P, given as a
 function applying P^-1, switches the first sweep to the preconditioned
 Lanczos recurrences; without one, no preconditioner code runs.  A
@@ -414,7 +417,8 @@ def minres_qlp(op: LinearOperator, b, cfg: SolverConfig | None = None,
     to stop before the range components are resolved.  When that happens a
     second sweep solves the always-consistent squared system B^2 y = B b,
     whose minimum-length solution is exactly the minimum-length least-squares
-    solution of the original system.  ``iters`` counts both sweeps.
+    solution of the original system; its finite result is returned, and
+    ``iters`` counts both sweeps.
 
     ``precond``, when given, applies P^-1 for a symmetric positive definite
     preconditioner P, and the first sweep runs the preconditioned
@@ -453,51 +457,23 @@ def _minres_qlp_unpreconditioned(op: LinearOperator, b: np.ndarray, cfg: SolverC
         return KrylovSolution(x, float("inf"), iters, BREAKDOWN, acond)
     bnorm = float(np.linalg.norm(b))
     first = _Iterate(op, b, x)
-    sol = _classify(first, bnorm, cfg.rtol, anorm, flag in (2, 4), iters >= maxit,
-                    iters, acond)
-    if sol.status == CONVERGED or flag in (1, 3, 5):
-        # flags 1/3/5 mean the sweep converged as far as f64 allows; the
-        # squared-system sweep would only trade a floor-level iterate for
-        # one with cond^2 error amplification
-        return sol
-    if flag == 8:
-        nrbe = first.rnorm / (anorm * np.linalg.norm(x) + bnorm)
-        if nrbe <= 1e-10:
-            # ran out of iterations but the normwise relative backward error
-            # is at roundoff level: the iterate already sits on the
-            # attainable floor, a second sweep cannot help
-            return sol
-
-    # Least-squares-type exit: the direct sweep may carry an uncontrolled
-    # null-space component.  Re-solve through the squared system and keep
-    # whichever iterate is least-squares better, shorter on ties.
-    sq = LinearOperator(op.dim, lambda v: apply(op, apply(op, v)))
-    x2, it2, flag2, _, acond2, nonfinite2, _ = _minres_qlp_pass(sq, apply(op, b), cfg, maxit)
-    if nonfinite2 or not np.all(np.isfinite(x2)):
-        return sol
-    second = _Iterate(op, b, x2)
-    if not _ls_better(second, first):
-        return sol
-    return _classify(second, bnorm, cfg.rtol, anorm, flag2 in (1, 2, 3, 4), it2 >= maxit,
-                     iters + it2, max(acond, acond2))
-
-
-def _ls_better(new: _Iterate, old: _Iterate) -> bool:
-    """Is ``new`` a better least-squares candidate than ``old``?
-
-    Residual norms decide when they clearly differ.  When they are
-    comparable, a drastically shorter iterate wins (minimum-length tie),
-    and otherwise the smaller ||B r|| does: near the LS optimum the
-    residual norm saturates, so ||B r|| is the only measure left that
-    still separates a clean iterate from one polluted mid-sweep.
-    """
-    if new.rnorm > old.rnorm * (1.0 + 1e-6):
-        return False
-    if new.rnorm < old.rnorm * (1.0 - 1e-6):
-        return True
-    xn, xo = np.linalg.norm(new.x), np.linalg.norm(old.x)
-    if xn < 0.5 * xo:
-        return True
-    if xo < 0.5 * xn:
-        return False
-    return new.arnorm <= old.arnorm
+    # flags 1/3/5 mean the sweep converged as far as f64 allows; the
+    # squared-system sweep would only trade a floor-level iterate for one
+    # with cond^2 error amplification.  So would a sweep that ran out of
+    # iterations at a normwise relative backward error at roundoff level.
+    done = (first.rnorm <= cfg.rtol * bnorm or flag in (1, 3, 5) or (
+        flag == 8 and first.rnorm / (anorm * np.linalg.norm(x) + bnorm) <= 1e-10))
+    if not done:
+        # Least-squares-type exit: the direct sweep may carry an
+        # uncontrolled null-space component.  The squared system is
+        # consistent, and its minimum-length solution is the minimum-length
+        # least-squares solution, so its finite result is returned as is.
+        sq = LinearOperator(op.dim, lambda v: apply(op, apply(op, v)))
+        x2, it2, flag2, _, acond2, nonfinite2, _ = _minres_qlp_pass(sq, apply(op, b), cfg,
+                                                                     maxit)
+        if not nonfinite2 and np.all(np.isfinite(x2)):
+            return _classify(_Iterate(op, b, x2), bnorm, cfg.rtol, anorm,
+                             flag2 in (1, 2, 3, 4), it2 >= maxit, iters + it2,
+                             max(acond, acond2))
+    return _classify(first, bnorm, cfg.rtol, anorm, flag in (2, 4), iters >= maxit,
+                     iters, acond)

@@ -201,10 +201,10 @@ def step_hard(method: str, w: Vector, problem, objective: ad.DiffFunction,
         diag = (np.sqrt(adam.v) + _ADAM_EPS) / (cfg.lr * adam.bias_correction())
         state = kkt.KktState(diag, adam.m, lin)
 
-    step, _ = kkt.solve_step_with_retry(state, cfg.solver)
-    if step is None:
-        return Step(w, adam, np.zeros(len(active) * problem.pool.n_constraints), 0,
-                    "skipped")
+    step = kkt.solve_step(state, cfg.solver)
+    if not step.accepted:
+        return Step(w, adam, np.zeros(len(active) * problem.pool.n_constraints),
+                    step.solution.iters, "skipped")
     return Step(w + step.dw, adam, step.multipliers, step.solution.iters,
                 step.solution.status)
 

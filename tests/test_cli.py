@@ -277,6 +277,25 @@ def test_summary_records_the_blas_thread_count(tmp_path):
     assert summary["blas_threads"] in (1, None)
 
 
+def test_a_run_writes_the_same_metrics_whatever_the_blas_thread_count(tmp_path):
+    # criterion 9's sphere run at d = 1e4, where OpenBLAS splits the
+    # products over threads when it may: the run pins one thread, so
+    # starting at two writes the one-thread bytes
+    src = Path(cli.__file__).resolve().parents[1]
+    cfg = write(tmp_path, "s.txt", "kind = spheres\nmethod = hard_sgd\ndim = 10000\n"
+                "n_constraints = 16\nn_active = 5\niterations = 5\nseed = 8\n")
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        out = tmp_path / f"t{threads}"
+        subprocess.run([sys.executable, "-m", "hardtrain.cli", "run", cfg, "--out-dir", str(out)],
+                       env=env, check=True, timeout=120)
+        assert json.loads((out / "summary.json").read_text())["blas_threads"] in (1, None)
+        outs.append((out / "metrics.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 def test_numerical_failure_exits_3_and_keeps_checkpoint(tmp_path, capsys):
     cfg = """\

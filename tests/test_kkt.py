@@ -236,16 +236,18 @@ def test_breakdown_propagates_with_diagnostics():
         kkt.solve_step(state)
 
 
-def test_retry_policy_doubles_damping_then_skips():
+def test_one_solve_per_step_accepts_or_skips(monkeypatch):
     rng = np.random.default_rng(7)
     G = rng.standard_normal((2, 4))
     state = sgd_state(rng.standard_normal(4), grad=rng.standard_normal(4), G=G)
+    solve, calls = kkt.minres_qlp, []
+    monkeypatch.setattr(kkt, "minres_qlp", lambda *a, **k: calls.append(None) or solve(*a, **k))
     # a one-iteration budget cannot reach the acceptance residual
-    step, retried = kkt.solve_step_with_retry(state, SolverConfig(rtol=1e-14, max_iters=1))
-    assert step is None and retried
-    # a sane budget accepts without retrying
-    step, retried = kkt.solve_step_with_retry(state, SolverConfig(rtol=1e-10))
-    assert step is not None and not retried
+    step = kkt.solve_step(state, SolverConfig(rtol=1e-14, max_iters=1))
+    assert not step.accepted and step.solution.iters >= 1 and len(calls) == 1
+    # a sane budget accepts
+    step = kkt.solve_step(state, SolverConfig(rtol=1e-10))
+    assert step.accepted and len(calls) == 2
 
 
 def test_state_validation():
@@ -292,9 +294,10 @@ def test_preconditioned_step_on_rank_deficient_constraints(vector):
     # duplicated and dependent rows: for a compatible right-hand side the
     # step dw is unique, and dw and the minimum-length multipliers equal the
     # pseudoinverse solution's; for an incompatible one the solve still ends
-    # on the least-squares contract.  Rank loss sends the solve to P = I,
-    # since the shifted Schur complement would leave a null(G^T) component
-    # in the multipliers (about 1e-6 to 1e-3 of them)
+    # on the least-squares contract.  Rank loss keeps the preconditioner
+    # with the pseudo-inverse of S, since the shifted Schur complement would
+    # leave a null(G^T) component in the multipliers (about 1e-6 to 1e-3 of
+    # them)
     rng = np.random.default_rng(9)
     for trial in range(12):
         n, m = 10, 5
@@ -305,7 +308,7 @@ def test_preconditioned_step_on_rank_deficient_constraints(vector):
         c = G @ rng.standard_normal(n) if consistent else rng.standard_normal(m)
         state = kkt.KktState(random_diag(rng, n, vector), rng.standard_normal(n),
                              gram_linearization(G, c))
-        assert kkt.schur_preconditioner(state) is None
+        assert kkt.schur_preconditioner(state) is not None
         step = kkt.solve_step(state, SolverConfig(rtol=1e-10))
         oracle = np.linalg.pinv(materialize(kkt.kkt_operator(state))) @ kkt.kkt_rhs(state)
         assert step.solution.status in ("converged", "singular_min_length")
@@ -326,10 +329,32 @@ def test_preconditioner_only_for_a_diagonal_block_with_a_gram_product():
     without = ad.linearize(linear_constraints(G), np.zeros(4))
     assert without.gram is None
     assert kkt.schur_preconditioner(kkt.KktState(1.0, np.ones(4), without)) is None
-    # a duplicated row leaves S singular: P = I keeps the multipliers
-    # minimum-length
+    # a duplicated row leaves S singular: its pseudo-inverse keeps the
+    # multipliers minimum-length
     dup = gram_linearization(np.vstack([G, G[:1]]), np.zeros(3))
-    assert kkt.schur_preconditioner(kkt.KktState(1.0, np.ones(4), dup)) is None
+    assert kkt.schur_preconditioner(kkt.KktState(1.0, np.ones(4), dup)) is not None
+
+
+def test_samples_below_every_relu_keep_the_preconditioner():
+    # two pool samples that switch off every hidden unit both output the
+    # last layer's bias, so their constraint rows coincide and G loses rank;
+    # the step keeps the Schur preconditioner and converges to the
+    # pseudoinverse solution
+    problem = bm.gen_toy_pose(seed=0, n_samples=60, n_pool=20, in_dim=12, hidden=(8,))
+    w = problem.mlp.init_params(np.random.default_rng(12))
+    W1, b1 = problem.mlp.unpack(w)[0]
+    dead = np.linalg.lstsq(W1, -1.0 - np.abs(b1) - b1, rcond=None)[0]
+    problem.pool.samples[:2] = [dead, 2.0 * dead]
+    assert np.all(problem.pool.samples[:2] @ W1.T + b1 < 0)
+    res = ad.linearize(problem.residual_function(np.arange(16)), w)
+    lin = ad.linearize(cs.active_constraint_function(problem.pool, problem.mlp, np.arange(6)), w)
+    state = kkt.KktState(1.0 / 0.3, res.vjp(2.0 * res.value), lin)
+    assert kkt.schur_preconditioner(state) is not None
+    step = kkt.solve_step(state, SolverConfig(rtol=1e-8, max_iters=800))
+    assert step.solution.status == "converged" and step.solution.iters <= 10
+    oracle = np.linalg.pinv(materialize(kkt.kkt_operator(state))) @ kkt.kkt_rhs(state)
+    got = np.concatenate([step.dw, step.multipliers])
+    assert np.linalg.norm(got - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
 
 def test_gauss_newton_step_is_preconditioned_by_the_diagonal_part_of_d():

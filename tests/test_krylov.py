@@ -293,9 +293,10 @@ def test_converged_solves_evaluate_the_final_residual_once():
 
 def test_least_squares_verdict_evaluates_each_iterate_once(monkeypatch):
     # diag(1, 0), b = (1, 1) ends the direct sweep least-squares-type and
-    # takes the squared-system sweep; outside the sweeps the solve applies
-    # B to b once (the squared system's right-hand side) and, for each of
-    # the two iterates, to x (for r = b - Bx) and to r (for ||B r||) once
+    # takes the squared-system sweep, whose result is returned; outside the
+    # sweeps the solve applies B to b once (the squared system's right-hand
+    # side) and, for each of the two iterates, to x (for r = b - Bx) once.
+    # Both sweeps end flagged least-squares, so no verdict needs ||B r||
     sweeps = []
     real_pass = krylov._minres_qlp_pass
 
@@ -309,4 +310,4 @@ def test_least_squares_verdict_evaluates_each_iterate_once(monkeypatch):
     op, operands = _counting([[1.0, 0.0], [0.0, 0.0]])
     sol = minres_qlp(op, np.array([1.0, 1.0]))
     assert sol.status == SINGULAR_MIN_LENGTH and len(sweeps) == 2
-    assert len(operands) - sum(len(s) for s in sweeps) == 5
+    assert len(operands) - sum(len(s) for s in sweeps) == 3

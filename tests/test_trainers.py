@@ -333,8 +333,8 @@ def _counting(monkeypatch, owner, name):
 
 
 # two solver settings that run different numbers of KKT matvecs: a
-# converged solve, and a one-iteration budget that fails, falls back to
-# P = I and retries with doubled damping
+# converged solve, and a one-iteration budget that misses rtol, falls back
+# to P = I and leaves the step skipped
 SOLVER_BUDGETS = (SolverConfig(rtol=1e-10), SolverConfig(rtol=1e-10, max_iters=1))
 
 
@@ -432,8 +432,8 @@ def test_train_evaluates_the_pool_once_per_iterate(monkeypatch):
 
 
 def test_converged_hard_steps_build_the_rhs_once(monkeypatch):
-    # the residual check of the retry policy builds its own right-hand
-    # side only when a solve misses its tolerance
+    # one right-hand side per step: the acceptance test of a solve that
+    # misses its tolerance reads the solve's own
     problem = bm.gen_spheres(200, 40, seed=0)
     calls = _counting(monkeypatch, kkt, "kkt_rhs")
     cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=bm.SPHERE_HARD_LR, iterations=20,
@@ -505,3 +505,22 @@ def test_median_abs_is_np_median_bit_for_bit():
         # a NaN anywhere is NaN, so the row of a non-finite iterate fails
         v[rng.integers(n)] = np.nan
         assert np.isnan(cs.median_violation(v)), n
+
+
+def test_a_skipped_step_reports_the_iterations_it_spent(monkeypatch):
+    # a one-iteration budget leaves every solve short of the acceptance
+    # residual; each skipped row still counts the iterations of its solve
+    problem = bm.gen_toy_pose(**SMALL_POSE)
+    solve, spent = kkt.minres_qlp, []
+
+    def recording(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        spent.append(sol.iters)
+        return sol
+
+    monkeypatch.setattr(kkt, "minres_qlp", recording)
+    cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=0.3, mine=True, n_mined=3, iterations=4,
+                         solver=SolverConfig(rtol=1e-10, max_iters=1))
+    report = tr.train(cfg, problem)
+    assert list(report.column("solver_status")) == ["skipped"] * 4
+    assert list(report.column("solver_iters")) == spent and min(spent) >= 2
