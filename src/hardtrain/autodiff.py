@@ -203,7 +203,10 @@ class IdentityOffset:
 
     Lets parameter-space constraint families reuse the data-dependent
     machinery: the sample is the offset, the head sees w - x_k.  It has no
-    ``linearize``: :class:`~hardtrain.constraints.SphereRows` differentiates it.
+    ``linearize``, and the sphere family never calls ``forward``:
+    :func:`~hardtrain.constraints.violation_matrix` and
+    :class:`~hardtrain.constraints.SphereRows` work from products with the
+    samples, without forming w - x_k.
     """
 
     def __init__(self, dim: int):
@@ -211,10 +214,9 @@ class IdentityOffset:
         self.in_dim = dim
         self.out_dim = dim
 
-    def forward(self, w: Vector, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """w - x_k for every row of X, written into ``out`` if given (which
-        may be X itself)."""
-        return np.subtract(w, np.atleast_2d(X), out=out)
+    def forward(self, w: Vector, X: np.ndarray) -> np.ndarray:
+        """w - x_k for every row of X."""
+        return w - np.atleast_2d(X)
 
 
 # ---------------------------------------------------------------------------

@@ -172,26 +172,37 @@ def _sphere_pool(pool: ConstraintPool, model) -> bool:
     return isinstance(model, ad.IdentityOffset) and isinstance(pool.head, SphereRadiusHead)
 
 
+def _sphere_distances(Xw: np.ndarray, w: Vector, x_sq: np.ndarray) -> np.ndarray:
+    """||w - x_k|| from the products Xw = X w and the squared norms x_sq of
+    the rows of X, by ||w||^2 - 2 x_k.w + ||x_k||^2, clamped at 0 so that
+    rounding at a center keeps the square root real, and floored at 1e-30
+    so that a division by it stays finite.  Xw is left unchanged."""
+    sq = Xw * -2.0
+    sq += w @ w
+    sq += x_sq
+    np.maximum(sq, 0.0, out=sq)
+    np.sqrt(sq, out=sq)
+    np.maximum(sq, 1e-30, out=sq)
+    return sq
+
+
 def violation_matrix(pool: ConstraintPool, model, w: Vector) -> np.ndarray:
     """All residuals C_jk as an (n_samples, n_constraints) matrix.
 
-    A sphere pool is one GEMV: ||w - x_k||^2 = ||w||^2 - 2 x_k.w + ||x_k||^2
-    with the pool constant ||x_k||^2, clamped at 0 so that rounding at a
-    center keeps the square root real.  It differs from the row norms of
-    w - x_k by rounding alone (about 1e-14 absolute at ||w - x_k|| ~ 10).
-    Any other pool goes through the model in chunks of rows whose outputs
-    take about ``_CHUNK_BYTES``: a pose pool is one batch.
+    A sphere pool is one GEMV and :func:`_sphere_distances` with the pool
+    constant ||x_k||^2.  It differs from the row norms of w - x_k by
+    rounding alone (about 1e-14 absolute at ||w - x_k|| ~ 10).
+    :class:`SphereRows` computes its active rows by the same formula; they
+    agree with this matrix's rows to one rounding of ||w - x_k||, because
+    the BLAS may sum a row's products x_k.w in another order when the row
+    sits elsewhere in the matrix it multiplies.  Any other pool goes
+    through the model in chunks of rows whose outputs take about
+    ``_CHUNK_BYTES``: a pose pool is one batch.
     """
     if _sphere_pool(pool, model):
-        sq = pool.samples @ w
-        sq *= -2.0
-        sq += w @ w
-        sq += pool.sample_sq_norms
-        np.maximum(sq, 0.0, out=sq)
-        np.sqrt(sq, out=sq)
-        np.maximum(sq, 1e-30, out=sq)
-        sq -= pool.head.radius
-        return sq[:, None]
+        dist = _sphere_distances(pool.samples @ w, w, pool.sample_sq_norms)
+        dist -= pool.head.radius
+        return dist[:, None]
     rows = max(1, _CHUNK_BYTES // (8 * model.out_dim))
     return np.concatenate([
         np.atleast_2d(pool.head.value(model.forward(w, pool.samples[lo:lo + rows])))
@@ -290,32 +301,42 @@ class StackedConstraints(ad.DiffFunction):
 class SphereRows(StackedConstraints):
     """Active sphere residuals ||w - x_k|| - radius of an
     :class:`~hardtrain.autodiff.IdentityOffset` model, one per listed
-    sample.  Their Jacobian is the matrix of unit directions
-    U = (w - X) / ||w - X||, formed once per linearization in the buffer
-    that gathers the active X, so the only m x d array is that buffer and a
-    product is one GEMV: jvp is U v, vjp is u U, and the Gram matrix is
-    U diag(d_inv) U^T."""
+    sample.  The active centers X are gathered once per linearization and
+    are its only m x d array; w - X is never formed.  The norms n come from
+    X w as in :func:`violation_matrix`, whose rows the values equal to one
+    rounding of n, and the Jacobian U = (w - X) / n stays implicit.  With
+    a = u / n, jvp is (w.v - X v) / n, vjp is sum(a) w - a X, and the Gram
+    matrix U D U^T is (X D X^T - p 1^T - 1 p^T + w^T D w) / (n_i n_j) with
+    p = X D w, D = diag(d_inv)."""
 
     def value(self, w):
         return self.linearize(w)[0]
 
     def linearize(self, w):
         X = self.X
-        units = self.model.forward(w, X, out=X)
-        # the squares go through one d-vector, a row at a time, so the
-        # norms are np.linalg.norm's bit for bit
-        sq = np.empty(units.shape[1])
-        norms = np.empty(units.shape[0])
-        for i, row in enumerate(units):
-            np.multiply(row, row, out=sq)
-            norms[i] = sq.sum()
-        norms = np.maximum(np.sqrt(norms), 1e-30)
-        units /= norms[:, None]
+        Xw = X @ w
+        n = _sphere_distances(Xw, w, self.pool.sample_sq_norms[self.samples])
+
+        def vjp(u):
+            a = u / n
+            g = a @ X
+            np.subtract(a.sum() * w, g, out=g)
+            return g
 
         def gram(d_inv):
-            return d_inv * (units @ units.T) if np.ndim(d_inv) == 0 else (units * d_inv) @ units.T
+            scalar = np.ndim(d_inv) == 0
+            if scalar:
+                K, p, wDw = X @ X.T, Xw, w @ w
+            else:
+                Dw = d_inv * w
+                K, p, wDw = (X * d_inv) @ X.T, X @ Dw, w @ Dw
+            K -= p[:, None]
+            K -= p
+            K += wDw
+            K /= np.multiply.outer(n, n)
+            return d_inv * K if scalar else K
 
-        return norms - self.pool.head.radius, lambda v: units @ v, lambda u: u @ units, gram
+        return n - self.pool.head.radius, lambda v: (w @ v - X @ v) / n, vjp, gram
 
 
 def active_constraint_function(pool: ConstraintPool, model, samples) -> StackedConstraints:

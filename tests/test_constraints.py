@@ -220,16 +220,27 @@ def test_sphere_pool_is_one_gemv_within_rounding_of_the_norms(d, n, at_center):
         assert abs(V[k, 0] + 10.0) <= at_center
 
 
+def assert_pool_rows(values, pool_rows, radius):
+    """The active values are the pool rows up to one rounding of the
+    distance ||w - x_k||: both take x_k.w from a GEMV, and OpenBLAS sums a
+    row's products in an order that depends on where the row sits in the
+    matrix (a 1 x d product is a dot, not a GEMV), so x_k.w can differ in
+    its last bit."""
+    assert np.all(np.abs(values - pool_rows) <= np.spacing(pool_rows + radius))
+
+
 def test_sphere_rows_linearize_in_one_buffer_and_leave_the_pool_intact():
-    # the unit directions are written over the gathered active centers: one
-    # m x d array, and the pool's own samples are never touched
+    # the gathered active centers are the one m x d array: w - X and the
+    # unit directions are never formed, and the pool's own samples are
+    # never touched
     rng = np.random.default_rng(8)
     m, d = 8, 20_000
     centers = rng.standard_normal((2 * m, d))
     kept = centers.copy()
     pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(10.0))
     model = ad.IdentityOffset(d)
-    rows = cs.active_constraint_function(pool, model, np.arange(1, 2 * m, 2))
+    active = np.arange(1, 2 * m, 2)
+    rows = cs.active_constraint_function(pool, model, active)
     w = rng.standard_normal(d)
     tracemalloc.start()
     try:
@@ -239,13 +250,38 @@ def test_sphere_rows_linearize_in_one_buffer_and_leave_the_pool_intact():
         tracemalloc.stop()
     assert peak <= 1.5 * 8 * m * d
     np.testing.assert_array_equal(pool.samples, kept)
-    expect = hypersphere_residuals(w, kept[1::2], 10.0)
-    np.testing.assert_array_equal(lin.value, expect)
+    # the pool pass's formula (see the workload-shape test below for its
+    # rounding); the row norms of w - x_k to within the pool test's rounding
+    assert_pool_rows(lin.value, cs.violation_matrix(pool, model, w)[active, 0], 10.0)
+    np.testing.assert_allclose(lin.value, hypersphere_residuals(w, kept[active], 10.0),
+                               rtol=0, atol=1e-11)
     np.testing.assert_array_equal(ad.value(rows, w), lin.value)
-    Y = w - kept[1::2]
+    Y = w - kept[active]
+    U = Y / np.linalg.norm(Y, axis=1)[:, None]
     v = rng.standard_normal(d)
-    np.testing.assert_allclose(lin.jvp(v), (Y / np.linalg.norm(Y, axis=1)[:, None]) @ v,
-                               rtol=1e-12)
+    u = rng.standard_normal(m)
+    D = rng.uniform(0.5, 2.0, d)
+    np.testing.assert_allclose(lin.jvp(v), U @ v, rtol=1e-12)
+    # a component of u U can cancel to near 0: the tolerance is relative to
+    # the largest component
+    want = u @ U
+    np.testing.assert_allclose(lin.vjp(u), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    np.testing.assert_allclose(lin.gram(0.3), 0.3 * (U @ U.T), rtol=1e-12)
+    np.testing.assert_allclose(lin.gram(D), (U * D) @ U.T, rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sphere_rows_values_are_the_pool_rows_at_the_workload_shape(seed):
+    # the benchmark's sphere shape, d = 1e4 and 200 centers, at the anchor
+    # and at a perturbed point, with active sets of odd and even sizes
+    problem = bm.gen_spheres(10_000, 200, seed)
+    rng = np.random.default_rng(seed)
+    for w in (problem.x0, problem.x0 + rng.normal(0.0, 0.5, problem.dim)):
+        V = cs.violation_matrix(problem.pool, problem.model, w)
+        for m in (1, 3, 20, 37):
+            active = cs.select_random(problem.pool, m, rng.integers(2 ** 32))
+            rows = cs.active_constraint_function(problem.pool, problem.model, active)
+            assert_pool_rows(ad.linearize(rows, w).value, V[active, 0], 10.0)
 
 
 def test_select_random_bounds_and_determinism():

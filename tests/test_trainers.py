@@ -359,22 +359,28 @@ def test_hard_step_tapes_the_mlp_a_fixed_number_of_times(monkeypatch):
     assert [n for _, n in seen] == [2, 2]
 
 
-def test_hard_sphere_step_offsets_the_centers_once_per_linearization(monkeypatch):
-    # w - X is formed once for the step's linearization, not once per matvec
+def test_hard_sphere_step_gathers_the_centers_once_per_linearization(monkeypatch):
+    # the active centers are gathered once for the step's linearization,
+    # not once per matvec, and w - X is never formed
     problem = bm.gen_spheres(50, 12, seed=2)
     w = problem.x0.copy()
     active = cs.select_random(problem.pool, 5, 0)
+    gather = cs.StackedConstraints.X
+    gathers = []
+    monkeypatch.setattr(cs.StackedConstraints, "X",
+                        property(lambda rows: gathers.append("X") or gather.fget(rows)))
     offsets = _counting(monkeypatch, ad.IdentityOffset, "forward")
     matvecs = _counting(monkeypatch, kkt, "kkt_matvec")
     seen = []
     for solver in SOLVER_BUDGETS:
         cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=1.0, iterations=1, solver=solver)
-        offsets.clear()
+        gathers.clear()
         matvecs.clear()
         tr.step_hard(tr.HARD_SGD, w, problem, problem.residual_function(None), active, cfg)
-        seen.append((len(matvecs), len(offsets)))
+        seen.append((len(matvecs), len(gathers)))
     assert seen[0][0] != seen[1][0]
     assert [n for _, n in seen] == [1, 1]
+    assert offsets == []
 
 
 SMALL_POSE = dict(seed=0, n_samples=60, n_pool=20, in_dim=8, hidden=(12,))
