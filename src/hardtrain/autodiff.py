@@ -32,8 +32,10 @@ from .linops import Vector, as_vector, check_length
 
 @dataclass
 class MlpTape:
-    """Activations and ReLU masks recorded by one forward pass."""
+    """One forward pass's linearization state: the parameter views it ran
+    with, and the activations and ReLU masks it recorded."""
 
+    layers: list      # layers[l]: (W, b) views of the taped parameters
     acts: list        # acts[l]: input to layer l, shape (n, width_l)
     masks: list       # masks[l]: ReLU mask after layer l (hidden layers only)
     out: np.ndarray   # final output, shape (n, out_dim)
@@ -87,21 +89,21 @@ class Mlp:
 
     def forward(self, w: Vector, X: np.ndarray) -> np.ndarray:
         """Outputs of the batch X; records nothing for differentiation."""
-        return self._layers(w, X, None)
+        return self._layers(self.unpack(w), X, None)
 
     def tape(self, w: Vector, X: np.ndarray) -> MlpTape:
-        tape = MlpTape([], [], None)
-        tape.out = self._layers(w, X, tape)
+        tape = MlpTape(self.unpack(w), [], [], None)
+        tape.out = self._layers(tape.layers, X, tape)
         return tape
 
-    def _layers(self, w: Vector, X: np.ndarray, tape: MlpTape | None) -> np.ndarray:
+    def _layers(self, layers: list, X: np.ndarray, tape: MlpTape | None) -> np.ndarray:
         """The forward pass: each layer's bias add and ReLU run in place on
         its GEMM output; inputs and masks are appended to ``tape`` if given."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.in_dim:
             raise ValueError(f"input width {X.shape[1]} != {self.in_dim}")
         a = X
-        for l, (W, b) in enumerate(self.unpack(w)):
+        for l, (W, b) in enumerate(layers):
             if tape is not None:
                 tape.acts.append(a)
             z = a @ W.T
@@ -115,21 +117,20 @@ class Mlp:
         return a
 
     def linearize(self, w: Vector, X: np.ndarray):
-        """(outputs, jvp, vjp, gram) over one tape of the batch X."""
+        """(outputs, jvp, vjp, gram) over one tape of the batch X; the
+        tape holds all the state the three products read."""
         tape = self.tape(w, X)
-        return (tape.out, lambda v: self.jvp(w, v, tape), lambda U: self.vjp(w, U, tape),
-                lambda rows, H, d_inv: self.gram(w, rows, H, d_inv, tape))
+        return (tape.out, lambda v: self.jvp(v, tape), lambda U: self.vjp(U, tape),
+                lambda c, H, d_inv: self.gram(c, H, d_inv, tape))
 
-    def jvp(self, w: Vector, v: Vector, tape: MlpTape) -> np.ndarray:
+    def jvp(self, v: Vector, tape: MlpTape) -> np.ndarray:
         """Directional derivative of the taped batch's output along parameter tangent v.
 
         The inputs are fixed data, so layer 0 has no tangent-input term.
         """
         check_length(v, self.n_params, "tangent")
-        layers = self.unpack(w)
-        tangents = self.unpack(v)
         da = None
-        for l, ((W, _), (dW, db)) in enumerate(zip(layers, tangents)):
+        for l, ((W, _), (dW, db)) in enumerate(zip(tape.layers, self.unpack(v))):
             dz = tape.acts[l] @ dW.T
             if da is not None:
                 dz += da @ W.T
@@ -139,62 +140,58 @@ class Mlp:
             da = dz
         return da
 
-    def vjp(self, w: Vector, U: np.ndarray, tape: MlpTape) -> Vector:
+    def vjp(self, U: np.ndarray, tape: MlpTape) -> Vector:
         """Adjoint product: flat parameter gradient of <U, output> over the taped batch.
 
         Each layer's gradient is written straight into its slice of the
         flat result.
         """
         g = np.atleast_2d(np.asarray(U, dtype=np.float64))
-        layers = self.unpack(w)
         grad = np.empty(self.n_params)
         for l in range(self.n_layers - 1, -1, -1):
             w_sl, shape, b_sl = self.layout[l]
             np.matmul(g.T, tape.acts[l], out=grad[w_sl].reshape(shape))
             np.sum(g, axis=0, out=grad[b_sl])
             if l > 0:
-                g = g @ layers[l][0]
+                g = g @ tape.layers[l][0]
                 g *= tape.masks[l - 1]
         return grad
 
-    def gram(self, w: Vector, rows: np.ndarray, H: np.ndarray, d_inv, tape: MlpTape) -> np.ndarray:
-        """G diag(d_inv) G^T, where row k of G is the parameter gradient of
-        <H[k], output of taped sample rows[k]>.
+    def gram(self, c: int, H: np.ndarray, d_inv, tape: MlpTape) -> np.ndarray:
+        """G diag(d_inv) G^T, where row i of G is the parameter gradient of
+        <H[i], output of taped sample i // c>: each taped sample owns c
+        consecutive rows, the sample-major stacking of its constraints.
 
         The m rows of H are backpropagated together: at layer l, Delta_l
         holds each row's output cotangent and A_l its sample's layer input,
-        and G's layer-l block of row k is the outer product
-        Delta_l[k] A_l[k]^T plus the bias part Delta_l[k].  G is never
+        and G's layer-l block of row i is the outer product
+        Delta_l[i] A_l[i]^T plus the bias part Delta_l[i].  G is never
         formed.  For a scalar d_inv the Gram matrix is
         d_inv * sum_l (Delta_l Delta_l^T) * (A_l A_l^T + 1), elementwise.
         A vector d_inv weights layer l's weights by D_l (out x in) and its
-        bias by d_b, so rows k and k' of samples a and b meet through
-        M_a[b] = (A_a * A_b) D_l^T + d_b: for each distinct sample a, the
-        rows K_a of that sample get Delta[K_a] (Delta * M_a[r])^T, where
-        r maps each row to its sample.
+        bias by d_b, so rows of samples a and b meet through
+        M_a[b] = (A_a * A_b) D_l^T + d_b: the c rows of each sample a get
+        Delta[rows of a] (Delta * M_a[sample of each row])^T.
         """
-        layers = self.unpack(w)
         scalar = np.ndim(d_inv) == 0
-        m = len(rows)
-        S = np.zeros((m, m))
         g = np.atleast_2d(np.asarray(H, dtype=np.float64))
-        if not scalar:
-            samples, r = np.unique(rows, return_inverse=True)
-            groups = [np.flatnonzero(r == a) for a in range(len(samples))]
+        m = g.shape[0]
+        S = np.zeros((m, m))
         for l in range(self.n_layers - 1, -1, -1):
             if scalar:
-                A = tape.acts[l][rows]
+                A = np.repeat(tape.acts[l], c, axis=0)
                 S += (g @ g.T) * (A @ A.T + 1.0)
             else:
                 w_sl, shape, b_sl = self.layout[l]
-                A = tape.acts[l][samples]
+                A = tape.acts[l]
                 D_t = d_inv[w_sl].reshape(shape).T
-                for a, K in enumerate(groups):
+                for a in range(len(A)):
                     M = (A[a] * A) @ D_t
                     M += d_inv[b_sl]
-                    S[K] += g[K] @ (g * M[r]).T
+                    K = slice(a * c, (a + 1) * c)
+                    S[K] += g[K] @ (g * np.repeat(M, c, axis=0)).T
             if l > 0:
-                g = (g @ layers[l][0]) * tape.masks[l - 1][rows]
+                g = (g @ tape.layers[l][0]) * np.repeat(tape.masks[l - 1], c, axis=0)
         return d_inv * S if scalar else S
 
 
@@ -344,9 +341,11 @@ def load_params(path, expect_hash: int | None = None) -> Vector:
         n, h = struct.unpack("<QQ", header)
         if expect_hash is not None and h != (expect_hash & 0xFFFFFFFFFFFFFFFF):
             raise ValueError(f"layout hash mismatch: file has {h:#x}, expected {expect_hash:#x}")
-        data = np.frombuffer(fh.read(8 * n), dtype="<f8")
-        if data.shape[0] != n:
-            raise ValueError("truncated checkpoint")
+        payload = fh.read()
+    if len(payload) != 8 * n:
+        raise ValueError(f"checkpoint header counts {n} parameters ({8 * n} bytes), "
+                         f"but {len(payload)} bytes follow it")
+    data = np.frombuffer(payload, dtype="<f8")
     if not np.all(np.isfinite(data)):
         raise ValueError("checkpoint holds non-finite parameters")
     return data.astype(np.float64)

@@ -81,9 +81,9 @@ class SphereProblem:
     dim: int
     n_constraints: int
     seed: int
-    x0: Vector = field(repr=False, default=None)
-    pool: cs.ConstraintPool = field(repr=False, default=None)
-    model: ad.IdentityOffset = field(repr=False, default=None)
+    x0: Vector = field(repr=False)
+    pool: cs.ConstraintPool = field(repr=False)
+    model: ad.IdentityOffset = field(repr=False)
     n_train: int = 0
 
     def initial_params(self, rng) -> Vector:
@@ -113,11 +113,8 @@ def gen_spheres(d: int, n_constraints: int = SPHERE_DEFAULT_CONSTRAINTS,
     x0 = rng_anchor.standard_normal(d)
     x0 *= (2.0 * SPHERE_RADIUS) / np.linalg.norm(x0)
     pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(SPHERE_RADIUS))
-    problem = SphereProblem(dim=d, n_constraints=n_constraints, seed=seed)
-    problem.x0 = x0
-    problem.pool = pool
-    problem.model = ad.IdentityOffset(d)
-    return problem
+    return SphereProblem(dim=d, n_constraints=n_constraints, seed=seed, x0=x0, pool=pool,
+                         model=ad.IdentityOffset(d))
 
 
 def run_sphere_comparison(d: int, iters: int = 500, n_active: int = 20,
@@ -272,14 +269,13 @@ def pose_metrics(problem: ToyPoseProblem, w) -> tuple:
     return problem.prediction_error(w), mv
 
 
-def run_pose_suite(seed: int, methods=("soft_adam", "soft_sgd", "hard_sgd"),
-                   problem: ToyPoseProblem | None = None) -> dict:
+def run_pose_suite(seed: int, methods=("soft_adam", "soft_sgd", "hard_sgd")) -> dict:
     """Unconstrained baseline plus constrained fine-tunes for one seed.
 
     Returns per-method (prediction error, median violation) pairs along
     with the baseline's, all on the same generated problem.
     """
-    problem = problem or gen_toy_pose(seed=seed)
+    problem = gen_toy_pose(seed=seed)
     base = tr.train(tr.TrainConfig(seed=seed, solver=POSE_SOLVER, **POSE_BASELINE),
                     problem)
     w_u = base.best_params

@@ -292,6 +292,9 @@ def _setup_toy_pose(cfg: dict) -> tuple:
                                 expect_hash=problem.mlp.layout_hash())
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad value for 'init_checkpoint': {exc}") from exc
+        if w0.shape[0] != problem.mlp.n_params:
+            raise ConfigError(f"bad value for 'init_checkpoint': {w0.shape[0]} parameters, "
+                              f"expected {problem.mlp.n_params}")
     return problem, train_cfg, w0
 
 

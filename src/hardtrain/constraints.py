@@ -292,10 +292,9 @@ class StackedConstraints(ad.DiffFunction):
         k, c = len(self.samples), self.pool.n_constraints
         Y, model_jvp, model_vjp, model_gram = self.model.linearize(w, self.X)
         C, head_jvp, head_vjp = self.pool.head.linearize(Y)
-        rows = np.repeat(np.arange(k), c)
         return (C.ravel(), lambda v: head_jvp(model_jvp(v)).ravel(),
                 lambda u: model_vjp(head_vjp(u.reshape(k, c))),
-                lambda d_inv: model_gram(rows, self._head_rows(head_vjp), d_inv))
+                lambda d_inv: model_gram(c, self._head_rows(head_vjp), d_inv))
 
 
 class SphereRows(StackedConstraints):

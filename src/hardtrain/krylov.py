@@ -17,13 +17,13 @@ the verdict needs it, is computed once and read by every test after it.
 A direct P = I sweep that ends least-squares-type is followed by one sweep
 on the consistent squared system B^2 y = B b, whose result is returned.
 
-An optional symmetric positive definite preconditioner P, given as a
-function applying P^-1, switches the first sweep to the preconditioned
-Lanczos recurrences; without one, no preconditioner code runs.  A
-preconditioned result is kept only when its recomputed residual
-meets ``rtol``; otherwise the system is solved again with P = I, which
-keeps the minimum-length least-squares contract, and ``iters`` counts
-every sweep.
+Every sweep runs the preconditioned Lanczos recurrences for a symmetric
+positive definite P, given as a function applying P^-1; a solve given no
+P runs them with the identity, which makes them the plain ones.  The
+first sweep of a solve given a P uses it, and its result is kept only
+when its recomputed residual meets ``rtol``; otherwise the system is
+solved again with P = I, which keeps the minimum-length least-squares
+contract, and ``iters`` counts every sweep.
 
 Each sweep takes one update form for all of its iterations.  A
 preconditioned sweep updates x in MINRES form: a P that does its job
@@ -156,31 +156,29 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
     """One MINRES-QLP sweep; returns (x, iters, flag, anorm, acond,
     nonfinite, xres).
 
-    Without ``precond`` the sweep updates x in QLP form throughout.  With
-    ``precond`` (applying P^-1) the Lanczos recurrences are the
-    preconditioned ones: each iteration takes z = P^-1 r and
-    beta = sqrt(r . z), so the norms, estimates and stopping tests are in
-    the P^-1-norm, and x is updated in MINRES form.  An iteration that
-    finds a negligible QLP pivot or an overlong iterate (flag 9 or 6) ends
-    such a sweep with x left at the last iterate.  When the convergence
-    test passes but the recomputed Euclidean residual does not meet
-    ``rtol``, the sweep goes on with the P^-1-norm target tightened by
-    that gap.  ``xres`` is that Euclidean ||b - Bx|| when it was measured
-    for the returned x, else None.  A preconditioner that gives r . z < 0
-    (not SPD) ends the sweep as non-finite.
+    The Lanczos recurrences are the preconditioned ones, with ``precond``
+    applying P^-1 and the identity when it is None: each iteration takes
+    z = P^-1 r and beta = sqrt(r . z), so the norms, estimates and
+    stopping tests are in the P^-1-norm.  Without ``precond`` the sweep
+    updates x in QLP form throughout.  With one, x is updated in MINRES
+    form, and an iteration that finds a negligible QLP pivot or an
+    overlong iterate (flag 9 or 6) ends the sweep with x left at the last
+    iterate; when the convergence test passes but the recomputed Euclidean
+    residual does not meet ``rtol``, the sweep goes on with the P^-1-norm
+    target tightened by that gap.  ``xres`` is that Euclidean ||b - Bx||
+    when it was measured for the returned x, else None.  A preconditioner
+    that gives r . z < 0 (not SPD) ends the sweep as non-finite.
     """
     n = op.dim
     rtol = rtol_p = cfg.rtol
+    preconditioned = precond is not None
+    if not preconditioned:
+        precond = _identity
 
-    if precond is None:
-        z = b
-        beta1 = float(np.linalg.norm(b))
-    else:
-        z = precond(b)
-        beta1 = _precond_norm(b, z)
-        bnorm = float(np.linalg.norm(b))
-        if not math.isfinite(beta1):
-            return np.zeros(n), 0, 0, 0.0, 1.0, True, None
+    z = precond(b)
+    beta1 = _precond_norm(b, z)
+    if not math.isfinite(beta1):
+        return np.zeros(n), 0, 0, 0.0, 1.0, True, None
     if beta1 == 0.0:
         return np.zeros(n), 0, 0, 0.0, 1.0, False, None
 
@@ -237,18 +235,15 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
         r3 = r3 - (alfa / beta) * r2
         r1 = r2
         r2 = r3
-        if precond is None:
-            betan = float(np.linalg.norm(r3))
-        else:
-            r3 = precond(r2)
-            betan = _precond_norm(r2, r3)
+        r3 = precond(r2)
+        betan = _precond_norm(r2, r3)
         if not (math.isfinite(alfa) and math.isfinite(betan)):
             nonfinite = True
             break
         if iters == 1 and betan == 0.0:
             if alfa == 0.0:
                 break                      # B b = 0: x = 0 is minimum-length
-            x = z / alfa                   # B z = alfa b (z = b without P)
+            x = z / alfa                   # B z = alfa b
             flag = 1
             break
         pnorm = math.sqrt(betal * betal + alfa * alfa + betan * betan)
@@ -313,7 +308,7 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
         xnorm = math.sqrt(xl2norm * xl2norm + ul * ul + u * u)
 
         # --- update w and x -------------------------------------------
-        if precond is not None:
+        if preconditioned:
             # MINRES form, from the left-reflected entries of R_k; an
             # iteration that sets flag 6 or 9 leaves x the last iterate
             if flag != FLAG_GO:
@@ -382,11 +377,11 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
                 flag = 2
             if rnorm <= rtol_p * beta1:
                 flag = 1
-            if flag == 1 and precond is not None and iters < maxit:
+            if flag == 1 and preconditioned and iters < maxit:
                 # that test is in the P^-1-norm: continue, towards a
                 # tighter target, until the Euclidean residual meets rtol
                 xres = float(np.linalg.norm(b - apply(op, x)))
-                rel = xres / bnorm
+                rel = xres / float(np.linalg.norm(b))
                 if not rel <= rtol:
                     rtol_p *= 0.5 * rtol / rel
                     flag = FLAG_GO
@@ -395,6 +390,11 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
     if flag == FLAG_GO:
         flag = 0
     return x, iters, flag, max(anorm, _REALMIN), acond, nonfinite, xres
+
+
+def _identity(r: np.ndarray) -> np.ndarray:
+    """P^-1 for P = I."""
+    return r
 
 
 def _precond_norm(r: np.ndarray, z: np.ndarray) -> float:
@@ -421,8 +421,8 @@ def minres_qlp(op: LinearOperator, b, cfg: SolverConfig | None = None,
     ``iters`` counts both sweeps.
 
     ``precond``, when given, applies P^-1 for a symmetric positive definite
-    preconditioner P, and the first sweep runs the preconditioned
-    recurrences, updating x in MINRES form.  Its result is returned only if
+    preconditioner P, and the first sweep runs the Lanczos recurrences with
+    it in place of the identity, updating x in MINRES form.  Its result is returned only if
     the recomputed Euclidean residual meets ``rtol``; preconditioned MINRES
     minimizes the residual in the P^-1-norm, so on a singular inconsistent
     system it stops at a P-weighted least-squares point instead, and a P

@@ -280,9 +280,16 @@ def test_checkpoint_rejects_bad_magic_and_hash(tmp_path):
 def test_checkpoint_rejects_truncated_header(tmp_path):
     path = tmp_path / "p.bin"
     ad.save_params(path, np.ones(3), 1)
-    path.write_bytes(path.read_bytes()[:10])
+    raw = path.read_bytes()
+    path.write_bytes(raw[:10])
     with pytest.raises(ValueError, match="truncated checkpoint"):
         ad.load_params(path)
+    # a header count is outside input: one beyond the payload is refused,
+    # however large, before anything of its size is allocated
+    for n in (2**61, 2**59):
+        path.write_bytes(raw[:8] + n.to_bytes(8, "little") + raw[16:])
+        with pytest.raises(ValueError, match=rf"counts {n} parameters .* but 24 bytes"):
+            ad.load_params(path)
 
 
 def test_checkpoint_rejects_non_finite_parameters(tmp_path):

@@ -110,10 +110,23 @@ REMOVED_KEYS = ("solver_rtol", "solver_max_iters", "asym_noise", "input_noise")
     ("toy_pose", "n_samples = 1"),
     ("toy_pose", "init_checkpoint = no_such_params.bin"),
     ("toy_pose", "init_checkpoint = {nan_checkpoint}"),
+    # checkpoints of the model's layout hash whose header counts 5
+    # parameters, or more than the file holds
+    *(("toy_pose", f"init_checkpoint = {{checkpoint counting {n}}}") for n in (5, 2**61, 2**59)),
 ])
 def test_run_bad_config_value_exits_2_without_outputs(tmp_path, capsys, kind, line):
     base = BAD_VALUE_BASES[kind]
     key = line.split(" = ")[0]
+    counting = re.search(r"\{checkpoint counting (\d+)\}", line)
+    if counting:
+        cfg = cli.parse_config(write(tmp_path, "base.txt", base))
+        mlp = ad.Mlp([cfg["in_dim"], *cfg["hidden"], 51])
+        ckpt = tmp_path / "counted_params.bin"
+        ad.save_params(ckpt, np.ones(5), mlp.layout_hash())
+        raw = bytearray(ckpt.read_bytes())
+        raw[8:16] = int(counting.group(1)).to_bytes(8, "little")
+        ckpt.write_bytes(raw)
+        line = line.replace(counting.group(0), str(ckpt))
     if "{nan_checkpoint}" in line:
         # a checkpoint of the right layout with one NaN parameter
         assert cli.main(["run", write(tmp_path, "base.txt", base),

@@ -341,20 +341,24 @@ SOLVER_BUDGETS = (SolverConfig(rtol=1e-10), SolverConfig(rtol=1e-10, max_iters=1
 def test_hard_step_tapes_the_mlp_a_fixed_number_of_times(monkeypatch):
     # one linearization of the constraints and one of the risk; the Krylov
     # iterations add no forward passes, and the new parameters are left to
-    # the loop's pool evaluation
+    # the loop's pool evaluation.  The tapes hold the parameter views, so
+    # only a tape or a jvp's tangent unpacks a flat vector
     problem = bm.gen_toy_pose(seed=0, n_samples=60, n_pool=20, in_dim=8, hidden=(12,))
     w = problem.initial_params(np.random.default_rng(0))
     active = cs.select_mined(cs.violation_matrix(problem.pool, problem.mlp, w), 3)
     tapes = _counting(monkeypatch, ad.Mlp, "tape")
+    jvps = _counting(monkeypatch, ad.Mlp, "jvp")
+    unpacks = _counting(monkeypatch, ad.Mlp, "unpack")
     matvecs = _counting(monkeypatch, kkt, "kkt_matvec")
     seen = []
     for solver in SOLVER_BUDGETS:
         cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=0.3, solver=solver)
-        tapes.clear()
-        matvecs.clear()
+        for calls in (tapes, jvps, unpacks, matvecs):
+            calls.clear()
         tr.step_hard(tr.HARD_SGD, w, problem, problem.residual_function(np.arange(16)),
                      active, cfg)
         seen.append((len(matvecs), len(tapes)))
+        assert len(unpacks) == len(tapes) + len(jvps)
     assert seen[0][0] != seen[1][0]
     assert [n for _, n in seen] == [2, 2]
 

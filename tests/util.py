@@ -222,7 +222,7 @@ class OffsetModel(ad.IdentityOffset):
         Y = self.forward(w, X)
         return (Y, lambda v: np.broadcast_to(v, Y.shape),
                 lambda U: np.atleast_2d(U).sum(axis=0),
-                lambda rows, H, d_inv: (H * d_inv) @ H.T)
+                lambda c, H, d_inv: (H * d_inv) @ H.T)
 
 
 class AnchorProblem:
