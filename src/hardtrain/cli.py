@@ -17,6 +17,7 @@ import argparse
 import csv
 import ctypes
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -337,8 +338,8 @@ COMPARE_COLUMNS = ("median_violation", "active_delta")
 
 def read_metrics(path):
     """The rows of a metrics trace, with the ``COMPARE_COLUMNS`` cells as
-    floats; a trace without rows or with a missing or non-numeric cell in
-    those columns is refused."""
+    floats; a trace without rows or with a missing, non-numeric or
+    non-finite cell in those columns is refused."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in COMPARE_COLUMNS if c not in (reader.fieldnames or ())]
@@ -350,10 +351,13 @@ def read_metrics(path):
     for lineno, row in enumerate(rows, 2):
         for col in COMPARE_COLUMNS:
             try:
-                row[col] = float(row[col])
+                value = float(row[col])
             except (TypeError, ValueError):
+                value = math.nan
+            if not math.isfinite(value):
                 raise ConfigError(f"{path}:{lineno}: bad value for {col!r}: "
-                                  f"{row[col]!r}, expected a number") from None
+                                  f"{row[col]!r}, expected a finite number")
+            row[col] = value
     return rows
 
 

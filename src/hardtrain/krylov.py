@@ -9,37 +9,34 @@ It recomputes the true residual ``b - Bx`` on exit and classifies the
 result from that, so ``status == "converged"`` always means the *recomputed*
 residual is within ``rtol * ||b||``.  Systems that only converge in the
 least-squares sense (singular, inconsistent) come back as
-``"singular_min_length"``; one that meets neither test is ``"max_iters"``
-when its sweep ran to the iteration cap and ``"stalled"`` when another
-stopping test ended it first.  Each iterate's residual, and ``||B r||`` when
-the verdict needs it, is computed once and read by every test after it.
+``"singular_min_length"``, read from the stopping flag of the sweep that
+produced the iterate; one that meets neither test is ``"max_iters"`` when
+its sweep ran to the iteration cap and ``"stalled"`` when another stopping
+test ended it first.  Each iterate's residual is computed once and read by
+every test after it.
 
-A direct P = I sweep that ends least-squares-type is followed by one sweep
-on the consistent squared system B^2 y = B b, whose result is returned.
-
-Every sweep runs the preconditioned Lanczos recurrences for a symmetric
-positive definite P, given as a function applying P^-1; a solve given no
-P runs them with the identity, which makes them the plain ones.  The
-first sweep of a solve given a P uses it, and its result is kept only
-when its recomputed residual meets ``rtol``; otherwise the system is
-solved again with P = I, which keeps the minimum-length least-squares
-contract, and ``iters`` counts every sweep.
+Every solve takes one path.  Its first sweep runs the preconditioned
+Lanczos recurrences for a symmetric positive definite P, given as a
+function applying P^-1, or with the identity when none is given, which
+makes them the plain ones.  A first sweep that misses ``rtol`` and ends
+least-squares-type is followed by one P = I sweep on the consistent
+squared system B^2 y = B b, whose result is returned and keeps the
+minimum-length least-squares contract; ``iters`` counts both sweeps.
 
 Each sweep takes one update form for all of its iterations.  A
 preconditioned sweep updates x in MINRES form: a P that does its job
 leaves P^-1 B well conditioned (the Schur preconditioner of the KKT
-systems leaves three eigenvalue clusters), and a result that misses
-``rtol`` goes to the P = I solve anyway.  A P = I sweep updates x in QLP
-form from its first iteration: it is the solve for singular and
-ill-conditioned systems, and the QLP form drops a direction whose pivot is
-at roundoff level instead of dividing by it.
+systems leaves three eigenvalue clusters), and a sweep that stops on a
+negligible pivot goes to the squared-system sweep.  A P = I sweep updates
+x in QLP form from its first iteration: it is the sweep for singular and
+ill-conditioned systems, and the QLP form drops a direction whose pivot
+is at roundoff level instead of dividing by it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -119,32 +116,26 @@ def _sym_givens(a: float, b: float):
 
 
 class _Iterate:
-    """An iterate x with its residual r = b - Bx, computed once; ``arnorm``
-    (||B r||) is computed on first use."""
+    """An iterate x with its residual norm ||b - Bx||, computed once."""
 
     def __init__(self, op: LinearOperator, b: np.ndarray, x: np.ndarray):
-        self.op = op
         self.x = x
-        self.r = b - apply(op, x)
-        self.rnorm = float(np.linalg.norm(self.r))
-
-    @cached_property
-    def arnorm(self) -> float:
-        return float(np.linalg.norm(apply(self.op, self.r)))
+        self.rnorm = float(np.linalg.norm(b - apply(op, x)))
 
 
-def _classify(it: _Iterate, bnorm: float, rtol: float, anorm: float, ls_flagged: bool,
-              ran_out: bool, iters: int, acond: float) -> KrylovSolution:
+def _classify(it: _Iterate, bnorm: float, rtol: float, ls_flagged: bool, ran_out: bool,
+              iters: int, acond: float) -> KrylovSolution:
     """Final verdict from the independently recomputed residual.
 
-    An iterate that meets neither test is ``max_iters`` when its sweep ran
-    to the iteration cap (``ran_out``) and ``stalled`` when another of the
-    sweep's stopping tests ended it first.
+    An iterate within ``rtol`` is ``converged``; otherwise the sweep that
+    produced it decides: a least-squares stopping flag (``ls_flagged``)
+    makes it ``singular_min_length``, a sweep that ran to the iteration cap
+    (``ran_out``) ``max_iters``, and one that another stopping test ended
+    ``stalled``.
     """
     if it.rnorm <= rtol * bnorm:
         status = CONVERGED
-    elif ls_flagged or it.arnorm <= max(100.0 * rtol, 1e-8) * max(anorm, _REALMIN) * it.rnorm:
-        # least-squares optimality: B r ~ 0 even though r itself is not
+    elif ls_flagged:
         status = SINGULAR_MIN_LENGTH
     else:
         status = MAX_ITERS if ran_out else STALLED
@@ -407,54 +398,34 @@ def minres_qlp(op: LinearOperator, b, cfg: SolverConfig | None = None,
                precond=None) -> KrylovSolution:
     """Minimum-length solution of a symmetric (possibly singular) system.
 
-    Without ``precond`` the sweeps update x in QLP form from the first
-    iteration, which remains stable on singular and severely
-    ill-conditioned problems and yields the minimum-norm least-squares
-    solution.
+    One sweep runs with ``precond``, which applies P^-1 for a symmetric
+    positive definite P, or with the identity when it is None; a P that is
+    not SPD (r . z < 0) ends the solve as ``"breakdown"``.  In a
+    preconditioned sweep the stopping flags, the norm estimate ``anorm``
+    and the condition estimate ``acond`` belong to P^-1 B.
 
-    Singular *inconsistent* systems can defeat the direct sweep: the zero
-    eigenvalue surfaces in the tridiagonal factor mid-run and the sweep has
-    to stop before the range components are resolved.  When that happens a
-    second sweep solves the always-consistent squared system B^2 y = B b,
-    whose minimum-length solution is exactly the minimum-length least-squares
-    solution of the original system; its finite result is returned, and
-    ``iters`` counts both sweeps.
-
-    ``precond``, when given, applies P^-1 for a symmetric positive definite
-    preconditioner P, and the first sweep runs the Lanczos recurrences with
-    it in place of the identity, updating x in MINRES form.  Its result is returned only if
-    the recomputed Euclidean residual meets ``rtol``; preconditioned MINRES
-    minimizes the residual in the P^-1-norm, so on a singular inconsistent
-    system it stops at a P-weighted least-squares point instead, and a P
-    that leaves P^-1 B ill conditioned can stop it short.  Otherwise the
-    solve starts over with P = I as above, and ``iters`` counts every
-    sweep.  The condition estimate ``acond`` of a preconditioned result is
-    that of the preconditioned operator.
+    A sweep whose Euclidean residual met ``rtol``, or that stopped at the
+    float64 floor, is the answer.  Any other exit is least-squares-type:
+    the zero eigenvalue of a singular inconsistent system surfaces in the
+    tridiagonal factor mid-run, and a preconditioned sweep stops at a
+    P-weighted least-squares point whose null-space component is
+    uncontrolled (with a vector D block, the multipliers of a
+    rank-deficient KKT step carry a null(G^T) part that puts the step far
+    from the pseudoinverse solution).  A P = I sweep on the consistent
+    squared system B^2 y = B b follows, whose minimum-length solution is
+    exactly the minimum-length least-squares solution of the original
+    system; its finite result is returned, and ``iters`` counts both
+    sweeps.
     """
     cfg = cfg or SolverConfig()
     b = as_vector(b, "rhs")
     check_length(b, op.dim, "rhs")
     maxit = cfg.resolve_max_iters(op.dim)
-    if precond is None:
-        return _minres_qlp_unpreconditioned(op, b, cfg, maxit)
-    x, iters, _, _, acond, nonfinite, rnorm = _minres_qlp_pass(op, b, cfg, maxit, precond)
-    if not nonfinite and np.all(np.isfinite(x)):
-        if rnorm is None:
-            rnorm = float(np.linalg.norm(b - apply(op, x)))
-        if rnorm <= cfg.rtol * float(np.linalg.norm(b)):
-            return KrylovSolution(x, rnorm, iters, CONVERGED, acond)
-    sol = _minres_qlp_unpreconditioned(op, b, cfg, maxit)
-    sol.iters += iters
-    return sol
-
-
-def _minres_qlp_unpreconditioned(op: LinearOperator, b: np.ndarray, cfg: SolverConfig,
-                                 maxit: int) -> KrylovSolution:
-    """The P = I solve: a direct sweep, then the squared-system sweep if
-    the direct one ended least-squares-type."""
-    x, iters, flag, anorm, acond, nonfinite, _ = _minres_qlp_pass(op, b, cfg, maxit)
+    x, iters, flag, anorm, acond, nonfinite, xres = _minres_qlp_pass(op, b, cfg, maxit, precond)
     if nonfinite or not np.all(np.isfinite(x)):
         return KrylovSolution(x, float("inf"), iters, BREAKDOWN, acond)
+    if xres is not None:
+        return KrylovSolution(x, xres, iters, CONVERGED, acond)
     bnorm = float(np.linalg.norm(b))
     first = _Iterate(op, b, x)
     # flags 1/3/5 mean the sweep converged as far as f64 allows; the
@@ -464,16 +435,14 @@ def _minres_qlp_unpreconditioned(op: LinearOperator, b: np.ndarray, cfg: SolverC
     done = (first.rnorm <= cfg.rtol * bnorm or flag in (1, 3, 5) or (
         flag == 8 and first.rnorm / (anorm * np.linalg.norm(x) + bnorm) <= 1e-10))
     if not done:
-        # Least-squares-type exit: the direct sweep may carry an
-        # uncontrolled null-space component.  The squared system is
-        # consistent, and its minimum-length solution is the minimum-length
-        # least-squares solution, so its finite result is returned as is.
+        # Least-squares-type exit: the sweep may carry an uncontrolled
+        # null-space component.  The squared system is consistent, and its
+        # minimum-length solution is the minimum-length least-squares
+        # solution, so its finite result is returned as is.
         sq = LinearOperator(op.dim, lambda v: apply(op, apply(op, v)))
         x2, it2, flag2, _, acond2, nonfinite2, _ = _minres_qlp_pass(sq, apply(op, b), cfg,
                                                                      maxit)
         if not nonfinite2 and np.all(np.isfinite(x2)):
-            return _classify(_Iterate(op, b, x2), bnorm, cfg.rtol, anorm,
-                             flag2 in (1, 2, 3, 4), it2 >= maxit, iters + it2,
-                             max(acond, acond2))
-    return _classify(first, bnorm, cfg.rtol, anorm, flag in (2, 4), iters >= maxit,
-                     iters, acond)
+            return _classify(_Iterate(op, b, x2), bnorm, cfg.rtol, flag2 in (1, 2, 3, 4),
+                             it2 >= maxit, iters + it2, max(acond, acond2))
+    return _classify(first, bnorm, cfg.rtol, flag in (2, 4), iters >= maxit, iters, acond)

@@ -407,7 +407,9 @@ def test_compare_reads_only_the_columns_it_needs(tmp_path, capsys):
     ("", "has no rows"),
     ("1\n", ":2: bad value for 'active_delta': None"),
     ("0.5,fog\n", ":2: bad value for 'active_delta': 'fog'"),
-], ids=["no_rows", "missing_cell", "non_numeric_cell"])
+    ("0.5,0\nnan,0\n", ":3: bad value for 'median_violation': 'nan'"),
+    ("0.5,-inf\n", ":2: bad value for 'active_delta': '-inf'"),
+], ids=["no_rows", "missing_cell", "non_numeric_cell", "nan_cell", "inf_cell"])
 def test_compare_refuses_a_malformed_trace(tmp_path, capsys, body, expect):
     trace = write(tmp_path, "t.csv", "median_violation,active_delta\n" + body)
     assert cli.main(["compare", trace, trace]) == 2

@@ -6,6 +6,7 @@ from hardtrain import benchmarks as bm
 from hardtrain import constraints as cs
 from hardtrain import kkt
 from hardtrain.krylov import SolverConfig
+from hardtrain.linops import LinearOperator
 
 from util import LinearMap, dense_random_mlp, materialize, symmetry_defect
 
@@ -293,11 +294,12 @@ def test_preconditioned_step_matches_dense_solve(vector):
 def test_preconditioned_step_on_rank_deficient_constraints(vector):
     # duplicated and dependent rows: for a compatible right-hand side the
     # step dw is unique, and dw and the minimum-length multipliers equal the
-    # pseudoinverse solution's; for an incompatible one the solve still ends
-    # on the least-squares contract.  Rank loss keeps the preconditioner
-    # with the pseudo-inverse of S, since the shifted Schur complement would
-    # leave a null(G^T) component in the multipliers (about 1e-6 to 1e-3 of
-    # them)
+    # pseudoinverse solution's; for an incompatible one the solve ends on
+    # the least-squares contract, at the pseudoinverse solution too, after
+    # the preconditioned sweep and the squared-system sweep.  Rank loss
+    # keeps the preconditioner with the pseudo-inverse of S, since the
+    # shifted Schur complement would leave a null(G^T) component in the
+    # multipliers (about 1e-6 to 1e-3 of them)
     rng = np.random.default_rng(9)
     for trial in range(12):
         n, m = 10, 5
@@ -316,6 +318,10 @@ def test_preconditioned_step_on_rank_deficient_constraints(vector):
             assert np.linalg.norm(step.dw - oracle[:n]) <= 1e-8 * np.linalg.norm(oracle[:n])
             assert (np.linalg.norm(step.multipliers - oracle[n:])
                     <= 1e-8 * np.linalg.norm(oracle[n:]))
+        else:
+            got = np.concatenate([step.dw, step.multipliers])
+            assert np.linalg.norm(got - oracle) <= 1e-8 * np.linalg.norm(oracle)
+            assert step.solution.iters <= (40 if vector else 12)
 
 
 def test_preconditioner_only_for_a_diagonal_block_with_a_gram_product():
@@ -333,6 +339,39 @@ def test_preconditioner_only_for_a_diagonal_block_with_a_gram_product():
     # multipliers minimum-length
     dup = gram_linearization(np.vstack([G, G[:1]]), np.zeros(3))
     assert kkt.schur_preconditioner(kkt.KktState(1.0, np.ones(4), dup)) is not None
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar_D", "vector_D"])
+@pytest.mark.parametrize("rank_loss", [False, True], ids=["cholesky", "eigh"])
+def test_schur_preconditioner_is_spd(monkeypatch, rank_loss, vector):
+    # MINRES-QLP needs an SPD P (a P^-1 with r . z < 0 breaks the solve
+    # down): the Cholesky factor of the shifted S, and on rank loss the
+    # eigenvectors of S with the floored eigenvalues, both give one
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(None) or eigh(a))
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        n, m = 10, 5
+        G = rng.standard_normal((m, n))
+        if rank_loss:
+            G[3] = G[1]
+        state = kkt.KktState(random_diag(rng, n, vector), rng.standard_normal(n),
+                             gram_linearization(G, np.zeros(m)))
+        p_inv = materialize(LinearOperator(n + m, kkt.schur_preconditioner(state)))
+        np.testing.assert_allclose(p_inv, p_inv.T, rtol=0, atol=1e-12 * np.abs(p_inv).max())
+        lam = np.linalg.eigvalsh(p_inv)
+        assert lam[0] > 1e-8 * lam[-1]
+    assert len(calls) == (5 if rank_loss else 0)
+
+
+def test_non_spd_preconditioner_breaks_the_step_down(monkeypatch):
+    # r . z < 0 ends the sweep as non-finite, and the step raises
+    rng = np.random.default_rng(14)
+    state = kkt.KktState(1.0, rng.standard_normal(4),
+                         gram_linearization(rng.standard_normal((2, 4)), np.ones(2)))
+    monkeypatch.setattr(kkt, "schur_preconditioner", lambda state: lambda r: -r)
+    with pytest.raises(kkt.SolverBreakdown):
+        kkt.solve_step(state)
 
 
 def test_samples_below_every_relu_keep_the_preconditioner():

@@ -333,9 +333,9 @@ def _counting(monkeypatch, owner, name):
 
 
 # two solver settings that run different numbers of KKT matvecs: a
-# converged solve, and a one-iteration budget that misses rtol, falls back
-# to P = I and leaves the step skipped
-SOLVER_BUDGETS = (SolverConfig(rtol=1e-10), SolverConfig(rtol=1e-10, max_iters=1))
+# converged solve, and a two-iteration budget whose preconditioned sweep
+# misses rtol and is followed by the squared-system sweep
+SOLVER_BUDGETS = (SolverConfig(rtol=1e-10), SolverConfig(rtol=1e-10, max_iters=2))
 
 
 def test_hard_step_tapes_the_mlp_a_fixed_number_of_times(monkeypatch):
@@ -388,6 +388,20 @@ def test_hard_sphere_step_gathers_the_centers_once_per_linearization(monkeypatch
 
 
 SMALL_POSE = dict(seed=0, n_samples=60, n_pool=20, in_dim=8, hidden=(12,))
+
+
+def test_a_preconditioned_sweep_at_its_float64_floor_is_kept():
+    # at step 9 the Schur complement's eigenvalue ratio (about 4e-11) sits
+    # just below the preconditioner's cutoff: the preconditioned sweep
+    # stops at the attainable floor (flag 3, relative residual about
+    # 2.3e-8 against rtol 1e-8) after 22 iterations, and that iterate is
+    # the step
+    problem = bm.gen_toy_pose(**SMALL_POSE)
+    cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=0.3, epochs=3, batch_data=8,
+                         batch_constraints=10, seed=1, solver=bm.POSE_SOLVER)
+    report = tr.train(cfg, problem)
+    assert max(report.column("solver_iters")) <= 30
+    assert report.rows[8].iteration == 9 and report.rows[8].solver_status == "stalled"
 
 
 @pytest.mark.parametrize("settings, tapes", [
