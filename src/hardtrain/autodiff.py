@@ -208,7 +208,6 @@ class IdentityOffset:
 
     def __init__(self, dim: int):
         self.n_params = dim
-        self.in_dim = dim
         self.out_dim = dim
 
     def forward(self, w: Vector, X: np.ndarray) -> np.ndarray:
@@ -237,11 +236,14 @@ class Linearization(NamedTuple):
 
 
 class DiffFunction:
-    """Interface: value(w), and linearize(w) -> (value, jvp, vjp[, gram]).
+    """Interface: linearize(w) -> (value, jvp, vjp[, gram]), and value(w).
 
     The closures ``linearize`` returns hold whatever depends only on w, so
     they cost one product each however often they are called.  The
-    optional ``gram`` closure gives J diag(d_inv) J^T.
+    optional ``gram`` closure gives J diag(d_inv) J^T.  ``value`` is for
+    callers that need the value alone, the training objectives; a function
+    that is only linearized, such as a stack of constraint rows, need not
+    define it.
     """
 
     n_params: int

@@ -51,6 +51,13 @@ def _parse_bool(s):
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
+def _parse_finite(s):
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {s!r}")
+    return x
+
+
 def _parse_int_list(s):
     return tuple(int(x) for x in s.split(",") if x.strip())
 
@@ -75,13 +82,13 @@ _SCHEMAS = {
         "n_constraints": (int, bm.SPHERE_DEFAULT_CONSTRAINTS, _AT_LEAST_1),
         "n_active": (int, 20, _AT_LEAST_1),
         "iterations": (int, 500, _NON_NEGATIVE),
-        "lr": (float, None, _POSITIVE),        # default depends on the method
-        "soft_lambda": (float, bm.SPHERE_SOFT_LAMBDA, _NON_NEGATIVE),
+        "lr": (_parse_finite, None, _POSITIVE),        # default depends on the method
+        "soft_lambda": (_parse_finite, bm.SPHERE_SOFT_LAMBDA, _NON_NEGATIVE),
     },
     "toy_pose": {
         "method": (str, "soft_adam", _METHOD),
-        "lr": (float, 1e-3, _POSITIVE),
-        "soft_lambda": (float, 0.0, _NON_NEGATIVE),
+        "lr": (_parse_finite, 1e-3, _POSITIVE),
+        "soft_lambda": (_parse_finite, 0.0, _NON_NEGATIVE),
         "epochs": (int, 100, _NON_NEGATIVE),
         "batch_data": (int, 128, _AT_LEAST_1),
         "batch_constraints": (int, 128, _AT_LEAST_1),

@@ -25,9 +25,6 @@ import numpy as np
 from . import autodiff as ad
 from .linops import Vector
 
-# bytes of model output per chunk of the pool in violation_matrix
-_CHUNK_BYTES = 1 << 20
-
 # 17-joint skeleton used by the pose constraint family
 JOINT_NAMES = (
     "pelvis", "spine", "chest", "neck", "head",
@@ -83,7 +80,6 @@ class SymmetryHead:
     """Maps a batch of flat poses (n, 51) to the six symmetry residuals."""
 
     n_constraints = 6
-    in_dim = 51
 
     def __init__(self):
         self._a, self._b, self._c, self._d = np.asarray(SYMMETRY_JOINTS).T
@@ -195,18 +191,14 @@ def violation_matrix(pool: ConstraintPool, model, w: Vector) -> np.ndarray:
     :class:`SphereRows` computes its active rows by the same formula; they
     agree with this matrix's rows to one rounding of ||w - x_k||, because
     the BLAS may sum a row's products x_k.w in another order when the row
-    sits elsewhere in the matrix it multiplies.  Any other pool goes
-    through the model in chunks of rows whose outputs take about
-    ``_CHUNK_BYTES``: a pose pool is one batch.
+    sits elsewhere in the matrix it multiplies.  Any other pool is one
+    forward pass of the model over all of its samples.
     """
     if _sphere_pool(pool, model):
         dist = _sphere_distances(pool.samples @ w, w, pool.sample_sq_norms)
         dist -= pool.head.radius
         return dist[:, None]
-    rows = max(1, _CHUNK_BYTES // (8 * model.out_dim))
-    return np.concatenate([
-        np.atleast_2d(pool.head.value(model.forward(w, pool.samples[lo:lo + rows])))
-        for lo in range(0, pool.n_samples, rows)])
+    return pool.head.value(model.forward(w, pool.samples))
 
 
 def median_violation(V: np.ndarray) -> float:
@@ -269,9 +261,6 @@ class StackedConstraints(ad.DiffFunction):
         """The active samples, gathered on use so no copy outlives a call."""
         return self.pool.samples[self.samples]
 
-    def value(self, w):
-        return self.pool.head.value(self.model.forward(w, self.X)).ravel()
-
     def _head_rows(self, head_vjp) -> np.ndarray:
         """H[i] = dC_i / dY of the sample that owns stacked residual i.
 
@@ -307,9 +296,6 @@ class SphereRows(StackedConstraints):
     a = u / n, jvp is (w.v - X v) / n, vjp is sum(a) w - a X, and the Gram
     matrix U D U^T is (X D X^T - p 1^T - 1 p^T + w^T D w) / (n_i n_j) with
     p = X D w, D = diag(d_inv)."""
-
-    def value(self, w):
-        return self.linearize(w)[0]
 
     def linearize(self, w):
         X = self.X

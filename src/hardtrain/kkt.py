@@ -86,8 +86,9 @@ class KktState:
     curvature: ad.Linearization | None = None
 
     def __post_init__(self) -> None:
-        if np.any(np.asarray(self.diag) <= 0):
-            raise ValueError("damping diagonal must be positive")
+        diag = np.asarray(self.diag)
+        if not np.all((0 < diag) & (diag < np.inf)):
+            raise ValueError("damping diagonal must be positive and finite")
 
     @property
     def constraint_values(self) -> Vector:

@@ -68,8 +68,8 @@ class SolverConfig:
     max_iters: int | None = None
 
     def __post_init__(self) -> None:
-        if self.rtol <= 0:
-            raise ValueError(f"rtol must be positive, got {self.rtol}")
+        if not 0 < self.rtol < math.inf:
+            raise ValueError(f"rtol must be positive and finite, got {self.rtol}")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 

@@ -37,8 +37,8 @@ _ADAM_EPS = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
-    """A step or a metric went non-finite, or the inner solve broke down;
-    carries the report so far, with the last finite parameters."""
+    """A step, its damping or a metric went non-finite, or the inner solve
+    broke down; carries the report so far, with the last finite parameters."""
 
     def __init__(self, message: str, report: "TrainReport"):
         super().__init__(message)
@@ -101,14 +101,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; pick one of {METHODS}")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("lr must be positive and finite")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
         if self.iterations is not None and self.iterations < 0:
             raise ValueError("iterations must be non-negative")
-        if self.soft_lambda < 0:
-            raise ValueError("soft_lambda must be non-negative")
+        if not 0 <= self.soft_lambda < math.inf:
+            raise ValueError("soft_lambda must be non-negative and finite")
         for name in ("batch_data", "batch_constraints", "n_mined"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -190,15 +190,21 @@ def step_hard(method: str, w: Vector, problem, objective: ad.DiffFunction,
            if len(active) else None)
     res = ad.linearize(objective, w)
     g = res.vjp(2.0 * res.value)
-    if method == HARD_GN:
-        state = kkt.KktState(1.0 / cfg.lr, 0.5 * g, lin, res)
-    elif method == HARD_SGD:
-        state = kkt.KktState(1.0 / cfg.lr, g, lin)
-    else:
+    if method == HARD_ADAM:
         # D = diag(sqrt(v) + eps) / (lr * f) makes the unconstrained
         # solution D^-1 (-m) Adam's own step
         adam, _ = adam_update(adam, g, cfg.lr)
         diag = (np.sqrt(adam.v) + _ADAM_EPS) / (cfg.lr * adam.bias_correction())
+    else:
+        diag = 1.0 / cfg.lr
+    if not np.all(np.isfinite(diag)):
+        # an lr below 1 / DBL_MAX, or an overflowing second moment
+        raise FloatingPointError("non-finite damping diagonal")
+    if method == HARD_GN:
+        state = kkt.KktState(diag, 0.5 * g, lin, res)
+    elif method == HARD_SGD:
+        state = kkt.KktState(diag, g, lin)
+    else:
         state = kkt.KktState(diag, adam.m, lin)
 
     step = kkt.solve_step(state, cfg.solver)
@@ -286,7 +292,7 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
         try:
             step = (step_hard if hard else step_soft)(cfg.method, w, problem, objective,
                                                       active, cfg, adam)
-        except kkt.SolverBreakdown as exc:
+        except (kkt.SolverBreakdown, FloatingPointError) as exc:
             raise TrainingDiverged(f"{exc} at iteration {it}", report()) from exc
         adam = step.adam
         if not np.all(np.isfinite(step.multipliers)) or not np.all(np.isfinite(step.w)):

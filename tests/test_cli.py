@@ -86,6 +86,8 @@ REMOVED_KEYS = ("solver_rtol", "solver_max_iters", "asym_noise", "input_noise")
     ("spheres", "method = hard_newton"),
     ("spheres", "lr = -1"),
     ("spheres", "lr = 0"),
+    ("spheres", "lr = inf"),
+    ("toy_pose", "soft_lambda = inf"),
     ("spheres", "dim = 1"),
     ("spheres", "n_active = 0"),
     ("spheres", "iterations = -1"),
@@ -334,6 +336,16 @@ seed = 1
     assert summary["status"] == "numerical_failure"
     for r in cli.read_metrics(out / "metrics.csv"):
         assert np.isfinite(float(r["risk"]))
+
+
+def test_overflowing_damping_exits_3(tmp_path, capsys):
+    # D = I / lr overflows at a positive, finite lr below 1 / DBL_MAX: a
+    # numerical failure of the step, not a traceback from the KKT state
+    out = tmp_path / "o"
+    cfg = write(tmp_path, "c.txt", SPHERES_SMALL + "lr = 1e-320\n")
+    assert cli.main(["run", cfg, "--out-dir", str(out)]) == 3
+    assert "non-finite damping diagonal at iteration 1" in capsys.readouterr().err
+    assert json.loads((out / "summary.json").read_text())["status"] == "numerical_failure"
 
 
 def test_solver_breakdown_exits_3_and_keeps_the_last_iterate(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,14 @@ from hardtrain import autodiff as ad
 from hardtrain import benchmarks as bm
 from hardtrain import constraints as cs
 
-from util import BoundHead, LinearHead, hypersphere_residuals, symmetry_residuals
+from util import (BoundHead, LinearHead, OffsetModel, hypersphere_residuals,
+                  symmetry_residuals)
+
+
+def row_values(fn, w):
+    """The stacked constraint rows at w, read off their linearization as
+    training does."""
+    return ad.linearize(fn, w).value
 
 
 def symmetric_pose(rng=None, scale=1.0):
@@ -122,7 +129,7 @@ def test_hypersphere_gradient_unit_norm_and_fd():
         assert abs(np.linalg.norm(g) - 1.0) <= 1e-10
         v = rng.standard_normal(d)
         v /= np.linalg.norm(v)
-        fd = (ad.value(fn, w + h * v)[i] - ad.value(fn, w - h * v)[i]) / (2 * h)
+        fd = (row_values(fn, w + h * v)[i] - row_values(fn, w - h * v)[i]) / (2 * h)
         assert abs(g @ v - fd) <= 1e-6
 
 
@@ -168,26 +175,39 @@ def test_evaluate_matches_double_loop_oracle():
     np.testing.assert_allclose(got, expect, atol=1e-12)
 
 
-def test_violation_matrix_one_row_chunks_match_the_row_oracle():
-    # at this dimension a chunk of the pool is a single row: the values are
-    # the per-row head's exactly, and the peak stays a few rows, not the pool
+def test_violation_matrix_of_wide_outputs_matches_the_row_oracle():
+    # outputs 150k wide: the values are the per-row head's exactly
     d, n = 150_000, 16
-    assert cs._CHUNK_BYTES // (8 * d) == 0
     rng = np.random.default_rng(10)
     samples = rng.normal(0.0, 0.1, (n, d))
     w = rng.standard_normal(d)
     head = BoundHead([0, d - 1], [0.5, -0.5])
     pool = cs.ConstraintPool(samples, head)
     model = ad.IdentityOffset(d)
-    tracemalloc.start()
-    try:
-        V = cs.violation_matrix(pool, model, w)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    V = cs.violation_matrix(pool, model, w)
     expect = np.array([head.value((w - x)[None])[0] for x in samples])
     np.testing.assert_array_equal(V, expect)
-    assert peak <= 4 * 8 * d
+
+
+def test_violation_matrix_is_one_forward_pass_over_the_pool(monkeypatch):
+    # 3000 pose samples, more than 1 MiB of model output: one Mlp.forward
+    # call over the whole pool, and each row equals that sample's own pass
+    problem = bm.gen_toy_pose(seed=0, n_samples=60, n_pool=3000, in_dim=8, hidden=(12,))
+    pool, model = problem.pool, problem.mlp
+    w = model.init_params(np.random.default_rng(1))
+    batches = []
+    forward = ad.Mlp.forward
+
+    def counted(self, w, X):
+        batches.append(len(X))
+        return forward(self, w, X)
+
+    monkeypatch.setattr(ad.Mlp, "forward", counted)
+    V = cs.violation_matrix(pool, model, w)
+    assert batches == [3000]
+    expect = np.concatenate([pool.head.value(forward(model, w, pool.samples[k:k + 1]))
+                             for k in range(pool.n_samples)])
+    np.testing.assert_allclose(V, expect, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("d, n, at_center", [(10_000, 200, 1e-6), (150_000, 16, 1e-5)])
@@ -255,7 +275,7 @@ def test_sphere_rows_linearize_in_one_buffer_and_leave_the_pool_intact():
     assert_pool_rows(lin.value, cs.violation_matrix(pool, model, w)[active, 0], 10.0)
     np.testing.assert_allclose(lin.value, hypersphere_residuals(w, kept[active], 10.0),
                                rtol=0, atol=1e-11)
-    np.testing.assert_array_equal(ad.value(rows, w), lin.value)
+    np.testing.assert_array_equal(row_values(rows, w), lin.value)
     Y = w - kept[active]
     U = Y / np.linalg.norm(Y, axis=1)[:, None]
     v = rng.standard_normal(d)
@@ -355,8 +375,7 @@ def test_stacked_constraints_take_every_constraint_of_each_listed_sample():
     fn = cs.StackedConstraints(pool, model, samples)
     assert fn.n_outputs == 5 * 6
     expect = pool.head.value(model.forward(w, pool.samples[samples])).ravel()
-    np.testing.assert_array_equal(ad.value(fn, w), expect)
-    np.testing.assert_array_equal(ad.linearize(fn, w).value, expect)
+    np.testing.assert_array_equal(row_values(fn, w), expect)
 
 
 def test_stacked_constraints_adjoint_and_fd():
@@ -375,7 +394,7 @@ def test_stacked_constraints_adjoint_and_fd():
     # directional finite difference on the stacked vector
     vu = v / np.linalg.norm(v)
     h = 1e-6
-    fd = (ad.value(fn, w + h * vu) - ad.value(fn, w - h * vu)) / (2 * h)
+    fd = (row_values(fn, w + h * vu) - row_values(fn, w - h * vu)) / (2 * h)
     got = ad.linearize(fn, w).jvp(vu)
     assert np.linalg.norm(got - fd) / max(np.linalg.norm(fd), 1e-9) <= 1e-5
 
@@ -390,7 +409,7 @@ def test_bound_head_gradient_matches_fd():
     v = rng.standard_normal(fn.n_params)
     v /= np.linalg.norm(v)
     h = 1e-6
-    fd = (ad.value(fn, w + h * v) - ad.value(fn, w - h * v)) / (2 * h)
+    fd = (row_values(fn, w + h * v) - row_values(fn, w - h * v)) / (2 * h)
     got = ad.linearize(fn, w).jvp(v)
     assert np.linalg.norm(got - fd) / max(np.linalg.norm(fd), 1e-9) <= 1e-5
     u = rng.standard_normal(fn.n_outputs)
@@ -401,13 +420,13 @@ def test_evaluate_stacking_is_sample_major():
     rng = np.random.default_rng(8)
     H = rng.standard_normal((2, 3))
     pool = cs.ConstraintPool(rng.standard_normal((4, 3)), LinearHead(H))
-    model = ad.IdentityOffset(3)
+    model = OffsetModel(3)
     w = rng.standard_normal(3)
     got = gather(cs.violation_matrix(pool, model, w), np.array([0, 2]))
     expect = np.concatenate([H @ (w - pool.samples[0]), H @ (w - pool.samples[2])])
     np.testing.assert_allclose(got, expect, atol=1e-12)
     # the stack keeps the listed sample order
-    stacked = ad.value(cs.StackedConstraints(pool, model, np.array([2, 0])), w)
+    stacked = row_values(cs.StackedConstraints(pool, model, np.array([2, 0])), w)
     np.testing.assert_allclose(stacked, np.concatenate([expect[2:], expect[:2]]), atol=1e-12)
 
 

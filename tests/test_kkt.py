@@ -256,6 +256,11 @@ def test_state_validation():
         kkt.KktState(diag=0.0, grad=np.zeros(2))
     with pytest.raises(ValueError, match="damping"):
         kkt.KktState(diag=np.array([1.0, -1e-3]), grad=np.zeros(2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="damping"):
+            kkt.KktState(diag=bad, grad=np.zeros(2))
+        with pytest.raises(ValueError, match="damping"):
+            kkt.KktState(diag=np.array([1.0, bad]), grad=np.zeros(2))
 
 
 def gram_linearization(G, c):

@@ -25,8 +25,9 @@ def test_config_defaults():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(rtol=0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="rtol"):
+            SolverConfig(rtol=bad)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
 

@@ -19,6 +19,26 @@ def test_benchmark_modules_import(monkeypatch):
         assert Path(module.__file__).parent == PERFBENCH
 
 
+# the traced sites that name nothing in the program, and whose per-layer
+# figures therefore read 0; a program change that drops another traced
+# name fails here instead of zeroing one more figure unnoticed
+UNTRACED_SITES = [
+    "hardtrain.kkt.solve_step_with_retry",
+    "IdentityOffset.jvp", "IdentityOffset.vjp",
+    "SymmetryHead.jvp", "SymmetryHead.vjp",
+    "SphereRadiusHead.value", "SphereRadiusHead.jvp", "SphereRadiusHead.vjp",
+    "hardtrain.constraints.evaluate",
+    "SphereProblem.pool_median_violation",
+]
+
+
+def test_only_the_known_trace_sites_are_missing(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    with tracing.installed(tracing.Tracer()) as missing:
+        assert missing == UNTRACED_SITES
+
+
 @pytest.mark.parametrize("problem, settings", [
     (bm.gen_spheres(1000, 40, seed=0),
      dict(lr=bm.SPHERE_HARD_LR, iterations=10, batch_constraints=10, solver=bm.SPHERE_SOLVER)),

@@ -311,8 +311,12 @@ def test_train_validation_checkpoint_keeper():
 def test_train_config_validation():
     with pytest.raises(ValueError, match="method"):
         tr.TrainConfig(method="sgd")
-    with pytest.raises(ValueError, match="lr"):
-        tr.TrainConfig(method=tr.SOFT_SGD, lr=0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="lr"):
+            tr.TrainConfig(method=tr.SOFT_SGD, lr=bad)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="soft_lambda"):
+            tr.TrainConfig(method=tr.SOFT_SGD, soft_lambda=bad)
     pool = sphere_pool([[0.0]], 1.0)
     prob = AnchorProblem([0.0], pool)
     with pytest.raises(ValueError, match="iterations"):
