@@ -29,7 +29,8 @@ the Schur complement of D's diagonal part (:func:`schur_preconditioner`).
 It takes about three MINRES-QLP iterations when D is diagonal and about
 eleven for the Gauss-Newton step on pose.  A step whose active constraints
 lose rank keeps P, with the pseudo-inverse of S in its S block.  Each step
-is one solve, taken or skipped on its residual.
+is one solve, taken or skipped on its residual; a solve that breaks down
+raises ``FloatingPointError``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .linops import LinearOperator, Vector, check_length
-from .krylov import BREAKDOWN, KrylovSolution, SolverConfig, minres_qlp
+from .krylov import KrylovSolution, SolverConfig, minres_qlp
 
 log = logging.getLogger(__name__)
 
@@ -55,16 +56,6 @@ _EIG_CUTOFF = 1e-10
 # residual, relative to ||rhs||, below which a solve that missed its own
 # tolerance is still taken as a step
 _ACCEPT_RTOL = 1e-3
-
-
-class SolverBreakdown(RuntimeError):
-    """Inner solve produced non-finite values."""
-
-    def __init__(self, solution: KrylovSolution):
-        super().__init__(
-            f"saddle-point solve broke down after {solution.iters} iterations "
-            f"(residual norm {solution.residual_norm:.3e})")
-        self.solution = solution
 
 
 @dataclass
@@ -186,14 +177,12 @@ def solve_step(state: KktState, cfg: SolverConfig | None = None) -> KktStep:
 
     The step is accepted when the solve met its own tolerance or, failing
     that, left a residual within ``_ACCEPT_RTOL`` of ||rhs||; otherwise the
-    caller should skip the update.  Raises :class:`SolverBreakdown` on
-    non-finite solver output.
+    caller should skip the update.  A solve that breaks down raises the
+    solver's ``FloatingPointError``, which passes through unchanged.
     """
     op = kkt_operator(state)
     rhs = kkt_rhs(state)
     sol = minres_qlp(op, rhs, cfg, precond=schur_preconditioner(state))
-    if sol.status == BREAKDOWN:
-        raise SolverBreakdown(sol)
     accepted = sol.ok or sol.residual_norm <= _ACCEPT_RTOL * float(np.linalg.norm(rhs))
     if not accepted:
         log.warning("inner solve residual %.3e above %.1e of rhs: step not accepted",

@@ -13,7 +13,9 @@ least-squares sense (singular, inconsistent) come back as
 produced the iterate; one that meets neither test is ``"max_iters"`` when
 its sweep ran to the iteration cap and ``"stalled"`` when another stopping
 test ended it first.  Each iterate's residual is computed once and read by
-every test after it.
+every test after it.  A solve whose first sweep goes non-finite raises
+``FloatingPointError`` where it is found, so every returned solution holds a
+finite iterate.
 
 Every solve takes one path.  Its first sweep runs the preconditioned
 Lanczos recurrences for a symmetric positive definite P, given as a
@@ -46,7 +48,6 @@ CONVERGED = "converged"
 MAX_ITERS = "max_iters"
 STALLED = "stalled"
 SINGULAR_MIN_LENGTH = "singular_min_length"
-BREAKDOWN = "breakdown"
 
 _EPS = np.finfo(np.float64).eps
 _REALMIN = np.finfo(np.float64).tiny
@@ -115,17 +116,15 @@ def _sym_givens(a: float, b: float):
     return c, s, a / c
 
 
-class _Iterate:
-    """An iterate x with its residual norm ||b - Bx||, computed once."""
-
-    def __init__(self, op: LinearOperator, b: np.ndarray, x: np.ndarray):
-        self.x = x
-        self.rnorm = float(np.linalg.norm(b - apply(op, x)))
+def _residual_norm(op: LinearOperator, b: np.ndarray, x: np.ndarray) -> float:
+    """||b - Bx||, the norm every verdict on x reads."""
+    return float(np.linalg.norm(b - apply(op, x)))
 
 
-def _classify(it: _Iterate, bnorm: float, rtol: float, ls_flagged: bool, ran_out: bool,
-              iters: int, acond: float) -> KrylovSolution:
-    """Final verdict from the independently recomputed residual.
+def _classify(x: np.ndarray, rnorm: float, bnorm: float, rtol: float, ls_flagged: bool,
+              ran_out: bool, iters: int, acond: float) -> KrylovSolution:
+    """Final verdict on the finite iterate x from its independently
+    recomputed residual norm ``rnorm``.
 
     An iterate within ``rtol`` is ``converged``; otherwise the sweep that
     produced it decides: a least-squares stopping flag (``ls_flagged``)
@@ -133,13 +132,13 @@ def _classify(it: _Iterate, bnorm: float, rtol: float, ls_flagged: bool, ran_out
     (``ran_out``) ``max_iters``, and one that another stopping test ended
     ``stalled``.
     """
-    if it.rnorm <= rtol * bnorm:
+    if rnorm <= rtol * bnorm:
         status = CONVERGED
     elif ls_flagged:
         status = SINGULAR_MIN_LENGTH
     else:
         status = MAX_ITERS if ran_out else STALLED
-    return KrylovSolution(it.x, it.rnorm, iters, status, acond)
+    return KrylovSolution(x, rnorm, iters, status, acond)
 
 
 def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit: int,
@@ -399,10 +398,12 @@ def minres_qlp(op: LinearOperator, b, cfg: SolverConfig | None = None,
     """Minimum-length solution of a symmetric (possibly singular) system.
 
     One sweep runs with ``precond``, which applies P^-1 for a symmetric
-    positive definite P, or with the identity when it is None; a P that is
-    not SPD (r . z < 0) ends the solve as ``"breakdown"``.  In a
-    preconditioned sweep the stopping flags, the norm estimate ``anorm``
-    and the condition estimate ``acond`` belong to P^-1 B.
+    positive definite P, or with the identity when it is None.  A first
+    sweep whose recurrences or iterate go non-finite, as a P that is not
+    SPD (r . z < 0) makes them, raises ``FloatingPointError`` naming its
+    iteration count.  In a preconditioned sweep the stopping flags, the
+    norm estimate ``anorm`` and the condition estimate ``acond`` belong to
+    P^-1 B.
 
     A sweep whose Euclidean residual met ``rtol``, or that stopped at the
     float64 floor, is the answer.  Any other exit is least-squares-type:
@@ -414,8 +415,8 @@ def minres_qlp(op: LinearOperator, b, cfg: SolverConfig | None = None,
     from the pseudoinverse solution).  A P = I sweep on the consistent
     squared system B^2 y = B b follows, whose minimum-length solution is
     exactly the minimum-length least-squares solution of the original
-    system; its finite result is returned, and ``iters`` counts both
-    sweeps.
+    system; its result is returned when finite, the first sweep's iterate
+    otherwise, and ``iters`` counts both sweeps.
     """
     cfg = cfg or SolverConfig()
     b = as_vector(b, "rhs")
@@ -423,17 +424,17 @@ def minres_qlp(op: LinearOperator, b, cfg: SolverConfig | None = None,
     maxit = cfg.resolve_max_iters(op.dim)
     x, iters, flag, anorm, acond, nonfinite, xres = _minres_qlp_pass(op, b, cfg, maxit, precond)
     if nonfinite or not np.all(np.isfinite(x)):
-        return KrylovSolution(x, float("inf"), iters, BREAKDOWN, acond)
+        raise FloatingPointError(f"MINRES-QLP broke down after {iters} iterations")
     if xres is not None:
         return KrylovSolution(x, xres, iters, CONVERGED, acond)
     bnorm = float(np.linalg.norm(b))
-    first = _Iterate(op, b, x)
+    rnorm = _residual_norm(op, b, x)
     # flags 1/3/5 mean the sweep converged as far as f64 allows; the
     # squared-system sweep would only trade a floor-level iterate for one
     # with cond^2 error amplification.  So would a sweep that ran out of
     # iterations at a normwise relative backward error at roundoff level.
-    done = (first.rnorm <= cfg.rtol * bnorm or flag in (1, 3, 5) or (
-        flag == 8 and first.rnorm / (anorm * np.linalg.norm(x) + bnorm) <= 1e-10))
+    done = (rnorm <= cfg.rtol * bnorm or flag in (1, 3, 5) or (
+        flag == 8 and rnorm / (anorm * np.linalg.norm(x) + bnorm) <= 1e-10))
     if not done:
         # Least-squares-type exit: the sweep may carry an uncontrolled
         # null-space component.  The squared system is consistent, and its
@@ -443,6 +444,6 @@ def minres_qlp(op: LinearOperator, b, cfg: SolverConfig | None = None,
         x2, it2, flag2, _, acond2, nonfinite2, _ = _minres_qlp_pass(sq, apply(op, b), cfg,
                                                                      maxit)
         if not nonfinite2 and np.all(np.isfinite(x2)):
-            return _classify(_Iterate(op, b, x2), bnorm, cfg.rtol, flag2 in (1, 2, 3, 4),
-                             it2 >= maxit, iters + it2, max(acond, acond2))
-    return _classify(first, bnorm, cfg.rtol, flag in (2, 4), iters >= maxit, iters, acond)
+            return _classify(x2, _residual_norm(op, b, x2), bnorm, cfg.rtol,
+                             flag2 in (1, 2, 3, 4), it2 >= maxit, iters + it2, max(acond, acond2))
+    return _classify(x, rnorm, bnorm, cfg.rtol, flag in (2, 4), iters >= maxit, iters, acond)

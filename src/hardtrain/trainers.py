@@ -37,8 +37,8 @@ _ADAM_EPS = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
-    """A step, its damping or a metric went non-finite, or the inner solve
-    broke down; carries the report so far, with the last finite parameters."""
+    """A step, its damping, its inner solve or a metric went non-finite;
+    carries the report so far, with the last finite parameters."""
 
     def __init__(self, message: str, report: "TrainReport"):
         super().__init__(message)
@@ -292,10 +292,10 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
         try:
             step = (step_hard if hard else step_soft)(cfg.method, w, problem, objective,
                                                       active, cfg, adam)
-        except (kkt.SolverBreakdown, FloatingPointError) as exc:
+        except FloatingPointError as exc:
             raise TrainingDiverged(f"{exc} at iteration {it}", report()) from exc
         adam = step.adam
-        if not np.all(np.isfinite(step.multipliers)) or not np.all(np.isfinite(step.w)):
+        if not np.all(np.isfinite(step.w)):
             raise TrainingDiverged(f"non-finite step at iteration {it}", report())
         step_norm = float(np.linalg.norm(step.w - w))
         w = step.w

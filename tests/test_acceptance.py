@@ -13,7 +13,14 @@ from hardtrain import cli
 from hardtrain import constraints as cs
 from hardtrain import kkt
 from hardtrain import trainers as tr
-from hardtrain.krylov import SolverConfig, minres_qlp
+from hardtrain.krylov import (
+    CONVERGED,
+    MAX_ITERS,
+    SINGULAR_MIN_LENGTH,
+    STALLED,
+    SolverConfig,
+    minres_qlp,
+)
 
 from util import (
     AnchorProblem,
@@ -46,6 +53,9 @@ def test_criterion_1_krylov_conformance():
         B, b, x_star, cond, deficient = random_symmetric_system(rng)
         cfg = SolverConfig(rtol=1e-11, max_iters=min(max(8 * B.shape[0], 400), 3000))
         sol = minres_qlp(from_dense(B), b, cfg)
+        # a returned solve holds a finite iterate and residual
+        assert np.all(np.isfinite(sol.x)) and np.isfinite(sol.residual_norm)
+        assert sol.status in (CONVERGED, SINGULAR_MIN_LENGTH, MAX_ITERS, STALLED)
         err = np.linalg.norm(sol.x - x_star) / max(np.linalg.norm(x_star), 1e-300)
         tol = 1e-8 if (cond <= 1e6 and not deficient) else 1e-6
         n_deficient += deficient

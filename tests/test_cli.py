@@ -11,7 +11,6 @@ import pytest
 from hardtrain import autodiff as ad
 from hardtrain import benchmarks as bm
 from hardtrain import cli, kkt
-from hardtrain.krylov import BREAKDOWN, KrylovSolution
 
 
 def write(tmp_path, name, text):
@@ -35,6 +34,7 @@ def test_parse_config_defaults_and_overrides(tmp_path):
     cfg = cli.parse_config(write(tmp_path, "c.txt", SPHERES_SMALL))
     assert cfg["kind"] == "spheres" and cfg["dim"] == 120
     assert cfg["soft_lambda"] == bm.SPHERE_SOFT_LAMBDA  # default filled in
+    assert cli.parse_config(write(tmp_path, "p.txt", POSE_SMALL + "mine = no\n"))["mine"] is False
 
 
 def test_parse_config_unknown_key_has_line_number(tmp_path):
@@ -54,6 +54,9 @@ def test_parse_config_rejects_bad_values_and_duplicates(tmp_path):
         cli.parse_config(write(tmp_path, "d.txt", "kind = lattice\n"))
     with pytest.raises(cli.ConfigError, match="unknown kind"):
         cli.parse_config(write(tmp_path, "e.txt", "kind = solve_check\n"))
+    p = write(tmp_path, "f.txt", "kind = spheres\n# a comment\ndim 8\n")
+    with pytest.raises(cli.ConfigError, match=re.escape(f"{p}:3: expected 'key = value'")):
+        cli.parse_config(p)
 
 
 def test_readme_config_examples_parse(tmp_path):
@@ -109,6 +112,7 @@ REMOVED_KEYS = ("solver_rtol", "solver_max_iters", "asym_noise", "input_noise")
     ("toy_pose", "batch_data = 0"),
     ("toy_pose_mined", "n_mined = 0"),
     ("toy_pose_mined", "n_mined = 11"),
+    ("toy_pose", "mine = maybe"),
     ("toy_pose", "n_samples = 1"),
     ("toy_pose", "init_checkpoint = no_such_params.bin"),
     ("toy_pose", "init_checkpoint = {nan_checkpoint}"),
@@ -175,7 +179,7 @@ def test_run_zero_iterations_writes_header_plus_initial_row(tmp_path):
     assert len(lines) == 2 and lines[1].startswith("0,")
 
 
-def test_paired_sphere_runs_have_matching_row_counts(tmp_path):
+def test_paired_sphere_runs_have_matching_row_counts(tmp_path, capsys):
     soft = SPHERES_SMALL.replace("method = hard_sgd", "method = soft_sgd")
     out_h = tmp_path / "h"
     out_s = tmp_path / "s"
@@ -184,6 +188,12 @@ def test_paired_sphere_runs_have_matching_row_counts(tmp_path):
     rows_h = (out_h / "metrics.csv").read_text().splitlines()
     rows_s = (out_s / "metrics.csv").read_text().splitlines()
     assert len(rows_h) == len(rows_s) == 25 + 2  # header + initial + iterations
+    # hardtrain compare prints the pair's statistics as one JSON object
+    traces = [str(out_h / "metrics.csv"), str(out_s / "metrics.csv")]
+    capsys.readouterr()
+    assert cli.main(["compare", *traces]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out) == cli.compare(*map(cli.read_metrics, traces))
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -235,10 +245,13 @@ def test_resolved_config_reproduces_its_run(tmp_path, config):
 
 def test_env_var_sets_default_output_root(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.ENV_OUT_ROOT, str(tmp_path / "root"))
-    p = write(tmp_path, "myrun.txt",
-              SPHERES_SMALL.replace("iterations = 25", "iterations = 0"))
-    assert cli.main(["run", p]) == 0
+    config = SPHERES_SMALL.replace("iterations = 25", "iterations = 0")
+    assert cli.main(["run", write(tmp_path, "myrun.txt", config)]) == 0
     assert (tmp_path / "root" / "myrun" / "metrics.csv").exists()
+    # a config's out_dir key takes precedence over the root
+    keyed = tmp_path / "keyed"
+    assert cli.main(["run", write(tmp_path, "other.txt", config + f"out_dir = {keyed}\n")]) == 0
+    assert (keyed / "metrics.csv").exists() and not (tmp_path / "root" / "other").exists()
 
 
 def test_full_scale_flag_switches_dimension(tmp_path):
@@ -348,6 +361,22 @@ def test_overflowing_damping_exits_3(tmp_path, capsys):
     assert json.loads((out / "summary.json").read_text())["status"] == "numerical_failure"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+def test_overflowing_soft_step_exits_3_with_the_initial_iterate(tmp_path, capsys):
+    # w - lr * g overflows in the first step: the run keeps its initial row
+    # and parameters
+    out = tmp_path / "o"
+    cfg = write(tmp_path, "c.txt", "kind = spheres\nmethod = soft_sgd\ndim = 200\n"
+                "n_constraints = 16\nn_active = 5\nlr = 1e306\n")
+    assert cli.main(["run", cfg, "--out-dir", str(out)]) == 3
+    assert "non-finite step at iteration 1" in capsys.readouterr().err
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0,")
+    np.testing.assert_array_equal(ad.load_params(out / "params.bin"),
+                                  bm.gen_spheres(200, 16, 0).x0)
+    assert json.loads((out / "summary.json").read_text())["status"] == "numerical_failure"
+
+
 def test_solver_breakdown_exits_3_and_keeps_the_last_iterate(tmp_path, capsys, monkeypatch):
     # a breakdown at the 5th solve leaves the rows and parameters of a
     # 4-iteration run
@@ -359,7 +388,7 @@ def test_solver_breakdown_exits_3_and_keeps_the_last_iterate(tmp_path, capsys, m
     def breaks_at_the_fifth_solve(op, b, *args, **kwargs):
         calls.append(None)
         if len(calls) == 5:
-            return KrylovSolution(np.full(op.dim, np.nan), np.nan, 2, BREAKDOWN)
+            raise FloatingPointError("MINRES-QLP broke down after 2 iterations")
         return solve(op, b, *args, **kwargs)
 
     monkeypatch.setattr(kkt, "minres_qlp", breaks_at_the_fifth_solve)

@@ -8,7 +8,8 @@ from hardtrain import kkt
 from hardtrain.krylov import SolverConfig
 from hardtrain.linops import LinearOperator
 
-from util import LinearMap, dense_random_mlp, materialize, symmetry_defect
+from util import (LinearHead, LinearMap, OffsetModel, dense_random_mlp, materialize,
+                  symmetry_defect)
 
 
 def linear_constraints(G, c=None):
@@ -233,8 +234,30 @@ def test_breakdown_propagates_with_diagnostics():
 
     state = kkt.KktState(diag=1.0, grad=np.ones(2),
                          constraint=ad.linearize(Bad(), np.zeros(2)))
-    with pytest.raises(kkt.SolverBreakdown, match="iterations"):
+    with pytest.raises(FloatingPointError, match=r"broke down after \d+ iterations"):
         kkt.solve_step(state)
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar_D", "vector_D"])
+def test_zero_jacobian_step_is_unpreconditioned_and_minimum_length(vector):
+    # constraints whose outputs do not depend on w give G = 0 and S = 0, so
+    # no preconditioner applies; the inconsistent system's minimum-length
+    # least-squares solution is the unconstrained step with zero multipliers.
+    # A scalar D gives it to roundoff; a vector D spanning three decades
+    # leaves the squared-system sweep about 1e-10 off it
+    rng = np.random.default_rng(15)
+    pool = cs.ConstraintPool(rng.standard_normal((4, 5)),
+                             LinearHead(np.zeros((2, 5)), [1.0, -2.0]))
+    w = rng.standard_normal(5)
+    lin = ad.linearize(cs.StackedConstraints(pool, OffsetModel(5), [0, 2, 3]), w)
+    state = kkt.KktState(random_diag(rng, 5, vector), rng.standard_normal(5), lin)
+    assert kkt.schur_preconditioner(state) is None
+    step = kkt.solve_step(state)
+    assert step.accepted and step.solution.status == "singular_min_length"
+    expect = -state.grad / state.diag
+    tol = 1e-8 if vector else 1e-15
+    assert np.linalg.norm(step.dw - expect) <= tol * np.linalg.norm(expect)
+    np.testing.assert_array_equal(step.multipliers, np.zeros(6))
 
 
 def test_one_solve_per_step_accepts_or_skips(monkeypatch):
@@ -319,6 +342,7 @@ def test_preconditioned_step_on_rank_deficient_constraints(vector):
         step = kkt.solve_step(state, SolverConfig(rtol=1e-10))
         oracle = np.linalg.pinv(materialize(kkt.kkt_operator(state))) @ kkt.kkt_rhs(state)
         assert step.solution.status in ("converged", "singular_min_length")
+        assert np.all(np.isfinite(step.solution.x)) and np.isfinite(step.solution.residual_norm)
         if consistent:
             assert np.linalg.norm(step.dw - oracle[:n]) <= 1e-8 * np.linalg.norm(oracle[:n])
             assert (np.linalg.norm(step.multipliers - oracle[n:])
@@ -375,7 +399,7 @@ def test_non_spd_preconditioner_breaks_the_step_down(monkeypatch):
     state = kkt.KktState(1.0, rng.standard_normal(4),
                          gram_linearization(rng.standard_normal((2, 4)), np.ones(2)))
     monkeypatch.setattr(kkt, "schur_preconditioner", lambda state: lambda r: -r)
-    with pytest.raises(kkt.SolverBreakdown):
+    with pytest.raises(FloatingPointError, match="broke down after"):
         kkt.solve_step(state)
 
 
