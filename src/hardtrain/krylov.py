@@ -25,14 +25,10 @@ least-squares-type is followed by one P = I sweep on the consistent
 squared system B^2 y = B b, whose result is returned and keeps the
 minimum-length least-squares contract; ``iters`` counts both sweeps.
 
-Each sweep takes one update form for all of its iterations.  A
-preconditioned sweep updates x in MINRES form: a P that does its job
-leaves P^-1 B well conditioned (the Schur preconditioner of the KKT
-systems leaves three eigenvalue clusters), and a sweep that stops on a
-negligible pivot goes to the squared-system sweep.  A P = I sweep updates
-x in QLP form from its first iteration: it is the sweep for singular and
-ill-conditioned systems, and the QLP form drops a direction whose pivot
-is at roundoff level instead of dividing by it.
+Every sweep updates x in QLP form from its first iteration, preconditioned
+or not: a direction whose pivot is at roundoff level, or that would make
+the iterate overlong, is dropped instead of divided by, which keeps x
+minimum-length on singular and ill-conditioned systems.
 """
 
 from __future__ import annotations
@@ -63,6 +59,8 @@ class SolverConfig:
     """Tolerance and iteration cap of the solver.
 
     ``max_iters`` defaults to ``4 * dim`` capped at 2000 when left unset.
+    It caps each sweep, not the solve: a solve that takes the
+    squared-system sweep can report up to ``2 * max_iters`` iterations.
     """
 
     rtol: float = 1e-8
@@ -83,7 +81,8 @@ class SolverConfig:
 @dataclass
 class KrylovSolution:
     """Solver output.  ``residual_norm`` is ||b - Bx|| recomputed on exit;
-    ``acond`` is the solver's condition estimate.
+    ``iters`` counts the iterations of both sweeps, so it can reach
+    ``2 * max_iters``; ``acond`` is the solver's condition estimate.
     """
 
     x: np.ndarray
@@ -149,14 +148,13 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
     The Lanczos recurrences are the preconditioned ones, with ``precond``
     applying P^-1 and the identity when it is None: each iteration takes
     z = P^-1 r and beta = sqrt(r . z), so the norms, estimates and
-    stopping tests are in the P^-1-norm.  Without ``precond`` the sweep
-    updates x in QLP form throughout.  With one, x is updated in MINRES
-    form, and an iteration that finds a negligible QLP pivot or an
-    overlong iterate (flag 9 or 6) ends the sweep with x left at the last
-    iterate; when the convergence test passes but the recomputed Euclidean
-    residual does not meet ``rtol``, the sweep goes on with the P^-1-norm
-    target tightened by that gap.  ``xres`` is that Euclidean ||b - Bx||
-    when it was measured for the returned x, else None.  A preconditioner
+    stopping tests are in the P^-1-norm.  x is updated in QLP form
+    throughout; an iteration that finds a negligible pivot or an overlong
+    iterate (flag 9 or 6) takes no step along its direction (u = 0).  With
+    ``precond``, when the convergence test passes but the recomputed
+    Euclidean residual does not meet ``rtol``, the sweep goes on with the
+    P^-1-norm target tightened by that gap.  ``xres`` is that Euclidean
+    ||b - Bx|| when it was measured for the returned x, else None.  A preconditioner
     that gives r . z < 0 (not SPD) ends the sweep as non-finite.
     """
     n = op.dim
@@ -241,17 +239,14 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
         # --- previous left reflection Q_{k-1} -------------------------
         dbar = dltan
         dlta = cs * dbar + sn * alfa
-        epln = eplnn
         gbar = sn * dbar - cs * alfa
         eplnn = sn * betan
         dltan = -cs * betan
-        dlta_mr = dlta
 
         # --- current left reflection Q_k ------------------------------
         gamal2 = gamal
         gamal = gama
         cs, sn, gama = _sym_givens(gbar, betan)
-        gama_mr = gama
         taul2 = taul
         taul = tau
         tau = cs * phi
@@ -297,37 +292,27 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
         xl2norm = math.hypot(xl2norm, ul2)
         xnorm = math.sqrt(xl2norm * xl2norm + ul * ul + u * u)
 
-        # --- update w and x -------------------------------------------
-        if preconditioned:
-            # MINRES form, from the left-reflected entries of R_k; an
-            # iteration that sets flag 6 or 9 leaves x the last iterate
-            if flag != FLAG_GO:
-                break
+        # --- update w and x in QLP form -------------------------------
+        # u = 0 on flag 6 or 9 drops the direction of a gamma at roundoff
+        # level or of an overlong step, which keeps x minimum-length
+        if iters == 1:
+            wl2 = wl
+            wl = v * sr1
+            w = -v * cr1
+        elif iters == 2:
+            wl2 = wl
+            wl = w * cr1 + v * sr1
+            w = w * sr1 - v * cr1
+        else:
             wl2 = wl
             wl = w
-            w = (v - epln * wl2 - dlta_mr * wl) / gama_mr
-            x = x + tau * w
-        else:
-            # QLP form: flag 9's u = 0 drops the direction of a gamma at
-            # roundoff level, which keeps x minimum-length
-            if iters == 1:
-                wl2 = wl
-                wl = v * sr1
-                w = -v * cr1
-            elif iters == 2:
-                wl2 = wl
-                wl = w * cr1 + v * sr1
-                w = w * sr1 - v * cr1
-            else:
-                wl2 = wl
-                wl = w
-                w = wl2 * sr2 - v * cr2
-                wl2 = wl2 * cr2 + v * sr2
-                v = wl * cr1 + w * sr1
-                w = wl * sr1 - w * cr1
-                wl = v
-            xl2 = xl2 + wl2 * ul2
-            x = xl2 + wl * ul + w * u
+            w = wl2 * sr2 - v * cr2
+            wl2 = wl2 * cr2 + v * sr2
+            v = wl * cr1 + w * sr1
+            w = wl * sr1 - w * cr1
+            wl = v
+        xl2 = xl2 + wl2 * ul2
+        x = xl2 + wl * ul + w * u
 
         # --- next right reflection P_{k-1,k+1} ------------------------
         cr2, sr2, gamal = _sym_givens(gamal, eplnn)

@@ -6,6 +6,7 @@ import itertools
 import time
 
 import numpy as np
+import pytest
 
 from hardtrain import autodiff as ad
 from hardtrain import benchmarks as bm
@@ -217,6 +218,7 @@ def test_criterion_5_fixed_set_two_circle_convergence():
 # -- 6 ----------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_6_sphere_comparison():
     t0 = time.time()
     seeds = (0, 1, 2, 3, 4)
@@ -243,6 +245,7 @@ def test_criterion_6_sphere_comparison():
 # -- 7 ----------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_toy_pose_end_to_end():
     t0 = time.time()
     seeds = (0, 1, 2)

@@ -56,6 +56,9 @@ def test_mlp_rejects_bad_widths():
         ad.Mlp([4])
     with pytest.raises(ValueError):
         ad.Mlp([4, 0, 2])
+    mlp = ad.Mlp([4, 7, 3])
+    with pytest.raises(ValueError, match="input width 3 != 4"):
+        mlp.forward(np.zeros(mlp.n_params), np.zeros((2, 3)))
 
 
 def test_value_linear_map():

@@ -335,6 +335,9 @@ def test_select_mined_tie_break_and_full_keep():
     np.testing.assert_array_equal(active, [0, 1])
     full = cs.select_mined(V, 3)
     assert len(np.unique(full)) == 3
+    for bad in (0, 4):
+        with pytest.raises(ValueError, match="n_keep"):
+            cs.select_mined(V, bad)
 
 
 def test_select_mined_matches_brute_force_subsets():
@@ -440,3 +443,5 @@ def test_active_set_validation():
 def test_pool_validation():
     with pytest.raises(ValueError, match="at least one sample"):
         cs.ConstraintPool(np.zeros((0, 2)), cs.SphereRadiusHead(1.0))
+    with pytest.raises(ValueError, match="radius must be positive"):
+        cs.SphereRadiusHead(0.0)

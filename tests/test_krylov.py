@@ -144,6 +144,8 @@ def test_a_sweep_cut_at_the_iteration_cap_reports_max_iters():
     B = np.diag(np.arange(1.0, 11.0))
     sol = minres_qlp(from_dense(B), np.ones(10), SolverConfig(rtol=1e-10, max_iters=1))
     assert sol.status == MAX_ITERS
+    # max_iters caps each sweep: the squared-system sweep adds its own
+    assert sol.iters == 2
     assert not sol.ok
 
 
@@ -169,8 +171,7 @@ def test_a_sweep_that_stops_short_of_rtol_reports_stalled():
 
 def test_unpreconditioned_sweep_in_qlp_form_reaches_a_tight_rtol():
     # the second system of criterion 1's stream (n=171, cond ~4e3): the QLP
-    # update form, taken from the first iteration, meets rtol=1e-11 where
-    # the MINRES update form stops just short of it
+    # update form, taken from the first iteration, meets rtol=1e-11
     B, b, cond, deficient, maxit = _criterion_1_system(2)
     sol = minres_qlp(from_dense(B), b, SolverConfig(rtol=1e-11, max_iters=maxit))
     assert not deficient and cond < 1e4
@@ -242,19 +243,35 @@ def test_preconditioned_inconsistent_system_ends_min_length():
     assert sol.status == SINGULAR_MIN_LENGTH
 
 
-def test_preconditioned_sweep_keeps_the_last_iterate_on_a_negligible_pivot():
-    # the sweep's third iteration finds the zero eigenvalue (flag 9); in
-    # MINRES form it ends there and returns the second iterate unchanged
+def test_preconditioned_sweep_drops_the_direction_of_a_negligible_pivot():
+    # the sweep's third iteration meets the zero eigenvalue at a pivot of
+    # roundoff size; the QLP update takes no step along its direction, so
+    # the sweep ends least-squares-type (flag 2) at the minimum-length answer
     op = from_dense([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
-    b = np.ones(3)
 
     def precond(r):
         return np.array([4.0, 0.5, 1.0]) * r
 
-    x, iters, flag, *_ = krylov._minres_qlp_pass(op, b, SolverConfig(), 12, precond)
-    x2, iters2, *_ = krylov._minres_qlp_pass(op, b, SolverConfig(), 2, precond)
-    assert (iters, flag, iters2) == (3, 9, 2)
-    np.testing.assert_array_equal(x, x2)
+    x, iters, flag, *_ = krylov._minres_qlp_pass(op, np.ones(3), SolverConfig(), 12, precond)
+    assert (iters, flag) == (3, 2)
+    np.testing.assert_allclose(x, [1.0, 0.5, 0.0], rtol=0, atol=1e-15)
+
+
+def test_an_overlong_iterate_drops_its_direction_in_every_sweep():
+    # B = diag(1e-13, 1), b = 1: the second iteration's step along the tiny
+    # eigenvalue would take ||x|| past the norm cap, so with or without a
+    # preconditioner the sweep stops there (flag 6) without taking it; x
+    # keeps no component along that eigenvector, and its other one is 1 to
+    # within what the 1e-13 eigenvalue perturbs in the Lanczos basis
+    op = from_dense(np.diag([1e-13, 1.0]))
+    b = np.ones(2)
+    for precond in (None, lambda r: np.array([2.0, 0.5]) * r):
+        x, iters, flag, *_ = krylov._minres_qlp_pass(op, b, SolverConfig(), 12, precond)
+        assert (iters, flag) == (2, 6)
+        assert abs(x[0]) <= 1e-15 and abs(x[1] - 1.0) <= 1e-11
+        sol = minres_qlp(op, b, precond=precond)
+        assert sol.status == SINGULAR_MIN_LENGTH
+        assert np.all(np.isfinite(sol.x))
 
 
 def _counting(a):

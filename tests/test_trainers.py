@@ -317,6 +317,12 @@ def test_train_config_validation():
     for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="soft_lambda"):
             tr.TrainConfig(method=tr.SOFT_SGD, soft_lambda=bad)
+    for name in ("epochs", "iterations"):
+        with pytest.raises(ValueError, match=name):
+            tr.TrainConfig(method=tr.SOFT_SGD, **{name: -1})
+    for name in ("batch_data", "batch_constraints", "n_mined"):
+        with pytest.raises(ValueError, match=name):
+            tr.TrainConfig(method=tr.SOFT_SGD, **{name: 0})
     pool = sphere_pool([[0.0]], 1.0)
     prob = AnchorProblem([0.0], pool)
     with pytest.raises(ValueError, match="iterations"):
