@@ -157,20 +157,15 @@ def resolve_out_dir(cfg: dict, config_path, override: str | None) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def write_metrics_csv(path, initial_row, rows) -> None:
+    """One row per iteration; csv writes each value as ``str``, which for a
+    float is its shortest round-tripping ``repr``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRIC_COLUMNS)
         for r in [initial_row, *rows]:
-            writer.writerow([r.iteration, _fmt(r.risk), _fmt(r.pred_error),
-                             _fmt(r.median_violation), _fmt(r.active_delta),
-                             r.solver_iters, r.solver_status, _fmt(r.step_norm)])
+            writer.writerow([r.iteration, r.risk, r.pred_error, r.median_violation,
+                             r.active_delta, r.solver_iters, r.solver_status, r.step_norm])
 
 
 def write_resolved_config(path, cfg: dict) -> None:

@@ -13,9 +13,10 @@ least-squares sense (singular, inconsistent) come back as
 produced the iterate; one that meets neither test is ``"max_iters"`` when
 its sweep ran to the iteration cap and ``"stalled"`` when another stopping
 test ended it first.  Each iterate's residual is computed once and read by
-every test after it.  A solve whose first sweep goes non-finite raises
-``FloatingPointError`` where it is found, so every returned solution holds a
-finite iterate.
+every test after it.  A sweep that finds a non-finite value raises
+``FloatingPointError`` there: from the first sweep it ends the solve, from
+the squared-system sweep below it leaves the first sweep's iterate, so every
+returned solution holds a finite iterate.
 
 Every solve takes one path.  Its first sweep runs the preconditioned
 Lanczos recurrences for a symmetric positive definite P, given as a
@@ -142,8 +143,7 @@ def _classify(x: np.ndarray, rnorm: float, bnorm: float, rtol: float, ls_flagged
 
 def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit: int,
                      precond=None):
-    """One MINRES-QLP sweep; returns (x, iters, flag, anorm, acond,
-    nonfinite, xres).
+    """One MINRES-QLP sweep; returns (x, iters, flag, anorm, acond, xres).
 
     The Lanczos recurrences are the preconditioned ones, with ``precond``
     applying P^-1 and the identity when it is None: each iteration takes
@@ -151,11 +151,14 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
     stopping tests are in the P^-1-norm.  x is updated in QLP form
     throughout; an iteration that finds a negligible pivot or an overlong
     iterate (flag 9 or 6) takes no step along its direction (u = 0).  With
-    ``precond``, when the convergence test passes but the recomputed
-    Euclidean residual does not meet ``rtol``, the sweep goes on with the
+    ``precond``, when the convergence test passes but the Euclidean
+    residual misses ``rtol * ||b||``, the sweep goes on with the
     P^-1-norm target tightened by that gap.  ``xres`` is that Euclidean
-    ||b - Bx|| when it was measured for the returned x, else None.  A preconditioner
-    that gives r . z < 0 (not SPD) ends the sweep as non-finite.
+    ||b - Bx|| when it was measured for the returned x, else None.  Flag 0
+    means no stopping test ended the sweep; b = 0 returns x = 0 at flag 1.
+    The sweep raises ``FloatingPointError`` naming its iteration count
+    where it finds a non-finite beta_1, alpha, beta_{k+1} or iterate; a
+    preconditioner that gives r . z < 0 (not SPD) makes beta non-finite.
     """
     n = op.dim
     rtol = rtol_p = cfg.rtol
@@ -166,17 +169,15 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
     z = precond(b)
     beta1 = _precond_norm(b, z)
     if not math.isfinite(beta1):
-        return np.zeros(n), 0, 0, 0.0, 1.0, True, None
+        raise _breakdown(0)
     if beta1 == 0.0:
-        return np.zeros(n), 0, 0, 0.0, 1.0, False, None
+        return np.zeros(n), 0, 1, 0.0, 1.0, None   # x = 0 meets the residual test
+    bnorm = float(np.linalg.norm(b))
 
-    FLAG_GO = -2
-    flag = FLAG_GO
+    flag = 0
     iters = 0
-    nonfinite = False
 
     # Lanczos state
-    r1 = np.zeros(n)
     r2 = b.copy()
     r3 = z.copy()
     beta, betan = 0.0, beta1
@@ -184,32 +185,27 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
     # left reflection state
     tau, taul, phi = 0.0, 0.0, beta1
     cs, sn = -1.0, 0.0
-    dltan, eplnn = 0.0, 0.0
+    dltan = 0.0
 
     # right reflection state
     cr1, sr1 = -1.0, 0.0
-    cr2, sr2 = -1.0, 0.0
 
     # QLP factors
     gama, gamal, gamal2 = 0.0, 0.0, 0.0
     eta, etal, etal2 = 0.0, 0.0, 0.0
     vepln, veplnl, veplnl2 = 0.0, 0.0, 0.0
-    u, ul, ul2, ul3 = 0.0, 0.0, 0.0, 0.0
+    ul, ul2, ul3 = 0.0, 0.0, 0.0
 
     rnorm = betan
-    xnorm, xl2norm = 0.0, 0.0
+    xl2norm = 0.0
     anorm, acond = 0.0, 1.0
-    relres = rnorm / (beta1 + 1e-50)
-    gmin = gminl = 0.0
     xres = None
 
     x = np.zeros(n)
-    w = np.zeros(n)
     wl = np.zeros(n)
-    wl2 = np.zeros(n)
     xl2 = np.zeros(n)
 
-    while flag == FLAG_GO and iters < maxit:
+    while flag == 0 and iters < maxit:
         iters += 1
 
         # --- Lanczos step ---------------------------------------------
@@ -226,8 +222,7 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
         r3 = precond(r2)
         betan = _precond_norm(r2, r3)
         if not (math.isfinite(alfa) and math.isfinite(betan)):
-            nonfinite = True
-            break
+            raise _breakdown(iters)
         if iters == 1 and betan == 0.0:
             if alfa == 0.0:
                 break                      # B b = 0: x = 0 is minimum-length
@@ -334,7 +329,7 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
         rootl = math.hypot(gbar, dltan)
         relaresl = rootl / max(anorm, _REALMIN)
 
-        if flag == FLAG_GO or flag == 9:
+        if flag == 0 or flag == 9:
             epsx = anorm * xnorm * _EPS
             if iters >= maxit:
                 flag = 8
@@ -355,16 +350,19 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
             if flag == 1 and preconditioned and iters < maxit:
                 # that test is in the P^-1-norm: continue, towards a
                 # tighter target, until the Euclidean residual meets rtol
-                xres = float(np.linalg.norm(b - apply(op, x)))
-                rel = xres / float(np.linalg.norm(b))
-                if not rel <= rtol:
-                    rtol_p *= 0.5 * rtol / rel
-                    flag = FLAG_GO
+                xres = _residual_norm(op, b, x)
+                if not xres <= rtol * bnorm:
+                    rtol_p *= 0.5 * rtol / (xres / bnorm)
+                    flag = 0
                     xres = None
 
-    if flag == FLAG_GO:
-        flag = 0
-    return x, iters, flag, max(anorm, _REALMIN), acond, nonfinite, xres
+    if not np.all(np.isfinite(x)):
+        raise _breakdown(iters)
+    return x, iters, flag, max(anorm, _REALMIN), acond, xres
+
+
+def _breakdown(iters: int) -> FloatingPointError:
+    return FloatingPointError(f"MINRES-QLP broke down after {iters} iterations")
 
 
 def _identity(r: np.ndarray) -> np.ndarray:
@@ -383,12 +381,13 @@ def minres_qlp(op: LinearOperator, b, cfg: SolverConfig | None = None,
     """Minimum-length solution of a symmetric (possibly singular) system.
 
     One sweep runs with ``precond``, which applies P^-1 for a symmetric
-    positive definite P, or with the identity when it is None.  A first
-    sweep whose recurrences or iterate go non-finite, as a P that is not
-    SPD (r . z < 0) makes them, raises ``FloatingPointError`` naming its
-    iteration count.  In a preconditioned sweep the stopping flags, the
-    norm estimate ``anorm`` and the condition estimate ``acond`` belong to
-    P^-1 B.
+    positive definite P, or with the identity when it is None.  A sweep
+    whose recurrences or iterate go non-finite, as a P that is not SPD
+    (r . z < 0) makes them, raises ``FloatingPointError``; from the first
+    sweep it ends the solve.  In a preconditioned sweep the stopping flags,
+    the norm estimate ``anorm`` and the condition estimate ``acond`` belong
+    to P^-1 B, and the Euclidean residual it measured is the one the
+    verdict on its iterate reads.
 
     A sweep whose Euclidean residual met ``rtol``, or that stopped at the
     float64 floor, is the answer.  Any other exit is least-squares-type:
@@ -400,20 +399,18 @@ def minres_qlp(op: LinearOperator, b, cfg: SolverConfig | None = None,
     from the pseudoinverse solution).  A P = I sweep on the consistent
     squared system B^2 y = B b follows, whose minimum-length solution is
     exactly the minimum-length least-squares solution of the original
-    system; its result is returned when finite, the first sweep's iterate
-    otherwise, and ``iters`` counts both sweeps.
+    system; its result is returned unless that sweep breaks down, the first
+    sweep's iterate otherwise, and ``iters`` counts both sweeps.
+    :func:`_classify` builds every returned solution.
     """
     cfg = cfg or SolverConfig()
     b = as_vector(b, "rhs")
     check_length(b, op.dim, "rhs")
     maxit = cfg.resolve_max_iters(op.dim)
-    x, iters, flag, anorm, acond, nonfinite, xres = _minres_qlp_pass(op, b, cfg, maxit, precond)
-    if nonfinite or not np.all(np.isfinite(x)):
-        raise FloatingPointError(f"MINRES-QLP broke down after {iters} iterations")
-    if xres is not None:
-        return KrylovSolution(x, xres, iters, CONVERGED, acond)
+    x, iters, flag, anorm, acond, rnorm = _minres_qlp_pass(op, b, cfg, maxit, precond)
     bnorm = float(np.linalg.norm(b))
-    rnorm = _residual_norm(op, b, x)
+    if rnorm is None:
+        rnorm = _residual_norm(op, b, x)
     # flags 1/3/5 mean the sweep converged as far as f64 allows; the
     # squared-system sweep would only trade a floor-level iterate for one
     # with cond^2 error amplification.  So would a sweep that ran out of
@@ -424,11 +421,13 @@ def minres_qlp(op: LinearOperator, b, cfg: SolverConfig | None = None,
         # Least-squares-type exit: the sweep may carry an uncontrolled
         # null-space component.  The squared system is consistent, and its
         # minimum-length solution is the minimum-length least-squares
-        # solution, so its finite result is returned as is.
+        # solution, so its result is returned as is.
         sq = LinearOperator(op.dim, lambda v: apply(op, apply(op, v)))
-        x2, it2, flag2, _, acond2, nonfinite2, _ = _minres_qlp_pass(sq, apply(op, b), cfg,
-                                                                     maxit)
-        if not nonfinite2 and np.all(np.isfinite(x2)):
+        try:
+            x2, it2, flag2, _, acond2, _ = _minres_qlp_pass(sq, apply(op, b), cfg, maxit)
+        except FloatingPointError:
+            pass                           # keep the first sweep's iterate
+        else:
             return _classify(x2, _residual_norm(op, b, x2), bnorm, cfg.rtol,
                              flag2 in (1, 2, 3, 4), it2 >= maxit, iters + it2, max(acond, acond2))
     return _classify(x, rnorm, bnorm, cfg.rtol, flag in (2, 4), iters >= maxit, iters, acond)

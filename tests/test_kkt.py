@@ -371,26 +371,39 @@ def test_preconditioner_only_for_a_diagonal_block_with_a_gram_product():
 
 
 @pytest.mark.parametrize("vector", [False, True], ids=["scalar_D", "vector_D"])
-@pytest.mark.parametrize("rank_loss", [False, True], ids=["cholesky", "eigh"])
-def test_schur_preconditioner_is_spd(monkeypatch, rank_loss, vector):
+@pytest.mark.parametrize("case", ["cholesky", "eigh", "cholesky_fails"])
+def test_schur_preconditioner_is_spd(monkeypatch, case, vector):
     # MINRES-QLP needs an SPD P (a P^-1 with r . z < 0 breaks the solve
-    # down): the Cholesky factor of the shifted S, and on rank loss the
-    # eigenvectors of S with the floored eigenvalues, both give one
+    # down): the Cholesky factor of the shifted S, and on rank loss or a
+    # failed factorization the eigenvectors of S with the floored
+    # eigenvalues, both give one, and the step it preconditions is the
+    # minimum-length solution of the dense system
     eigh, calls = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(None) or eigh(a))
+    if case == "cholesky_fails":
+        def cholesky(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
     rng = np.random.default_rng(13)
     for _ in range(5):
         n, m = 10, 5
         G = rng.standard_normal((m, n))
-        if rank_loss:
+        if case == "eigh":
             G[3] = G[1]
         state = kkt.KktState(random_diag(rng, n, vector), rng.standard_normal(n),
                              gram_linearization(G, np.zeros(m)))
+        calls.clear()
         p_inv = materialize(LinearOperator(n + m, kkt.schur_preconditioner(state)))
+        assert len(calls) == (0 if case == "cholesky" else 1)
         np.testing.assert_allclose(p_inv, p_inv.T, rtol=0, atol=1e-12 * np.abs(p_inv).max())
         lam = np.linalg.eigvalsh(p_inv)
         assert lam[0] > 1e-8 * lam[-1]
-    assert len(calls) == (5 if rank_loss else 0)
+        step = kkt.solve_step(state)
+        oracle = np.linalg.pinv(materialize(kkt.kkt_operator(state))) @ kkt.kkt_rhs(state)
+        got = np.concatenate([step.dw, step.multipliers])
+        assert step.accepted
+        assert np.linalg.norm(got - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
 
 def test_non_spd_preconditioner_breaks_the_step_down(monkeypatch):

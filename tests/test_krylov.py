@@ -88,6 +88,19 @@ def test_qlp_singular_inconsistent_min_length():
     assert sol.status == SINGULAR_MIN_LENGTH
 
 
+def test_a_rhs_orthogonal_to_the_range_ends_min_length():
+    # B b = 0 with b != 0: x = 0 is the minimum-length least-squares answer.
+    # The first sweep stops at once; the squared system's right-hand side
+    # B b is 0, and its sweep returns x = 0 as meeting the residual test
+    for B, b in ((np.diag([1.0, 0.0]), np.array([0.0, 1.0])),
+                 (np.diag([2.0, 0.0, 0.0]), np.array([0.0, 3.0, -1.0]))):
+        for precond in (None, lambda r: 2.0 * r):
+            sol = minres_qlp(from_dense(B), b, precond=precond)
+            assert sol.status == SINGULAR_MIN_LENGTH and sol.ok
+            np.testing.assert_array_equal(sol.x, np.zeros(len(b)))
+            assert sol.residual_norm == np.linalg.norm(b)
+
+
 def test_qlp_breakdown_on_nonfinite_matvec():
     op = linops.LinearOperator(3, lambda v: v * np.nan)
     with pytest.raises(FloatingPointError, match="broke down after 1 iterations"):
@@ -326,3 +339,40 @@ def test_least_squares_verdict_evaluates_each_iterate_once(monkeypatch):
     sol = minres_qlp(op, np.array([1.0, 1.0]))
     assert sol.status == SINGULAR_MIN_LENGTH and len(sweeps) == 2
     assert len(operands) - sum(len(s) for s in sweeps) == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_squared_sweep_that_breaks_down_leaves_the_first_sweeps_iterate(monkeypatch):
+    # B = 1e80 diag(1, 0.5, 0.25, 0), b = 1: the first sweep ends
+    # least-squares-type (flag 2) after 4 iterations; r . z of the squared
+    # system overflows in its first iteration, so that sweep raises and the
+    # solve returns the first sweep's iterate, the minimum-length answer
+    raised = []
+    real_pass = krylov._minres_qlp_pass
+
+    def recording_pass(*args, **kwargs):
+        try:
+            return real_pass(*args, **kwargs)
+        except FloatingPointError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(krylov, "_minres_qlp_pass", recording_pass)
+    B = 1e80 * np.diag([1.0, 0.5, 0.25, 0.0])
+    sol = minres_qlp(from_dense(B), np.ones(4))
+    assert raised == ["MINRES-QLP broke down after 1 iterations"]
+    assert sol.status == SINGULAR_MIN_LENGTH and sol.iters == 4
+    expect = np.linalg.pinv(B) @ np.ones(4)
+    assert np.linalg.norm(sol.x - expect) <= 1e-14 * np.linalg.norm(expect)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_squared_sweep_done_in_one_iteration_divides_by_alpha():
+    # B = diag(1e100, 0), b = (1, 1): the first sweep's condition estimate
+    # overflows, and the squared system's Krylov space ends at its first
+    # iteration (beta_2 = 0), where x = z / alpha is exact.  Its recurrences
+    # would overflow there (pnorm squares alpha ~ 1e200) and drop every
+    # direction, returning x = 0
+    sol = minres_qlp(from_dense(np.diag([1e100, 0.0])), np.ones(2))
+    assert sol.status == SINGULAR_MIN_LENGTH
+    np.testing.assert_allclose(sol.x, [1e-100, 0.0], rtol=1e-15, atol=0)
