@@ -196,15 +196,8 @@ class Mlp:
 
 
 class IdentityOffset:
-    """Trivial model y_k = w - x_k: the decision vector shifted by each sample.
-
-    Lets parameter-space constraint families reuse the data-dependent
-    machinery: the sample is the offset, the head sees w - x_k.  It has no
-    ``linearize``, and the sphere family never calls ``forward``:
-    :func:`~hardtrain.constraints.violation_matrix` and
-    :class:`~hardtrain.constraints.SphereRows` work from products with the
-    samples, without forming w - x_k.
-    """
+    """Trivial model y_k = w - x_k, through which a head of the outputs
+    constrains the parameters themselves; it has no ``linearize``."""
 
     def __init__(self, dim: int):
         self.n_params = dim

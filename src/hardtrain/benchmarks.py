@@ -82,8 +82,7 @@ class SphereProblem:
     n_constraints: int
     seed: int
     x0: Vector = field(repr=False)
-    pool: cs.ConstraintPool = field(repr=False)
-    model: ad.IdentityOffset = field(repr=False)
+    pool: cs.SpherePool = field(repr=False)
     n_train: int = 0
 
     def initial_params(self, rng) -> Vector:
@@ -112,9 +111,8 @@ def gen_spheres(d: int, n_constraints: int = SPHERE_DEFAULT_CONSTRAINTS,
     centers = rng_centers.normal(0.0, SPHERE_CENTER_STD, (n_constraints, d))
     x0 = rng_anchor.standard_normal(d)
     x0 *= (2.0 * SPHERE_RADIUS) / np.linalg.norm(x0)
-    pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(SPHERE_RADIUS))
-    return SphereProblem(dim=d, n_constraints=n_constraints, seed=seed, x0=x0, pool=pool,
-                         model=ad.IdentityOffset(d))
+    return SphereProblem(dim=d, n_constraints=n_constraints, seed=seed, x0=x0,
+                         pool=cs.SpherePool(centers, SPHERE_RADIUS))
 
 
 def run_sphere_comparison(d: int, iters: int = 500, n_active: int = 20,
@@ -195,10 +193,6 @@ class ToyPoseProblem:
     pool: cs.ConstraintPool
 
     @property
-    def model(self):
-        return self.mlp
-
-    @property
     def n_train(self) -> int:
         return self.train_x.shape[0]
 
@@ -239,9 +233,8 @@ def gen_toy_pose(seed: int = 0, n_samples: int = 2000, n_pool: int = 384,
     n_train = int(0.8 * n_samples)
     pool_clean = sample_symmetric_poses(rng_pool, n_pool)
     pool_x = pool_clean @ encoder.T + POSE_INPUT_NOISE * rng_pool.standard_normal((n_pool, in_dim))
-    pool = cs.ConstraintPool(pool_x, cs.SymmetryHead())
-
     mlp = ad.Mlp([in_dim, *hidden, 51])
+    pool = cs.ConstraintPool(pool_x, cs.SymmetryHead(), mlp)
     return ToyPoseProblem(seed=seed, mlp=mlp,
                           train_x=x[:n_train], train_y=y[:n_train],
                           val_x=x[n_train:], val_y=y[n_train:],
@@ -265,7 +258,7 @@ POSE_CONSTRAINED = {
 
 def pose_metrics(problem: ToyPoseProblem, w) -> tuple:
     """(validation prediction error, pool median violation) of one model."""
-    mv = cs.median_violation(cs.violation_matrix(problem.pool, problem.mlp, w))
+    mv = cs.median_violation(problem.pool.violation_matrix(w))
     return problem.prediction_error(w), mv
 
 

@@ -316,7 +316,9 @@ def cmd_run(args) -> int:
                     raise ConfigError(f"bad value for '--seed': {args.seed}, "
                                       f"expected {_NON_NEGATIVE[1]}")
                 cfg["seed"] = args.seed
-            if args.full_scale and cfg["kind"] == "spheres":
+            if args.full_scale:
+                if cfg["kind"] != "spheres":
+                    raise ConfigError("--full-scale applies only to kind = spheres")
                 cfg["dim"] = bm.SPHERE_FULL_DIM
             setup = _SETUPS[cfg["kind"]](cfg)
             out_dir = resolve_out_dir(cfg, args.config, args.out_dir)

@@ -1,13 +1,13 @@
 """Data-dependent constraint pools and active-set selection.
 
-A pool couples a set of unlabeled samples with a head that maps the model
-output for one sample to a vector of equality residuals.  The pool is
-evaluated once per parameter vector, into the violation matrix of every
-residual (:func:`violation_matrix`); each training iteration picks an
-active set of samples, either uniformly or by mining the worst violators
-in that matrix, and stacks every constraint of each active sample into one
-differentiable function of the flat parameters for the saddle-point
-machinery.
+A pool holds samples and the equality residuals that each contributes: a
+:class:`ConstraintPool` through a model's outputs and a head, a
+:class:`SpherePool` on the parameters directly.  Each pool computes its
+violation matrix, every residual at one parameter vector, once per
+iterate; each training iteration picks an active set of samples, either
+uniformly or by mining the worst violators in that matrix, and the pool
+stacks every constraint of each active sample into one differentiable
+function of the flat parameters (``rows``) for the saddle-point machinery.
 
 An active set is the sorted array of its pool-sample indices.  Stacking
 order is sample-major, constraint-minor, so multiplier indices are
@@ -55,8 +55,7 @@ SYMMETRY_JOINTS = tuple(tuple(JOINT_NAMES.index(n) for n in row) for row in SYMM
 # Constraint heads: batched residuals of the model output.  ``value(Y)``
 # maps outputs (n, out_dim) to residuals (n, n_constraints);
 # ``linearize(Y)`` returns them with jvp (dY -> dC) and vjp (U -> dY)
-# closures that hold everything depending on Y alone.  The sphere head is
-# the exception: it holds a radius, and SphereRows does the rest.
+# closures that hold everything depending on Y alone.
 # ---------------------------------------------------------------------------
 
 
@@ -119,15 +118,7 @@ class SymmetryHead:
 
 
 class SphereRadiusHead:
-    """The radius of a pool of sphere residuals ||w - x_k|| - radius, one per
-    sample, which :func:`violation_matrix` and :class:`SphereRows` compute."""
-
-    n_constraints = 1
-
-    def __init__(self, radius: float):
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
-        self.radius = radius
+    """Empty; ``perfbench/tracing.py`` names it and is its only reader."""
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +127,10 @@ class SphereRadiusHead:
 
 
 @dataclass
-class ConstraintPool:
-    """Unlabeled samples plus the constraint head applied to each."""
+class _Pool:
+    """A pool's samples: the rows of a float64 array, at least one."""
 
     samples: np.ndarray
-    head: object
 
     def __post_init__(self):
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
@@ -151,21 +141,67 @@ class ConstraintPool:
     def n_samples(self) -> int:
         return self.samples.shape[0]
 
+
+@dataclass
+class ConstraintPool(_Pool):
+    """Samples, the model of each sample's output, and the head of that output."""
+
+    head: object
+    model: object
+
     @property
     def n_constraints(self) -> int:
         return self.head.n_constraints
 
+    @property
+    def n_params(self) -> int:
+        return self.model.n_params
+
+    def violation_matrix(self, w: Vector) -> np.ndarray:
+        """All residuals C_jk, (n_samples, n_constraints), by one forward pass."""
+        return self.head.value(self.model.forward(w, self.samples))
+
+    def rows(self, samples) -> StackedConstraints:
+        return StackedConstraints(self, samples)
+
+
+@dataclass
+class SpherePool(_Pool):
+    """Sphere residuals ||w - c_k|| - radius of the parameters w, one per
+    center c_k; the centers are the pool's samples."""
+
+    radius: float
+    n_constraints = 1
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.radius > 0:
+            raise ValueError(f"radius must be positive, got {self.radius}")
+        self.n_params = self.samples.shape[1]
+
     @cached_property
     def sample_sq_norms(self) -> np.ndarray:
-        """||x_k||^2 of every sample: a constant of the pool, computed on
+        """||c_k||^2 of every center: a constant of the pool, computed on
         first use."""
         return np.einsum("ij,ij->i", self.samples, self.samples)
 
+    def violation_matrix(self, w: Vector) -> np.ndarray:
+        """All residuals as an (n_samples, 1) matrix: one GEMV and
+        :func:`_sphere_distances` with the pool constant ||c_k||^2.
 
-def _sphere_pool(pool: ConstraintPool, model) -> bool:
-    """Whether the pool holds sphere residuals ||w - x_k|| - radius, whose
-    values and products come from w and the samples alone."""
-    return isinstance(model, ad.IdentityOffset) and isinstance(pool.head, SphereRadiusHead)
+        It differs from the row norms of w - c_k by rounding alone (about
+        1e-14 absolute at ||w - c_k|| ~ 10).  :class:`SphereRows` computes
+        its active rows by the same formula; they agree with this matrix's
+        rows to one rounding of ||w - c_k||, because the BLAS may sum a
+        row's products c_k.w in another order when the row sits elsewhere
+        in the matrix it multiplies.
+        """
+        dist = _sphere_distances(self.samples @ w, w, self.sample_sq_norms)
+        dist -= self.radius
+        return dist[:, None]
+
+    def rows(self, samples) -> SphereRows:
+        return SphereRows(self, samples)
 
 
 def _sphere_distances(Xw: np.ndarray, w: Vector, x_sq: np.ndarray) -> np.ndarray:
@@ -180,25 +216,6 @@ def _sphere_distances(Xw: np.ndarray, w: Vector, x_sq: np.ndarray) -> np.ndarray
     np.sqrt(sq, out=sq)
     np.maximum(sq, 1e-30, out=sq)
     return sq
-
-
-def violation_matrix(pool: ConstraintPool, model, w: Vector) -> np.ndarray:
-    """All residuals C_jk as an (n_samples, n_constraints) matrix.
-
-    A sphere pool is one GEMV and :func:`_sphere_distances` with the pool
-    constant ||x_k||^2.  It differs from the row norms of w - x_k by
-    rounding alone (about 1e-14 absolute at ||w - x_k|| ~ 10).
-    :class:`SphereRows` computes its active rows by the same formula; they
-    agree with this matrix's rows to one rounding of ||w - x_k||, because
-    the BLAS may sum a row's products x_k.w in another order when the row
-    sits elsewhere in the matrix it multiplies.  Any other pool is one
-    forward pass of the model over all of its samples.
-    """
-    if _sphere_pool(pool, model):
-        dist = _sphere_distances(pool.samples @ w, w, pool.sample_sq_norms)
-        dist -= pool.head.radius
-        return dist[:, None]
-    return pool.head.value(model.forward(w, pool.samples))
 
 
 def median_violation(V: np.ndarray) -> float:
@@ -219,7 +236,7 @@ def median_violation(V: np.ndarray) -> float:
     return float(part[half] if odd else (part[half - 1] + part[half]) / 2)
 
 
-def select_random(pool: ConstraintPool, batch: int, rng_seed) -> np.ndarray:
+def select_random(pool, batch: int, rng_seed) -> np.ndarray:
     """Uniform sample-without-replacement of ``batch`` pool samples, sorted."""
     if not 1 <= batch <= pool.n_samples:
         raise ValueError(f"batch must be in [1, {pool.n_samples}], got {batch}")
@@ -246,14 +263,13 @@ class StackedConstraints(ad.DiffFunction):
     differentiable function of the parameters.  The samples need not be
     sorted or distinct: a repeated sample gives repeated rows."""
 
-    def __init__(self, pool: ConstraintPool, model, samples):
+    def __init__(self, pool, samples):
         samples = np.asarray(samples, dtype=np.intp)
         if len(samples) and (samples.min() < 0 or samples.max() >= pool.n_samples):
             raise IndexError("active sample index out of range")
         self.pool = pool
-        self.model = model
         self.samples = samples
-        self.n_params = model.n_params
+        self.n_params = pool.n_params
         self.n_outputs = len(samples) * pool.n_constraints
 
     @property
@@ -270,7 +286,7 @@ class StackedConstraints(ad.DiffFunction):
         """
         k, c = len(self.samples), self.pool.n_constraints
         grid = np.zeros((k, c))
-        H = np.empty((self.n_outputs, self.model.out_dim))
+        H = np.empty((self.n_outputs, self.pool.model.out_dim))
         for j in range(c):
             grid[:, j] = 1.0
             H[j::c] = head_vjp(grid)
@@ -279,7 +295,7 @@ class StackedConstraints(ad.DiffFunction):
 
     def linearize(self, w):
         k, c = len(self.samples), self.pool.n_constraints
-        Y, model_jvp, model_vjp, model_gram = self.model.linearize(w, self.X)
+        Y, model_jvp, model_vjp, model_gram = self.pool.model.linearize(w, self.X)
         C, head_jvp, head_vjp = self.pool.head.linearize(Y)
         return (C.ravel(), lambda v: head_jvp(model_jvp(v)).ravel(),
                 lambda u: model_vjp(head_vjp(u.reshape(k, c))),
@@ -287,15 +303,15 @@ class StackedConstraints(ad.DiffFunction):
 
 
 class SphereRows(StackedConstraints):
-    """Active sphere residuals ||w - x_k|| - radius of an
-    :class:`~hardtrain.autodiff.IdentityOffset` model, one per listed
-    sample.  The active centers X are gathered once per linearization and
-    are its only m x d array; w - X is never formed.  The norms n come from
-    X w as in :func:`violation_matrix`, whose rows the values equal to one
-    rounding of n, and the Jacobian U = (w - X) / n stays implicit.  With
-    a = u / n, jvp is (w.v - X v) / n, vjp is sum(a) w - a X, and the Gram
-    matrix U D U^T is (X D X^T - p 1^T - 1 p^T + w^T D w) / (n_i n_j) with
-    p = X D w, D = diag(d_inv)."""
+    """Active residuals ||w - x_k|| - radius of a :class:`SpherePool`, one
+    per listed sample.  The active centers X are gathered once per
+    linearization and are its only m x d array; w - X is never formed.  The
+    norms n come from X w as in :meth:`SpherePool.violation_matrix`, whose
+    rows the values equal to one rounding of n, and the Jacobian
+    U = (w - X) / n stays implicit.  With a = u / n, jvp is (w.v - X v) / n,
+    vjp is sum(a) w - a X, and the Gram matrix U D U^T is
+    (X D X^T - p 1^T - 1 p^T + w^T D w) / (n_i n_j) with p = X D w,
+    D = diag(d_inv)."""
 
     def linearize(self, w):
         X = self.X
@@ -321,10 +337,4 @@ class SphereRows(StackedConstraints):
             K /= np.multiply.outer(n, n)
             return d_inv * K if scalar else K
 
-        return n - self.pool.head.radius, lambda v: (w @ v - X @ v) / n, vjp, gram
-
-
-def active_constraint_function(pool: ConstraintPool, model, samples) -> StackedConstraints:
-    if _sphere_pool(pool, model):
-        return SphereRows(pool, model, samples)
-    return StackedConstraints(pool, model, samples)
+        return n - self.pool.radius, lambda v: (w @ v - X @ v) / n, vjp, gram

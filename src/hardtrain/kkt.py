@@ -26,10 +26,12 @@ added to it.
 When the constraint linearization supplies its Gram product, the solve is
 preconditioned with P = diag(diag(D), S), where S = G diag(D)^-1 G^T is
 the Schur complement of D's diagonal part (:func:`schur_preconditioner`).
-It takes about three MINRES-QLP iterations when D is diagonal and about
-eleven for the Gauss-Newton step on pose.  A step whose active constraints
-lose rank keeps P, with the pseudo-inverse of S in its S block.  Each step
-is one solve, taken or skipped on its residual; a solve that breaks down
+It takes about three MINRES-QLP iterations when D is diagonal.  The
+Gauss-Newton step took 11 on each of the 12 steps of a one-epoch
+``hard_gn`` pose fine-tune (lr 0.3, seed 0) of a 20-epoch ``soft_adam``
+baseline, against 64-82 with P = I.  A step whose active constraints lose
+rank keeps P, with the pseudo-inverse of S in its S block.  Each step is
+one solve, taken or skipped on its residual; a solve that breaks down
 raises ``FloatingPointError``.
 """
 

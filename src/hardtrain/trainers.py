@@ -2,11 +2,12 @@
 
 Five methods: plain SGD and Adam on the penalized objective (soft), and the
 saddle-point step in its plain, Gauss-Newton and Adam-scaled variants
-(hard).  A problem object supplies the model, the constraint pool and its
-batch residuals, whose squared norm is the risk; soft and hard runs that
-share a seed consume identical data and constraint batch streams, so the
-two regimes can be compared pairwise.  The loop evaluates the constraint
-pool once per iterate; the steps see only their active set.
+(hard).  A problem object supplies the constraint pool, the batch residuals
+whose squared norm is the risk, and a validation error.  The loop asks the
+pool for its violation matrix once per iterate, and the steps ask it for
+the rows of their active set; neither sees a model.  Soft and hard runs
+that share a seed consume identical data and constraint batch streams, so
+the two regimes can be compared pairwise.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def step_soft(method: str, w: Vector, problem, objective: ad.DiffFunction,
     g = res.vjp(2.0 * res.value)
     # with lambda = 0 the penalty's gradient is exactly zero
     if cfg.soft_lambda > 0 and len(active):
-        lin = ad.linearize(cs.active_constraint_function(problem.pool, problem.model, active), w)
+        lin = ad.linearize(problem.pool.rows(active), w)
         g = g + lin.vjp(2.0 * cfg.soft_lambda * lin.value)
     if method == SOFT_SGD:
         w_new = w - cfg.lr * g
@@ -186,8 +187,7 @@ def step_hard(method: str, w: Vector, problem, objective: ad.DiffFunction,
               active: np.ndarray, cfg: TrainConfig, adam: AdamState | None = None) -> Step:
     """One saddle-point step on the batch risk ||objective(w)||^2 over every
     constraint of the active samples."""
-    lin = (ad.linearize(cs.active_constraint_function(problem.pool, problem.model, active), w)
-           if len(active) else None)
+    lin = ad.linearize(problem.pool.rows(active), w) if len(active) else None
     res = ad.linearize(objective, w)
     g = res.vjp(2.0 * res.value)
     if method == HARD_ADAM:
@@ -244,13 +244,12 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
     No parameter vector is written in place, so ``w0`` is used as given
     and left unchanged.  The best parameters are the latest of the
     iterates with the lowest validation error: the final array itself
-    whenever the last iterate is or ties the best, as on a problem whose
-    validation error is constant, which so keeps no copy of its initial
-    iterate.  The pool's
-    violation matrix V is computed once per iterate; the pool median, the
-    next active set and the active-median delta all read it.  Each
-    iteration gathers its data batch once, into the objective that the step
-    and the row's risk share.
+    whenever the last iterate is or ties the best.  So a problem whose
+    validation error is constant keeps no copy of its initial iterate.  The
+    pool's violation matrix V is computed once per iterate; the pool
+    median, the next active set and the active-median delta all read it.
+    Each iteration gathers its data batch once, into the objective that the
+    step and the row's risk share.
     """
     n_train = problem.n_train
     if cfg.iterations is None and n_train == 0:
@@ -272,7 +271,7 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
             for lo in range(0, n_train - batch + 1, batch):
                 yield perm[lo:lo + batch]
 
-    V = cs.violation_matrix(problem.pool, problem.model, w)
+    V = problem.pool.violation_matrix(w)
     val0 = float(problem.prediction_error(w))
     initial_row = IterationRow(0, _risk(problem.residual_function(None), w), val0,
                                cs.median_violation(V), 0.0, 0, "init", 0.0, "-")
@@ -299,7 +298,7 @@ def train(cfg: TrainConfig, problem, w0: Vector | None = None) -> TrainReport:
             raise TrainingDiverged(f"non-finite step at iteration {it}", report())
         step_norm = float(np.linalg.norm(step.w - w))
         w = step.w
-        V_prev, V = V, cs.violation_matrix(problem.pool, problem.model, w)
+        V_prev, V = V, problem.pool.violation_matrix(w)
         val = float(problem.prediction_error(w))
         row = IterationRow(it, _risk(objective, w), val, cs.median_violation(V),
                            cs.median_violation(V[active]) - cs.median_violation(V_prev[active]),

@@ -28,6 +28,7 @@ from util import (
     LinearHead,
     LinearMap,
     ModelOutputs,
+    OffsetModel,
     dense_random_mlp,
     from_dense,
     materialize,
@@ -175,14 +176,15 @@ def test_criterion_4_hard_exactness_on_linear_constraints():
     # one pooled sample at the origin, shifts chosen so C(w_feasible) = 0
     shifts = -(H @ w_feasible)
     prob = AnchorProblem(rng.standard_normal(n_p),
-                         cs.ConstraintPool(np.zeros((1, n_p)), LinearHead(H, shifts)))
+                         cs.ConstraintPool(np.zeros((1, n_p)), LinearHead(H, shifts),
+                                           OffsetModel(n_p)))
     active = np.array([0])
     w = rng.standard_normal(n_p) * 2.0
     cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=0.7, iterations=1,
                          solver=SolverConfig(rtol=1e-12))
     step = tr.step_hard(tr.HARD_SGD, w, prob, prob.residual_function(None), active, cfg)
     assert step.solver_status == "converged"
-    V = cs.violation_matrix(prob.pool, prob.model, step.w)
+    V = prob.pool.violation_matrix(step.w)
     residuals = V[active]
     worst = np.max(np.abs(residuals))
     ok = worst <= 1e-9
@@ -195,9 +197,7 @@ def test_criterion_4_hard_exactness_on_linear_constraints():
 
 def test_criterion_5_fixed_set_two_circle_convergence():
     centers = np.array([[0.0, 0.0], [1.0, 0.0]])
-    pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(10.0))
-
-    prob = AnchorProblem([0.3, 9.0], pool)
+    prob = AnchorProblem([0.3, 9.0], cs.SpherePool(centers, 10.0))
     active = np.array([0, 1])
     cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=1.0, iterations=1,
                          solver=SolverConfig(rtol=1e-12))
@@ -282,11 +282,10 @@ def test_criterion_8_mining_optimality():
         H = rng.standard_normal((n_c, 3))
         shift = rng.standard_normal(n_c)
         pool = cs.ConstraintPool(rng.standard_normal((n, 3)),
-                                 LinearHead(H, shift))
-        model = ad.IdentityOffset(3)
+                                 LinearHead(H, shift), ad.IdentityOffset(3))
         w = rng.standard_normal(3)
         n_keep = int(rng.integers(1, n + 1))
-        V = cs.violation_matrix(pool, model, w)
+        V = pool.violation_matrix(w)
         med = np.median(np.abs(V), axis=1)
         best = max(float(np.sum(med[list(s)]))
                    for s in itertools.combinations(range(n), n_keep))

@@ -161,9 +161,7 @@ def test_near_parallel_linearizations_send_step_far():
     # travels an order of magnitude farther than the distance to either
     # circle (the projection overshoot behind the erratic regime)
     centers = np.array([[0.0, 0.0], [0.05, 0.0]])
-    pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(10.0))
-
-    prob = AnchorProblem([5.0, 9.0], pool)
+    prob = AnchorProblem([5.0, 9.0], cs.SpherePool(centers, 10.0))
     w = prob.x0.copy()
     dist_to_surface = max(abs(hypersphere_residuals(w, centers, 10.0)))
     cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=1.0, iterations=1,

@@ -263,6 +263,17 @@ def test_full_scale_flag_switches_dimension(tmp_path):
     assert f"dim = {bm.SPHERE_FULL_DIM}" in (out / "resolved_config.txt").read_text()
 
 
+def test_full_scale_flag_on_a_pose_config_exits_2_without_outputs(tmp_path, capsys):
+    # the flag names a sphere dimension: a pose run refuses it rather than
+    # running the normal problem
+    out = tmp_path / "o"
+    p = write(tmp_path, "p.txt", POSE_SMALL)
+    assert cli.main(["run", p, "--out-dir", str(out), "--full-scale"]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "config error: --full-scale applies only to kind = spheres\n")
+
+
 def test_toy_pose_run_with_checkpoint_chain(tmp_path):
     base_cfg = """\
 kind = toy_pose

@@ -118,9 +118,7 @@ def test_hypersphere_gradient_unit_norm_and_fd():
     d = 6
     centers = rng.standard_normal((4, d))
     w = rng.standard_normal(d) * 3
-    model = ad.IdentityOffset(d)
-    pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(10.0))
-    fn = cs.active_constraint_function(pool, model, np.arange(4))
+    fn = cs.SpherePool(centers, 10.0).rows(np.arange(4))
     h = 1e-6
     for i in range(4):
         e = np.zeros(4)
@@ -140,21 +138,19 @@ def gather(V, active):
 
 def make_scalar_pool(samples):
     """Pool with one sphere constraint; per-sample residual | ||w-x||-1 |."""
-    return cs.ConstraintPool(samples, cs.SphereRadiusHead(1.0))
+    return cs.SpherePool(samples, 1.0)
 
 
 def test_evaluate_zero_when_constraints_satisfied():
     pool = make_scalar_pool([[-1.0], [1.0]])
-    model = ad.IdentityOffset(1)
     active = np.array([0, 1])
-    V = cs.violation_matrix(pool, model, np.zeros(1))
+    V = pool.violation_matrix(np.zeros(1))
     np.testing.assert_allclose(gather(V, active), np.zeros(2), atol=1e-12)
 
 
 def test_evaluate_single_pair_is_scalar_residual():
     pool = make_scalar_pool([[-3.0]])
-    model = ad.IdentityOffset(1)
-    got = gather(cs.violation_matrix(pool, model, np.zeros(1)), np.array([0]))
+    got = gather(pool.violation_matrix(np.zeros(1)), np.array([0]))
     np.testing.assert_allclose(got, [2.0])
 
 
@@ -162,11 +158,11 @@ def test_evaluate_matches_double_loop_oracle():
     rng = np.random.default_rng(4)
     H = rng.standard_normal((3, 4))
     c = rng.standard_normal(3)
-    pool = cs.ConstraintPool(rng.standard_normal((6, 4)), LinearHead(H, c))
-    model = ad.IdentityOffset(4)
+    pool = cs.ConstraintPool(rng.standard_normal((6, 4)), LinearHead(H, c),
+                             ad.IdentityOffset(4))
     w = rng.standard_normal(4)
     active = np.array([1, 3, 5])
-    got = gather(cs.violation_matrix(pool, model, w), active)
+    got = gather(pool.violation_matrix(w), active)
     expect = []
     for k in [1, 3, 5]:
         y = w - pool.samples[k]
@@ -182,9 +178,8 @@ def test_violation_matrix_of_wide_outputs_matches_the_row_oracle():
     samples = rng.normal(0.0, 0.1, (n, d))
     w = rng.standard_normal(d)
     head = BoundHead([0, d - 1], [0.5, -0.5])
-    pool = cs.ConstraintPool(samples, head)
-    model = ad.IdentityOffset(d)
-    V = cs.violation_matrix(pool, model, w)
+    pool = cs.ConstraintPool(samples, head, ad.IdentityOffset(d))
+    V = pool.violation_matrix(w)
     expect = np.array([head.value((w - x)[None])[0] for x in samples])
     np.testing.assert_array_equal(V, expect)
 
@@ -203,7 +198,7 @@ def test_violation_matrix_is_one_forward_pass_over_the_pool(monkeypatch):
         return forward(self, w, X)
 
     monkeypatch.setattr(ad.Mlp, "forward", counted)
-    V = cs.violation_matrix(pool, model, w)
+    V = pool.violation_matrix(w)
     assert batches == [3000]
     expect = np.concatenate([pool.head.value(forward(model, w, pool.samples[k:k + 1]))
                              for k in range(pool.n_samples)])
@@ -218,11 +213,10 @@ def test_sphere_pool_is_one_gemv_within_rounding_of_the_norms(d, n, at_center):
     rng = np.random.default_rng(10)
     centers = rng.normal(0.0, 0.1, (n, d))
     w = rng.standard_normal(d)
-    pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(10.0))
-    model = ad.IdentityOffset(d)
+    pool = cs.SpherePool(centers, 10.0)
     tracemalloc.start()
     try:
-        V = cs.violation_matrix(pool, model, w)
+        V = pool.violation_matrix(w)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -235,7 +229,7 @@ def test_sphere_pool_is_one_gemv_within_rounding_of_the_norms(d, n, at_center):
     # the clamp keeps the square root real, and V is -radius to within
     # the square root of that error
     for k in range(n):
-        V = cs.violation_matrix(pool, model, centers[k].copy())
+        V = pool.violation_matrix(centers[k].copy())
         assert np.isfinite(V).all()
         assert abs(V[k, 0] + 10.0) <= at_center
 
@@ -257,10 +251,10 @@ def test_sphere_rows_linearize_in_one_buffer_and_leave_the_pool_intact():
     m, d = 8, 20_000
     centers = rng.standard_normal((2 * m, d))
     kept = centers.copy()
-    pool = cs.ConstraintPool(centers, cs.SphereRadiusHead(10.0))
-    model = ad.IdentityOffset(d)
+    pool = cs.SpherePool(centers, 10.0)
     active = np.arange(1, 2 * m, 2)
-    rows = cs.active_constraint_function(pool, model, active)
+    rows = pool.rows(active)
+    assert isinstance(rows, cs.SphereRows)
     w = rng.standard_normal(d)
     tracemalloc.start()
     try:
@@ -272,7 +266,7 @@ def test_sphere_rows_linearize_in_one_buffer_and_leave_the_pool_intact():
     np.testing.assert_array_equal(pool.samples, kept)
     # the pool pass's formula (see the workload-shape test below for its
     # rounding); the row norms of w - x_k to within the pool test's rounding
-    assert_pool_rows(lin.value, cs.violation_matrix(pool, model, w)[active, 0], 10.0)
+    assert_pool_rows(lin.value, pool.violation_matrix(w)[active, 0], 10.0)
     np.testing.assert_allclose(lin.value, hypersphere_residuals(w, kept[active], 10.0),
                                rtol=0, atol=1e-11)
     np.testing.assert_array_equal(row_values(rows, w), lin.value)
@@ -297,10 +291,10 @@ def test_sphere_rows_values_are_the_pool_rows_at_the_workload_shape(seed):
     problem = bm.gen_spheres(10_000, 200, seed)
     rng = np.random.default_rng(seed)
     for w in (problem.x0, problem.x0 + rng.normal(0.0, 0.5, problem.dim)):
-        V = cs.violation_matrix(problem.pool, problem.model, w)
+        V = problem.pool.violation_matrix(w)
         for m in (1, 3, 20, 37):
             active = cs.select_random(problem.pool, m, rng.integers(2 ** 32))
-            rows = cs.active_constraint_function(problem.pool, problem.model, active)
+            rows = problem.pool.rows(active)
             assert_pool_rows(ad.linearize(rows, w).value, V[active, 0], 10.0)
 
 
@@ -322,15 +316,13 @@ def test_select_random_bounds_and_determinism():
 def test_select_mined_picks_largest_medians():
     # residuals | ||w-x|| - 1 | at w=0: 0.5, 2.0, 1.0
     pool = make_scalar_pool([[-1.5], [-3.0], [-2.0]])
-    model = ad.IdentityOffset(1)
-    active = cs.select_mined(cs.violation_matrix(pool, model, np.zeros(1)), 2)
+    active = cs.select_mined(pool.violation_matrix(np.zeros(1)), 2)
     np.testing.assert_array_equal(active, [1, 2])
 
 
 def test_select_mined_tie_break_and_full_keep():
     pool = make_scalar_pool([[-2.0], [-2.0], [-2.0]])
-    model = ad.IdentityOffset(1)
-    V = cs.violation_matrix(pool, model, np.zeros(1))
+    V = pool.violation_matrix(np.zeros(1))
     active = cs.select_mined(V, 2)
     np.testing.assert_array_equal(active, [0, 1])
     full = cs.select_mined(V, 3)
@@ -346,11 +338,11 @@ def test_select_mined_matches_brute_force_subsets():
         n = int(rng.integers(3, 9))
         n_c = int(rng.integers(1, 4))
         H = rng.standard_normal((n_c, 2))
-        pool = cs.ConstraintPool(rng.standard_normal((n, 2)), LinearHead(H))
-        model = ad.IdentityOffset(2)
+        pool = cs.ConstraintPool(rng.standard_normal((n, 2)), LinearHead(H),
+                                 ad.IdentityOffset(2))
         w = rng.standard_normal(2)
         n_keep = int(rng.integers(1, n + 1))
-        V = cs.violation_matrix(pool, model, w)
+        V = pool.violation_matrix(w)
         med = np.median(np.abs(V), axis=1)
         best = max(sum(med[list(s)]) for s in itertools.combinations(range(n), n_keep))
         mined = cs.select_mined(V, n_keep)
@@ -361,7 +353,7 @@ def test_select_mined_matches_brute_force_subsets():
 def test_selections_are_sorted_unique_sample_indices():
     rng = np.random.default_rng(6)
     pool = make_scalar_pool(rng.standard_normal((30, 1)))
-    V = cs.violation_matrix(pool, ad.IdentityOffset(1), np.zeros(1))
+    V = pool.violation_matrix(np.zeros(1))
     for active in (cs.select_random(pool, 12, 5), cs.select_mined(V, 12)):
         assert len(active) == 12
         assert np.all(np.diff(active) > 0)
@@ -375,7 +367,7 @@ def test_stacked_constraints_take_every_constraint_of_each_listed_sample():
     pool, model = problem.pool, problem.mlp
     w = model.init_params(np.random.default_rng(2))
     samples = np.array([7, 2, 9, 2, 0])
-    fn = cs.StackedConstraints(pool, model, samples)
+    fn = cs.StackedConstraints(pool, samples)
     assert fn.n_outputs == 5 * 6
     expect = pool.head.value(model.forward(w, pool.samples[samples])).ravel()
     np.testing.assert_array_equal(row_values(fn, w), expect)
@@ -385,9 +377,9 @@ def test_stacked_constraints_adjoint_and_fd():
     rng = np.random.default_rng(7)
     mlp = ad.Mlp([5, 16, 51])
     w = mlp.init_params(rng)
-    pool = cs.ConstraintPool(rng.standard_normal((6, 5)), cs.SymmetryHead())
+    pool = cs.ConstraintPool(rng.standard_normal((6, 5)), cs.SymmetryHead(), mlp)
     active = cs.select_random(pool, 3, 0)
-    fn = cs.active_constraint_function(pool, mlp, active)
+    fn = pool.rows(active)
     assert fn.n_outputs == 18
     v = rng.standard_normal(fn.n_params)
     u = rng.standard_normal(fn.n_outputs)
@@ -407,8 +399,8 @@ def test_bound_head_gradient_matches_fd():
     mlp = ad.Mlp([4, 12, 5])
     w = mlp.init_params(rng)
     head = BoundHead([0, 3], [0.2, -0.1])
-    pool = cs.ConstraintPool(rng.standard_normal((3, 4)), head)
-    fn = cs.active_constraint_function(pool, mlp, np.array([0, 1, 2]))
+    pool = cs.ConstraintPool(rng.standard_normal((3, 4)), head, mlp)
+    fn = pool.rows(np.array([0, 1, 2]))
     v = rng.standard_normal(fn.n_params)
     v /= np.linalg.norm(v)
     h = 1e-6
@@ -422,14 +414,13 @@ def test_bound_head_gradient_matches_fd():
 def test_evaluate_stacking_is_sample_major():
     rng = np.random.default_rng(8)
     H = rng.standard_normal((2, 3))
-    pool = cs.ConstraintPool(rng.standard_normal((4, 3)), LinearHead(H))
-    model = OffsetModel(3)
+    pool = cs.ConstraintPool(rng.standard_normal((4, 3)), LinearHead(H), OffsetModel(3))
     w = rng.standard_normal(3)
-    got = gather(cs.violation_matrix(pool, model, w), np.array([0, 2]))
+    got = gather(pool.violation_matrix(w), np.array([0, 2]))
     expect = np.concatenate([H @ (w - pool.samples[0]), H @ (w - pool.samples[2])])
     np.testing.assert_allclose(got, expect, atol=1e-12)
     # the stack keeps the listed sample order
-    stacked = row_values(cs.StackedConstraints(pool, model, np.array([2, 0])), w)
+    stacked = row_values(cs.StackedConstraints(pool, np.array([2, 0])), w)
     np.testing.assert_allclose(stacked, np.concatenate([expect[2:], expect[:2]]), atol=1e-12)
 
 
@@ -437,11 +428,15 @@ def test_active_set_validation():
     pool = make_scalar_pool([[0.0]])
     for bad in ([3], [0, -1]):
         with pytest.raises(IndexError):
-            cs.StackedConstraints(pool, ad.IdentityOffset(1), np.array(bad))
+            cs.StackedConstraints(pool, np.array(bad))
 
 
 def test_pool_validation():
-    with pytest.raises(ValueError, match="at least one sample"):
-        cs.ConstraintPool(np.zeros((0, 2)), cs.SphereRadiusHead(1.0))
-    with pytest.raises(ValueError, match="radius must be positive"):
-        cs.SphereRadiusHead(0.0)
+    for empty in (lambda: cs.ConstraintPool(np.zeros((0, 2)), LinearHead(np.eye(2)),
+                                            ad.IdentityOffset(2)),
+                  lambda: cs.SpherePool(np.zeros((0, 2)), 1.0)):
+        with pytest.raises(ValueError, match="at least one sample"):
+            empty()
+    for radius in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            cs.SpherePool([[0.0]], radius)

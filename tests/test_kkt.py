@@ -247,9 +247,9 @@ def test_zero_jacobian_step_is_unpreconditioned_and_minimum_length(vector):
     # leaves the squared-system sweep about 1e-10 off it
     rng = np.random.default_rng(15)
     pool = cs.ConstraintPool(rng.standard_normal((4, 5)),
-                             LinearHead(np.zeros((2, 5)), [1.0, -2.0]))
+                             LinearHead(np.zeros((2, 5)), [1.0, -2.0]), OffsetModel(5))
     w = rng.standard_normal(5)
-    lin = ad.linearize(cs.StackedConstraints(pool, OffsetModel(5), [0, 2, 3]), w)
+    lin = ad.linearize(pool.rows([0, 2, 3]), w)
     state = kkt.KktState(random_diag(rng, 5, vector), rng.standard_normal(5), lin)
     assert kkt.schur_preconditioner(state) is None
     step = kkt.solve_step(state)
@@ -428,7 +428,7 @@ def test_samples_below_every_relu_keep_the_preconditioner():
     problem.pool.samples[:2] = [dead, 2.0 * dead]
     assert np.all(problem.pool.samples[:2] @ W1.T + b1 < 0)
     res = ad.linearize(problem.residual_function(np.arange(16)), w)
-    lin = ad.linearize(cs.active_constraint_function(problem.pool, problem.mlp, np.arange(6)), w)
+    lin = ad.linearize(problem.pool.rows(np.arange(6)), w)
     state = kkt.KktState(1.0 / 0.3, res.vjp(2.0 * res.value), lin)
     assert kkt.schur_preconditioner(state) is not None
     step = kkt.solve_step(state, SolverConfig(rtol=1e-8, max_iters=800))
@@ -449,7 +449,7 @@ def test_gauss_newton_step_is_preconditioned_by_the_diagonal_part_of_d():
         batch = rng.choice(problem.n_train, 32, replace=False)
         res = ad.linearize(problem.residual_function(batch), w)
         samples = np.sort(rng.choice(problem.pool.n_samples, 4, replace=False))
-        lin = ad.linearize(cs.active_constraint_function(problem.pool, problem.mlp, samples), w)
+        lin = ad.linearize(problem.pool.rows(samples), w)
         state = kkt.KktState(1.0 / 0.3, 0.5 * res.vjp(2.0 * res.value), lin, res)
         step = kkt.solve_step(state, SolverConfig(rtol=1e-8, max_iters=800))
         assert step.solution.status == "converged" and step.solution.iters <= 16

@@ -25,8 +25,8 @@ def _mlp(rng, in_dim=None, out_dim=None):
 
 
 def _stacked(rng, head, model, in_dim):
-    pool = cs.ConstraintPool(rng.standard_normal((5, in_dim)), head)
-    return cs.StackedConstraints(pool, model, rng.integers(0, 5, 7))
+    pool = cs.ConstraintPool(rng.standard_normal((5, in_dim)), head, model)
+    return cs.StackedConstraints(pool, rng.integers(0, 5, 7))
 
 
 def _functions(rng):
@@ -38,8 +38,7 @@ def _functions(rng):
     bound_mlp, bound_w = _mlp(rng, out_dim=4)
     d = int(rng.integers(2, 30))
     w_off = rng.standard_normal(d) * 3.0
-    sphere_pool = cs.ConstraintPool(rng.standard_normal((6, d)),
-                                    cs.SphereRadiusHead(2.0))
+    sphere_pool = cs.SpherePool(rng.standard_normal((6, d)), 2.0)
     sphere_active = np.sort(rng.choice(6, 4, replace=False))
     A = rng.standard_normal((int(rng.integers(1, 6)), d))
     return [
@@ -51,8 +50,7 @@ def _functions(rng):
          pose_w),
         ("sphere", _stacked(rng, SphereHead(2.0), OffsetModel(d), d),
          w_off),
-        ("sphere_rows", cs.active_constraint_function(sphere_pool, ad.IdentityOffset(d),
-                                                      sphere_active), w_off),
+        ("sphere_rows", sphere_pool.rows(sphere_active), w_off),
         ("bound", _stacked(rng, BoundHead([0, 3], [0.1, -0.2]), bound_mlp,
                            bound_mlp.in_dim), bound_w),
     ]
@@ -96,15 +94,14 @@ def test_gram_matches_the_jacobian_built_from_vjps(seed):
 def test_sphere_rows_match_the_generic_stack():
     rng = np.random.default_rng(0)
     d = 9
-    pool = cs.ConstraintPool(rng.standard_normal((5, d)), cs.SphereRadiusHead(3.0))
+    pool = cs.SpherePool(rng.standard_normal((5, d)), 3.0)
     active = np.array([3, 1, 3, 0])
-    model = ad.IdentityOffset(d)
-    rows = cs.active_constraint_function(pool, model, active)
+    rows = pool.rows(active)
     assert isinstance(rows, cs.SphereRows)
     w = rng.standard_normal(d)
     fast = ad.linearize(rows, w)
-    reference = cs.ConstraintPool(pool.samples, SphereHead(3.0))
-    generic = ad.linearize(cs.StackedConstraints(reference, OffsetModel(d), active), w)
+    reference = cs.ConstraintPool(pool.samples, SphereHead(3.0), OffsetModel(d))
+    generic = ad.linearize(reference.rows(active), w)
     v, u = rng.standard_normal(d), rng.standard_normal(4)
     np.testing.assert_allclose(fast.value, generic.value, rtol=1e-14)
     np.testing.assert_allclose(fast.jvp(v), generic.jvp(v), rtol=1e-12)

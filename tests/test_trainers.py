@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,16 +10,16 @@ from hardtrain import kkt
 from hardtrain import trainers as tr
 from hardtrain.krylov import SolverConfig
 
-from util import AnchorProblem, LinearHead
+from util import AnchorProblem, LinearHead, OffsetModel
 
 
 def sphere_pool(centers, radius):
-    return cs.ConstraintPool(centers, cs.SphereRadiusHead(radius))
+    return cs.SpherePool(centers, radius)
 
 
 def linear_pool(H, samples, c=None):
     H = np.atleast_2d(H)
-    return cs.ConstraintPool(samples, LinearHead(H, c))
+    return cs.ConstraintPool(samples, LinearHead(H, c), OffsetModel(H.shape[1]))
 
 
 def full_active(pool):
@@ -26,7 +28,7 @@ def full_active(pool):
 
 def active_median(prob, w, active):
     """Median |C| over the active samples at w, read off the pool's violation matrix."""
-    V = cs.violation_matrix(prob.pool, prob.model, w)
+    V = prob.pool.violation_matrix(w)
     return float(np.median(np.abs(V[active])))
 
 
@@ -355,7 +357,7 @@ def test_hard_step_tapes_the_mlp_a_fixed_number_of_times(monkeypatch):
     # only a tape or a jvp's tangent unpacks a flat vector
     problem = bm.gen_toy_pose(seed=0, n_samples=60, n_pool=20, in_dim=8, hidden=(12,))
     w = problem.initial_params(np.random.default_rng(0))
-    active = cs.select_mined(cs.violation_matrix(problem.pool, problem.mlp, w), 3)
+    active = cs.select_mined(problem.pool.violation_matrix(w), 3)
     tapes = _counting(monkeypatch, ad.Mlp, "tape")
     jvps = _counting(monkeypatch, ad.Mlp, "jvp")
     unpacks = _counting(monkeypatch, ad.Mlp, "unpack")
@@ -375,7 +377,8 @@ def test_hard_step_tapes_the_mlp_a_fixed_number_of_times(monkeypatch):
 
 def test_hard_sphere_step_gathers_the_centers_once_per_linearization(monkeypatch):
     # the active centers are gathered once for the step's linearization,
-    # not once per matvec, and w - X is never formed
+    # not once per matvec (test_constraints checks that w - X is never
+    # formed)
     problem = bm.gen_spheres(50, 12, seed=2)
     w = problem.x0.copy()
     active = cs.select_random(problem.pool, 5, 0)
@@ -383,7 +386,6 @@ def test_hard_sphere_step_gathers_the_centers_once_per_linearization(monkeypatch
     gathers = []
     monkeypatch.setattr(cs.StackedConstraints, "X",
                         property(lambda rows: gathers.append("X") or gather.fget(rows)))
-    offsets = _counting(monkeypatch, ad.IdentityOffset, "forward")
     matvecs = _counting(monkeypatch, kkt, "kkt_matvec")
     seen = []
     for solver in SOLVER_BUDGETS:
@@ -394,7 +396,6 @@ def test_hard_sphere_step_gathers_the_centers_once_per_linearization(monkeypatch
         seen.append((len(matvecs), len(gathers)))
     assert seen[0][0] != seen[1][0]
     assert [n for _, n in seen] == [1, 1]
-    assert offsets == []
 
 
 SMALL_POSE = dict(seed=0, n_samples=60, n_pool=20, in_dim=8, hidden=(12,))
@@ -457,12 +458,49 @@ def test_train_gathers_each_data_batch_once(monkeypatch):
 
 def test_train_evaluates_the_pool_once_per_iterate(monkeypatch):
     problem = bm.gen_toy_pose(**SMALL_POSE)
-    calls = _counting(monkeypatch, cs, "violation_matrix")
+    calls = _counting(monkeypatch, cs.ConstraintPool, "violation_matrix")
     cfg = tr.TrainConfig(method=tr.HARD_SGD, lr=0.3, mine=True, n_mined=3,
                          iterations=4, seed=1)
     report = tr.train(cfg, problem)
     assert len(report.rows) == 4
     assert len(calls) == 4 + 1
+
+
+class PoolProtocol:
+    """A pool with only what the trainer may read: its sizes, its violation
+    matrix and its active rows, each delegated to the wrapped pool."""
+
+    __slots__ = ("_pool",)
+
+    def __init__(self, pool):
+        self._pool = pool
+
+    n_samples = property(lambda self: self._pool.n_samples)
+    n_constraints = property(lambda self: self._pool.n_constraints)
+
+    def violation_matrix(self, w):
+        return self._pool.violation_matrix(w)
+
+    def rows(self, samples):
+        return self._pool.rows(samples)
+
+
+@pytest.mark.parametrize("method", [tr.HARD_SGD, tr.SOFT_SGD])
+@pytest.mark.parametrize("problem, settings", [
+    (bm.gen_spheres(200, 30, seed=0), dict(lr=1e-2, iterations=8, batch_constraints=6)),
+    (bm.gen_toy_pose(**SMALL_POSE), dict(lr=0.05, epochs=1, batch_data=8, mine=True,
+                                         n_mined=3)),
+], ids=["spheres", "pose"])
+def test_train_reads_the_pool_only_through_its_protocol(problem, settings, method):
+    # the trainer asks the pool and never its head or a model: behind the
+    # bare protocol every row and the final parameters are bit for bit the
+    # same
+    cfg = tr.TrainConfig(method=method, seed=1, **settings)
+    expect = tr.train(cfg, problem)
+    got = tr.train(cfg, dataclasses.replace(problem, pool=PoolProtocol(problem.pool)))
+    assert len(got.rows) == len(expect.rows) > 0
+    assert [repr(r) for r in got.rows] == [repr(r) for r in expect.rows]
+    assert got.final_params.tobytes() == expect.final_params.tobytes()
 
 
 def test_converged_hard_steps_build_the_rhs_once(monkeypatch):

@@ -3,10 +3,10 @@ and fixtures that the library itself does not need.  Each fixture lives
 here once, whichever test modules use it.
 
 ``SphereHead`` and ``OffsetModel`` put the sphere family on the generic
-head and model protocols (``value``/``linearize`` of the outputs), which
-the library's sphere path skips: they are the reference that
-``constraints.SphereRows`` is checked against, and ``OffsetModel`` lets any
-head stack on w - x_k through ``StackedConstraints``."""
+``constraints.ConstraintPool`` (a head of a model's outputs), which
+``constraints.SpherePool`` does without: a ``ConstraintPool`` of the two
+is the reference that ``constraints.SphereRows`` is checked against, and
+``OffsetModel`` lets any head constrain w - x_k."""
 
 from typing import Sequence
 
@@ -226,14 +226,13 @@ class OffsetModel(ad.IdentityOffset):
 
 
 class AnchorProblem:
-    """Quadratic risk 0.5 ||w - x0||^2 with a data-dependent constraint pool
-    on w - x_k, started at x0."""
+    """Quadratic risk 0.5 ||w - x0||^2 under a given constraint pool,
+    started at x0."""
 
     n_train = 0
 
     def __init__(self, x0, pool):
         self.x0 = np.asarray(x0, dtype=float)
-        self.model = OffsetModel(len(self.x0))
         self.pool = pool
 
     def initial_params(self, rng):

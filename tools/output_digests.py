@@ -4,8 +4,8 @@
 
 It runs 16 CLI configs and the 200 solves of acceptance criterion 1 with
 the package and test helpers of the checkout that holds this file, and
-prints one ``sha256 name`` line per artifact.  Comparing two checkouts is
-then one ``diff`` of their outputs.
+prints one ``sha256 name`` line per artifact, 82 in all.  Comparing two
+checkouts is then one ``diff`` of their outputs.
 
 The configs are the five methods on spheres (d = 3000, 40 iterations), a
 soft_adam pose baseline (20 epochs) and the five methods as 3-epoch pose
@@ -14,9 +14,13 @@ random (128 samples) active sets, all at seed 0.  Each run's
 ``metrics.csv``, ``params.bin``, ``best_params.bin``, ``problem.json`` and
 ``summary.json`` are digested; ``resolved_config.txt`` is not, since it
 holds the output paths.  Criterion 1 is one digest over every solution's
-x bytes and ``repr((iters, status, residual_norm, acond))``.  Everything
-runs at one BLAS thread.  A run that does not exit 0 is named on stderr
-and makes the script exit 1 after printing every digest.
+x bytes and ``repr((iters, status, residual_norm, acond))``.  The last
+line, ``pools``, digests what the CLI artifacts show only through medians
+and mined ranks: each pool family's violation matrix at two parameter
+vectors, and one 12-sample active set's value, jvp, vjp, scalar Gram and
+vector Gram.  Everything runs at one BLAS thread.  A run that does not
+exit 0 is named on stderr and makes the script exit 1 after printing every
+digest.
 """
 
 import os
@@ -36,8 +40,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
+from hardtrain import autodiff as ad  # noqa: E402
 from hardtrain import benchmarks as bm  # noqa: E402
 from hardtrain import cli  # noqa: E402
+from hardtrain import constraints as cs  # noqa: E402
 from hardtrain import trainers as tr  # noqa: E402
 from hardtrain.krylov import SolverConfig, minres_qlp  # noqa: E402
 from util import from_dense, random_symmetric_system  # noqa: E402
@@ -101,10 +107,31 @@ def criterion_1() -> None:
           file=sys.stderr)
 
 
+def pools() -> None:
+    """Print one digest over the sphere (d = 3000, 200 centers) and pose
+    pools at seed 0: V at an initial point and at a perturbed one, and the
+    rows of 12 random samples linearized at the second."""
+    rng = np.random.default_rng(20261020)
+    h = hashlib.sha256()
+    spheres, pose = bm.gen_spheres(3000, 200, 0), bm.gen_toy_pose(0)
+    for problem, w0 in ((spheres, spheres.x0), (pose, pose.initial_params(rng))):
+        pool = problem.pool
+        w = w0 + rng.normal(0.0, 0.1, len(w0))
+        for at in (w0, w):
+            h.update(pool.violation_matrix(at).tobytes())
+        lin = ad.linearize(pool.rows(cs.select_random(pool, 12, 0)), w)
+        v, u = rng.standard_normal(len(w)), rng.standard_normal(len(lin.value))
+        d_inv = rng.uniform(0.5, 2.0, len(w))
+        for out in (lin.value, lin.jvp(v), lin.vjp(u), lin.gram(0.3), lin.gram(d_inv)):
+            h.update(out.tobytes())
+    print(f"{h.hexdigest()} pools")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         all_ok = run_configs(Path(tmp))
     criterion_1()
+    pools()
     return 0 if all_ok else 1
 
 
