@@ -10,8 +10,10 @@ the two closures, so a step's many products reuse it.  ``jvp`` propagates
 tangents forward through the tape; ``vjp`` runs a reverse sweep over it.
 A training objective is a residual vector r whose squared norm is the
 risk (:class:`ScaledResiduals`), so the risk gradient ``2 J^T r`` is one
-``vjp``.  Parameters always live in a single flat float64 vector; each
-model keeps a layout registry mapping layers to slices of it.
+``vjp``.  :func:`checked_linearization` validates every linearization, the
+constraint pools' included.  Parameters always live in a single flat
+float64 vector; each model keeps a layout registry mapping layers to
+slices of it.
 """
 
 from __future__ import annotations
@@ -196,8 +198,8 @@ class Mlp:
 
 
 class IdentityOffset:
-    """Trivial model y_k = w - x_k, through which a head of the outputs
-    constrains the parameters themselves; it has no ``linearize``."""
+    """Trivial model y_k = w - x_k, with no ``linearize``; kept because
+    ``perfbench/tracing.py`` names it, and the tests build pools on it."""
 
     def __init__(self, dim: int):
         self.n_params = dim
@@ -234,9 +236,7 @@ class DiffFunction:
     The closures ``linearize`` returns hold whatever depends only on w, so
     they cost one product each however often they are called.  The
     optional ``gram`` closure gives J diag(d_inv) J^T.  ``value`` is for
-    callers that need the value alone, the training objectives; a function
-    that is only linearized, such as a stack of constraint rows, need not
-    define it.
+    callers that need the value alone, the training objectives.
     """
 
     n_params: int
@@ -260,23 +260,31 @@ def value(f: DiffFunction, w: Vector) -> Vector:
 def linearize(f: DiffFunction, w: Vector) -> Linearization:
     """Linearize f at w, validating w once; the returned closures check
     only their operand's length."""
+    return checked_linearization(f.linearize, w, f.n_params, f.n_outputs)
+
+
+def checked_linearization(products, w: Vector, n_params: int, n_outputs: int) -> Linearization:
+    """The :class:`Linearization` of ``products(w) -> (value, jvp, vjp[,
+    gram])``, with w validated once (finite, ``n_params`` long) and the
+    value's length checked; each returned closure checks only its
+    operand's length."""
     w = as_vector(w, "params")
-    check_length(w, f.n_params, "params")
-    y, f_jvp, f_vjp, *f_gram = f.linearize(w)
+    check_length(w, n_params, "params")
+    y, f_jvp, f_vjp, *f_gram = products(w)
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    check_length(y, f.n_outputs, "output")
+    check_length(y, n_outputs, "output")
 
     def jvp(v: Vector) -> Vector:
-        check_length(v, f.n_params, "direction")
+        check_length(v, n_params, "direction")
         return np.atleast_1d(np.asarray(f_jvp(v), dtype=np.float64))
 
     def vjp(u: Vector) -> Vector:
-        check_length(u, f.n_outputs, "adjoint")
+        check_length(u, n_outputs, "adjoint")
         return np.asarray(f_vjp(u), dtype=np.float64)
 
     def gram(d_inv) -> np.ndarray:
         if np.ndim(d_inv):
-            check_length(np.asarray(d_inv), f.n_params, "gram weights")
+            check_length(np.asarray(d_inv), n_params, "gram weights")
         return np.asarray(f_gram[0](d_inv), dtype=np.float64)
 
     return Linearization(y, jvp, vjp, gram if f_gram else None)

@@ -78,12 +78,12 @@ class _AnchorResiduals(ad.DiffFunction):
 class SphereProblem:
     """Minimize 0.5||w - x0||^2 subject to ||w - c_i|| = SPHERE_RADIUS for all i."""
 
-    dim: int
-    n_constraints: int
     seed: int
     x0: Vector = field(repr=False)
     pool: cs.SpherePool = field(repr=False)
     n_train: int = 0
+    dim = property(lambda self: self.pool.n_params)
+    n_constraints = property(lambda self: self.pool.n_samples)
 
     def initial_params(self, rng) -> Vector:
         return self.x0.copy()
@@ -111,8 +111,7 @@ def gen_spheres(d: int, n_constraints: int = SPHERE_DEFAULT_CONSTRAINTS,
     centers = rng_centers.normal(0.0, SPHERE_CENTER_STD, (n_constraints, d))
     x0 = rng_anchor.standard_normal(d)
     x0 *= (2.0 * SPHERE_RADIUS) / np.linalg.norm(x0)
-    return SphereProblem(dim=d, n_constraints=n_constraints, seed=seed, x0=x0,
-                         pool=cs.SpherePool(centers, SPHERE_RADIUS))
+    return SphereProblem(seed=seed, x0=x0, pool=cs.SpherePool(centers, SPHERE_RADIUS))
 
 
 def run_sphere_comparison(d: int, iters: int = 500, n_active: int = 20,

@@ -6,8 +6,8 @@ A pool holds samples and the equality residuals that each contributes: a
 violation matrix, every residual at one parameter vector, once per
 iterate; each training iteration picks an active set of samples, either
 uniformly or by mining the worst violators in that matrix, and the pool
-stacks every constraint of each active sample into one differentiable
-function of the flat parameters (``rows``) for the saddle-point machinery.
+linearizes every constraint of each active sample at the flat parameters
+(``linearize``) for the saddle-point machinery.
 
 An active set is the sorted array of its pool-sample indices.  Stacking
 order is sample-major, constraint-minor, so multiplier indices are
@@ -141,6 +141,13 @@ class _Pool:
     def n_samples(self) -> int:
         return self.samples.shape[0]
 
+    def _active(self, samples) -> np.ndarray:
+        """The listed samples as pool indices, in any order, repeats kept."""
+        samples = np.asarray(samples, dtype=np.intp)
+        if len(samples) and (samples.min() < 0 or samples.max() >= self.n_samples):
+            raise IndexError("active sample index out of range")
+        return samples
+
 
 @dataclass
 class ConstraintPool(_Pool):
@@ -161,8 +168,37 @@ class ConstraintPool(_Pool):
         """All residuals C_jk, (n_samples, n_constraints), by one forward pass."""
         return self.head.value(self.model.forward(w, self.samples))
 
-    def rows(self, samples) -> StackedConstraints:
-        return StackedConstraints(self, samples)
+    def linearize(self, w: Vector, samples) -> ad.Linearization:
+        """Every constraint of each listed sample, sample-major, linearized
+        at w through one tape of the model."""
+        samples = self._active(samples)
+        k, c = len(samples), self.n_constraints
+
+        def products(w):
+            Y, model_jvp, model_vjp, model_gram = self.model.linearize(w, self.samples[samples])
+            C, head_jvp, head_vjp = self.head.linearize(Y)
+            return (C.ravel(), lambda v: head_jvp(model_jvp(v)).ravel(),
+                    lambda u: model_vjp(head_vjp(u.reshape(k, c))),
+                    lambda d_inv: model_gram(c, self._head_rows(head_vjp, k), d_inv))
+
+        return ad.checked_linearization(products, w, self.n_params, k * c)
+
+    def _head_rows(self, head_vjp, k: int) -> np.ndarray:
+        """H[i] = dC_i / dY of the sample that owns stacked residual i, for
+        k stacked samples.
+
+        A head maps each sample's output to that sample's residuals alone,
+        so one vjp of a constraint's indicator column gives that
+        constraint's row for every active sample.
+        """
+        c = self.n_constraints
+        grid = np.zeros((k, c))
+        H = np.empty((k * c, self.model.out_dim))
+        for j in range(c):
+            grid[:, j] = 1.0
+            H[j::c] = head_vjp(grid)
+            grid[:, j] = 0.0
+        return H
 
 
 @dataclass
@@ -190,7 +226,7 @@ class SpherePool(_Pool):
         :func:`_sphere_distances` with the pool constant ||c_k||^2.
 
         It differs from the row norms of w - c_k by rounding alone (about
-        1e-14 absolute at ||w - c_k|| ~ 10).  :class:`SphereRows` computes
+        1e-14 absolute at ||w - c_k|| ~ 10).  :meth:`linearize` computes
         its active rows by the same formula; they agree with this matrix's
         rows to one rounding of ||w - c_k||, because the BLAS may sum a
         row's products c_k.w in another order when the row sits elsewhere
@@ -200,8 +236,48 @@ class SpherePool(_Pool):
         dist -= self.radius
         return dist[:, None]
 
-    def rows(self, samples) -> SphereRows:
-        return SphereRows(self, samples)
+    def linearize(self, w: Vector, samples) -> ad.Linearization:
+        """Residuals ||w - x_k|| - radius of the listed samples x_k,
+        linearized at w.
+
+        The active centers X are gathered once per linearization and are
+        its only m x d array; w - X is never formed.  The norms n come from
+        X w as in :meth:`violation_matrix`, whose rows the values equal to
+        one rounding of n, and the Jacobian U = (w - X) / n stays implicit.
+        With a = u / n, jvp is (w.v - X v) / n, vjp is sum(a) w - a X, and
+        the Gram matrix U D U^T is
+        (X D X^T - p 1^T - 1 p^T + w^T D w) / (n_i n_j) with p = X D w,
+        D = diag(d_inv).
+        """
+        samples = self._active(samples)
+
+        def products(w):
+            X = self.samples[samples]
+            Xw = X @ w
+            n = _sphere_distances(Xw, w, self.sample_sq_norms[samples])
+
+            def vjp(u):
+                a = u / n
+                g = a @ X
+                np.subtract(a.sum() * w, g, out=g)
+                return g
+
+            def gram(d_inv):
+                scalar = np.ndim(d_inv) == 0
+                if scalar:
+                    K, p, wDw = X @ X.T, Xw, w @ w
+                else:
+                    Dw = d_inv * w
+                    K, p, wDw = (X * d_inv) @ X.T, X @ Dw, w @ Dw
+                K -= p[:, None]
+                K -= p
+                K += wDw
+                K /= np.multiply.outer(n, n)
+                return d_inv * K if scalar else K
+
+            return n - self.radius, lambda v: (w @ v - X @ v) / n, vjp, gram
+
+        return ad.checked_linearization(products, w, self.n_params, len(samples))
 
 
 def _sphere_distances(Xw: np.ndarray, w: Vector, x_sq: np.ndarray) -> np.ndarray:
@@ -256,85 +332,3 @@ def select_mined(V: np.ndarray, n_keep: int) -> np.ndarray:
         raise ValueError(f"n_keep must be in [1, {n_samples}], got {n_keep}")
     med = np.median(np.abs(V), axis=1)
     return np.sort(np.argsort(-med, kind="stable")[:n_keep])
-
-
-class StackedConstraints(ad.DiffFunction):
-    """Every constraint of each listed pool sample, sample-major, as one
-    differentiable function of the parameters.  The samples need not be
-    sorted or distinct: a repeated sample gives repeated rows."""
-
-    def __init__(self, pool, samples):
-        samples = np.asarray(samples, dtype=np.intp)
-        if len(samples) and (samples.min() < 0 or samples.max() >= pool.n_samples):
-            raise IndexError("active sample index out of range")
-        self.pool = pool
-        self.samples = samples
-        self.n_params = pool.n_params
-        self.n_outputs = len(samples) * pool.n_constraints
-
-    @property
-    def X(self) -> np.ndarray:
-        """The active samples, gathered on use so no copy outlives a call."""
-        return self.pool.samples[self.samples]
-
-    def _head_rows(self, head_vjp) -> np.ndarray:
-        """H[i] = dC_i / dY of the sample that owns stacked residual i.
-
-        A head maps each sample's output to that sample's residuals alone,
-        so one vjp of a constraint's indicator column gives that
-        constraint's row for every active sample.
-        """
-        k, c = len(self.samples), self.pool.n_constraints
-        grid = np.zeros((k, c))
-        H = np.empty((self.n_outputs, self.pool.model.out_dim))
-        for j in range(c):
-            grid[:, j] = 1.0
-            H[j::c] = head_vjp(grid)
-            grid[:, j] = 0.0
-        return H
-
-    def linearize(self, w):
-        k, c = len(self.samples), self.pool.n_constraints
-        Y, model_jvp, model_vjp, model_gram = self.pool.model.linearize(w, self.X)
-        C, head_jvp, head_vjp = self.pool.head.linearize(Y)
-        return (C.ravel(), lambda v: head_jvp(model_jvp(v)).ravel(),
-                lambda u: model_vjp(head_vjp(u.reshape(k, c))),
-                lambda d_inv: model_gram(c, self._head_rows(head_vjp), d_inv))
-
-
-class SphereRows(StackedConstraints):
-    """Active residuals ||w - x_k|| - radius of a :class:`SpherePool`, one
-    per listed sample.  The active centers X are gathered once per
-    linearization and are its only m x d array; w - X is never formed.  The
-    norms n come from X w as in :meth:`SpherePool.violation_matrix`, whose
-    rows the values equal to one rounding of n, and the Jacobian
-    U = (w - X) / n stays implicit.  With a = u / n, jvp is (w.v - X v) / n,
-    vjp is sum(a) w - a X, and the Gram matrix U D U^T is
-    (X D X^T - p 1^T - 1 p^T + w^T D w) / (n_i n_j) with p = X D w,
-    D = diag(d_inv)."""
-
-    def linearize(self, w):
-        X = self.X
-        Xw = X @ w
-        n = _sphere_distances(Xw, w, self.pool.sample_sq_norms[self.samples])
-
-        def vjp(u):
-            a = u / n
-            g = a @ X
-            np.subtract(a.sum() * w, g, out=g)
-            return g
-
-        def gram(d_inv):
-            scalar = np.ndim(d_inv) == 0
-            if scalar:
-                K, p, wDw = X @ X.T, Xw, w @ w
-            else:
-                Dw = d_inv * w
-                K, p, wDw = (X * d_inv) @ X.T, X @ Dw, w @ Dw
-            K -= p[:, None]
-            K -= p
-            K += wDw
-            K /= np.multiply.outer(n, n)
-            return d_inv * K if scalar else K
-
-        return n - self.pool.radius, lambda v: (w @ v - X @ v) / n, vjp, gram

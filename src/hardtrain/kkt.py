@@ -147,13 +147,16 @@ def schur_preconditioner(state: KktState):
     eigenvectors of S instead: 1/lambda on the eigenvalues above
     ``_EIG_CUTOFF`` times the largest, 1/lambda_max on the rest.  That block
     is SPD and maps range(G) into itself, so the multipliers stay
-    minimum-length.  An S with no positive eigenvalue (G = 0) gives None.
+    minimum-length.  An S with no positive eigenvalue (G = 0) gives None,
+    and a non-finite S raises ``FloatingPointError``.
     """
     lin = state.constraint
     if lin is None or lin.gram is None:
         return None
     d_inv = 1.0 / state.diag
     S = lin.gram(d_inv)
+    if not np.all(np.isfinite(S)):
+        raise FloatingPointError("non-finite Schur complement")
     m = S.shape[0]
     shift = _SCHUR_SHIFT * max(float(np.trace(S)) / m, np.finfo(np.float64).tiny)
     try:

@@ -3,33 +3,25 @@
 :func:`minres_qlp` is MINRES-QLP (Choi, Paige & Saunders 2011) over the
 matvec-only operator abstraction: minimal-residual iterations that keep
 working when the operator is singular or severely ill-conditioned and then
-return the minimum-length least-squares solution.
+return the minimum-length least-squares solution.  Every sweep updates its
+iterate in QLP form; :func:`minres_qlp` says how a solve chains its sweeps.
 
-It recomputes the true residual ``b - Bx`` on exit and classifies the
-result from that, so ``status == "converged"`` always means the *recomputed*
-residual is within ``rtol * ||b||``.  Systems that only converge in the
-least-squares sense (singular, inconsistent) come back as
-``"singular_min_length"``, read from the stopping flag of the sweep that
-produced the iterate; one that meets neither test is ``"max_iters"`` when
-its sweep ran to the iteration cap and ``"stalled"`` when another stopping
-test ended it first.  Each iterate's residual is computed once and read by
-every test after it.  A sweep that finds a non-finite value raises
+The solver recomputes the true residual r = b - Bx on exit and classifies
+the result from that, so ``status == "converged"`` always means the
+*recomputed* residual is within ``rtol * ||b||``.  ``"singular_min_length"``
+is read from the stopping flag of the sweep that produced the iterate, and
+it certifies a least-squares solution at ``rtol``, by the relative test
+||B r|| <= rtol ||B|| ||r||.  A nonsingular B that is singular at that
+tolerance passes it too: at the default rtol, B = diag(1e-13, 1) and
+b = (1, 1) give x = (1e-13, 1), whose ||B r|| = 1e-13 is within
+rtol ||B|| ||r|| = 1e-8.
+A solve that meets neither test is ``"max_iters"`` when its sweep ran to
+the iteration cap and ``"stalled"`` when another stopping test ended it
+first.  Each iterate's residual is computed once and read by every test
+after it.  A sweep that finds a non-finite value raises
 ``FloatingPointError`` there: from the first sweep it ends the solve, from
-the squared-system sweep below it leaves the first sweep's iterate, so every
+the squared-system sweep it leaves the first sweep's iterate, so every
 returned solution holds a finite iterate.
-
-Every solve takes one path.  Its first sweep runs the preconditioned
-Lanczos recurrences for a symmetric positive definite P, given as a
-function applying P^-1, or with the identity when none is given, which
-makes them the plain ones.  A first sweep that misses ``rtol`` and ends
-least-squares-type is followed by one P = I sweep on the consistent
-squared system B^2 y = B b, whose result is returned and keeps the
-minimum-length least-squares contract; ``iters`` counts both sweeps.
-
-Every sweep updates x in QLP form from its first iteration, preconditioned
-or not: a direction whose pivot is at roundoff level, or that would make
-the iterate overlong, is dropped instead of divided by, which keeps x
-minimum-length on singular and ill-conditioned systems.
 """
 
 from __future__ import annotations
@@ -84,6 +76,8 @@ class KrylovSolution:
     """Solver output.  ``residual_norm`` is ||b - Bx|| recomputed on exit;
     ``iters`` counts the iterations of both sweeps, so it can reach
     ``2 * max_iters``; ``acond`` is the solver's condition estimate.
+    ``singular_min_length`` certifies a least-squares solution at ``rtol``,
+    which a nonsingular B that is singular at that tolerance also gives.
     """
 
     x: np.ndarray

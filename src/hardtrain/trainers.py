@@ -4,8 +4,8 @@ Five methods: plain SGD and Adam on the penalized objective (soft), and the
 saddle-point step in its plain, Gauss-Newton and Adam-scaled variants
 (hard).  A problem object supplies the constraint pool, the batch residuals
 whose squared norm is the risk, and a validation error.  The loop asks the
-pool for its violation matrix once per iterate, and the steps ask it for
-the rows of their active set; neither sees a model.  Soft and hard runs
+pool for its violation matrix once per iterate, and the steps ask it to
+linearize their active set; neither sees a model.  Soft and hard runs
 that share a seed consume identical data and constraint batch streams, so
 the two regimes can be compared pairwise.
 """
@@ -173,7 +173,7 @@ def step_soft(method: str, w: Vector, problem, objective: ad.DiffFunction,
     g = res.vjp(2.0 * res.value)
     # with lambda = 0 the penalty's gradient is exactly zero
     if cfg.soft_lambda > 0 and len(active):
-        lin = ad.linearize(problem.pool.rows(active), w)
+        lin = problem.pool.linearize(w, active)
         g = g + lin.vjp(2.0 * cfg.soft_lambda * lin.value)
     if method == SOFT_SGD:
         w_new = w - cfg.lr * g
@@ -187,7 +187,7 @@ def step_hard(method: str, w: Vector, problem, objective: ad.DiffFunction,
               active: np.ndarray, cfg: TrainConfig, adam: AdamState | None = None) -> Step:
     """One saddle-point step on the batch risk ||objective(w)||^2 over every
     constraint of the active samples."""
-    lin = ad.linearize(problem.pool.rows(active), w) if len(active) else None
+    lin = problem.pool.linearize(w, active) if len(active) else None
     res = ad.linearize(objective, w)
     g = res.vjp(2.0 * res.value)
     if method == HARD_ADAM:

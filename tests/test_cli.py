@@ -11,6 +11,7 @@ import pytest
 from hardtrain import autodiff as ad
 from hardtrain import benchmarks as bm
 from hardtrain import cli, kkt
+from hardtrain import trainers as tr
 
 
 def write(tmp_path, name, text):
@@ -386,6 +387,32 @@ def test_overflowing_soft_step_exits_3_with_the_initial_iterate(tmp_path, capsys
     np.testing.assert_array_equal(ad.load_params(out / "params.bin"),
                                   bm.gen_spheres(200, 16, 0).x0)
     assert json.loads((out / "summary.json").read_text())["status"] == "numerical_failure"
+
+
+EXIT_SWEEP_BASES = {
+    "spheres": "kind = spheres\ndim = 20\nn_constraints = 8\nn_active = 4\niterations = 3\n",
+    "toy_pose": ("kind = toy_pose\nepochs = 1\nn_samples = 40\nn_pool = 8\nin_dim = 4\n"
+                 "hidden = 6\nbatch_data = 16\nbatch_constraints = 4\n"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+@pytest.mark.parametrize("lr", ["1e-300", "1e300"])
+@pytest.mark.parametrize("method", tr.METHODS)
+@pytest.mark.parametrize("kind", list(EXIT_SWEEP_BASES))
+def test_every_method_exits_0_or_3_with_every_artifact(tmp_path, capsys, kind, method, lr):
+    # the exit-code contract at both ends of the lr range: a run ends ok or
+    # as a numerical failure, never with a traceback, and writes every
+    # artifact with the status its exit code says
+    out = tmp_path / "o"
+    cfg = write(tmp_path, "c.txt", EXIT_SWEEP_BASES[kind] + f"method = {method}\nlr = {lr}\n")
+    code = cli.main(["run", cfg, "--out-dir", str(out)])
+    assert code in (0, 3)
+    for artifact in ("metrics.csv", "params.bin", "best_params.bin", "problem.json",
+                     "summary.json"):
+        assert (out / artifact).is_file(), artifact
+    status = json.loads((out / "summary.json").read_text())["status"]
+    assert status == {0: "ok", 3: "numerical_failure"}[code]
 
 
 def test_solver_breakdown_exits_3_and_keeps_the_last_iterate(tmp_path, capsys, monkeypatch):

@@ -12,10 +12,10 @@ from util import (BoundHead, LinearHead, OffsetModel, hypersphere_residuals,
                   symmetry_residuals)
 
 
-def row_values(fn, w):
-    """The stacked constraint rows at w, read off their linearization as
-    training does."""
-    return ad.linearize(fn, w).value
+def row_values(pool, w, samples):
+    """The stacked constraint rows of the listed samples at w, read off the
+    pool's linearization as training does."""
+    return pool.linearize(w, samples).value
 
 
 def symmetric_pose(rng=None, scale=1.0):
@@ -118,16 +118,17 @@ def test_hypersphere_gradient_unit_norm_and_fd():
     d = 6
     centers = rng.standard_normal((4, d))
     w = rng.standard_normal(d) * 3
-    fn = cs.SpherePool(centers, 10.0).rows(np.arange(4))
+    pool, active = cs.SpherePool(centers, 10.0), np.arange(4)
     h = 1e-6
     for i in range(4):
         e = np.zeros(4)
         e[i] = 1.0
-        g = ad.linearize(fn, w).vjp(e)
+        g = pool.linearize(w, active).vjp(e)
         assert abs(np.linalg.norm(g) - 1.0) <= 1e-10
         v = rng.standard_normal(d)
         v /= np.linalg.norm(v)
-        fd = (row_values(fn, w + h * v)[i] - row_values(fn, w - h * v)[i]) / (2 * h)
+        fd = (row_values(pool, w + h * v, active)[i]
+              - row_values(pool, w - h * v, active)[i]) / (2 * h)
         assert abs(g @ v - fd) <= 1e-6
 
 
@@ -253,12 +254,10 @@ def test_sphere_rows_linearize_in_one_buffer_and_leave_the_pool_intact():
     kept = centers.copy()
     pool = cs.SpherePool(centers, 10.0)
     active = np.arange(1, 2 * m, 2)
-    rows = pool.rows(active)
-    assert isinstance(rows, cs.SphereRows)
     w = rng.standard_normal(d)
     tracemalloc.start()
     try:
-        lin = ad.linearize(rows, w)
+        lin = pool.linearize(w, active)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -269,7 +268,7 @@ def test_sphere_rows_linearize_in_one_buffer_and_leave_the_pool_intact():
     assert_pool_rows(lin.value, pool.violation_matrix(w)[active, 0], 10.0)
     np.testing.assert_allclose(lin.value, hypersphere_residuals(w, kept[active], 10.0),
                                rtol=0, atol=1e-11)
-    np.testing.assert_array_equal(row_values(rows, w), lin.value)
+    np.testing.assert_array_equal(row_values(pool, w, active), lin.value)
     Y = w - kept[active]
     U = Y / np.linalg.norm(Y, axis=1)[:, None]
     v = rng.standard_normal(d)
@@ -294,8 +293,7 @@ def test_sphere_rows_values_are_the_pool_rows_at_the_workload_shape(seed):
         V = problem.pool.violation_matrix(w)
         for m in (1, 3, 20, 37):
             active = cs.select_random(problem.pool, m, rng.integers(2 ** 32))
-            rows = problem.pool.rows(active)
-            assert_pool_rows(ad.linearize(rows, w).value, V[active, 0], 10.0)
+            assert_pool_rows(row_values(problem.pool, w, active), V[active, 0], 10.0)
 
 
 def test_select_random_bounds_and_determinism():
@@ -367,10 +365,10 @@ def test_stacked_constraints_take_every_constraint_of_each_listed_sample():
     pool, model = problem.pool, problem.mlp
     w = model.init_params(np.random.default_rng(2))
     samples = np.array([7, 2, 9, 2, 0])
-    fn = cs.StackedConstraints(pool, samples)
-    assert fn.n_outputs == 5 * 6
+    values = row_values(pool, w, samples)
+    assert values.shape == (5 * 6,)
     expect = pool.head.value(model.forward(w, pool.samples[samples])).ravel()
-    np.testing.assert_array_equal(row_values(fn, w), expect)
+    np.testing.assert_array_equal(values, expect)
 
 
 def test_stacked_constraints_adjoint_and_fd():
@@ -379,18 +377,18 @@ def test_stacked_constraints_adjoint_and_fd():
     w = mlp.init_params(rng)
     pool = cs.ConstraintPool(rng.standard_normal((6, 5)), cs.SymmetryHead(), mlp)
     active = cs.select_random(pool, 3, 0)
-    fn = pool.rows(active)
-    assert fn.n_outputs == 18
-    v = rng.standard_normal(fn.n_params)
-    u = rng.standard_normal(fn.n_outputs)
-    lhs = u @ ad.linearize(fn, w).jvp(v)
-    rhs = ad.linearize(fn, w).vjp(u) @ v
+    lin = pool.linearize(w, active)
+    assert lin.value.shape == (18,)
+    v = rng.standard_normal(pool.n_params)
+    u = rng.standard_normal(18)
+    lhs = u @ lin.jvp(v)
+    rhs = lin.vjp(u) @ v
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
     # directional finite difference on the stacked vector
     vu = v / np.linalg.norm(v)
     h = 1e-6
-    fd = (row_values(fn, w + h * vu) - row_values(fn, w - h * vu)) / (2 * h)
-    got = ad.linearize(fn, w).jvp(vu)
+    fd = (row_values(pool, w + h * vu, active) - row_values(pool, w - h * vu, active)) / (2 * h)
+    got = lin.jvp(vu)
     assert np.linalg.norm(got - fd) / max(np.linalg.norm(fd), 1e-9) <= 1e-5
 
 
@@ -400,15 +398,16 @@ def test_bound_head_gradient_matches_fd():
     w = mlp.init_params(rng)
     head = BoundHead([0, 3], [0.2, -0.1])
     pool = cs.ConstraintPool(rng.standard_normal((3, 4)), head, mlp)
-    fn = pool.rows(np.array([0, 1, 2]))
-    v = rng.standard_normal(fn.n_params)
+    active = np.array([0, 1, 2])
+    lin = pool.linearize(w, active)
+    v = rng.standard_normal(pool.n_params)
     v /= np.linalg.norm(v)
     h = 1e-6
-    fd = (row_values(fn, w + h * v) - row_values(fn, w - h * v)) / (2 * h)
-    got = ad.linearize(fn, w).jvp(v)
+    fd = (row_values(pool, w + h * v, active) - row_values(pool, w - h * v, active)) / (2 * h)
+    got = lin.jvp(v)
     assert np.linalg.norm(got - fd) / max(np.linalg.norm(fd), 1e-9) <= 1e-5
-    u = rng.standard_normal(fn.n_outputs)
-    assert abs(u @ got - ad.linearize(fn, w).vjp(u) @ v) <= 1e-10 * max(abs(u @ got), 1.0)
+    u = rng.standard_normal(len(lin.value))
+    assert abs(u @ got - lin.vjp(u) @ v) <= 1e-10 * max(abs(u @ got), 1.0)
 
 
 def test_evaluate_stacking_is_sample_major():
@@ -420,7 +419,7 @@ def test_evaluate_stacking_is_sample_major():
     expect = np.concatenate([H @ (w - pool.samples[0]), H @ (w - pool.samples[2])])
     np.testing.assert_allclose(got, expect, atol=1e-12)
     # the stack keeps the listed sample order
-    stacked = row_values(cs.StackedConstraints(pool, np.array([2, 0])), w)
+    stacked = row_values(pool, w, np.array([2, 0]))
     np.testing.assert_allclose(stacked, np.concatenate([expect[2:], expect[:2]]), atol=1e-12)
 
 
@@ -428,7 +427,7 @@ def test_active_set_validation():
     pool = make_scalar_pool([[0.0]])
     for bad in ([3], [0, -1]):
         with pytest.raises(IndexError):
-            cs.StackedConstraints(pool, np.array(bad))
+            pool.linearize(np.zeros(1), np.array(bad))
 
 
 def test_pool_validation():

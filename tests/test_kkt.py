@@ -249,7 +249,7 @@ def test_zero_jacobian_step_is_unpreconditioned_and_minimum_length(vector):
     pool = cs.ConstraintPool(rng.standard_normal((4, 5)),
                              LinearHead(np.zeros((2, 5)), [1.0, -2.0]), OffsetModel(5))
     w = rng.standard_normal(5)
-    lin = ad.linearize(pool.rows([0, 2, 3]), w)
+    lin = pool.linearize(w, [0, 2, 3])
     state = kkt.KktState(random_diag(rng, 5, vector), rng.standard_normal(5), lin)
     assert kkt.schur_preconditioner(state) is None
     step = kkt.solve_step(state)
@@ -416,6 +416,19 @@ def test_non_spd_preconditioner_breaks_the_step_down(monkeypatch):
         kkt.solve_step(state)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+def test_a_non_finite_schur_complement_raises_floating_point_error():
+    # hard_adam's first step from a zero anchor gradient has D ~ 3e-308:
+    # the sphere Gram product's X D w and w^T D w overflow, and the step
+    # raises the FloatingPointError that training reports as a numerical
+    # failure, not eigh's LinAlgError on a non-finite S
+    problem = bm.gen_spheres(20, 8, seed=0)
+    lin = problem.pool.linearize(problem.x0, [0, 3, 5, 6])
+    state = kkt.KktState(np.full(20, 3e-308), np.zeros(20), lin)
+    with pytest.raises(FloatingPointError, match="non-finite Schur complement"):
+        kkt.solve_step(state)
+
+
 def test_samples_below_every_relu_keep_the_preconditioner():
     # two pool samples that switch off every hidden unit both output the
     # last layer's bias, so their constraint rows coincide and G loses rank;
@@ -428,7 +441,7 @@ def test_samples_below_every_relu_keep_the_preconditioner():
     problem.pool.samples[:2] = [dead, 2.0 * dead]
     assert np.all(problem.pool.samples[:2] @ W1.T + b1 < 0)
     res = ad.linearize(problem.residual_function(np.arange(16)), w)
-    lin = ad.linearize(problem.pool.rows(np.arange(6)), w)
+    lin = problem.pool.linearize(w, np.arange(6))
     state = kkt.KktState(1.0 / 0.3, res.vjp(2.0 * res.value), lin)
     assert kkt.schur_preconditioner(state) is not None
     step = kkt.solve_step(state, SolverConfig(rtol=1e-8, max_iters=800))
@@ -449,7 +462,7 @@ def test_gauss_newton_step_is_preconditioned_by_the_diagonal_part_of_d():
         batch = rng.choice(problem.n_train, 32, replace=False)
         res = ad.linearize(problem.residual_function(batch), w)
         samples = np.sort(rng.choice(problem.pool.n_samples, 4, replace=False))
-        lin = ad.linearize(problem.pool.rows(samples), w)
+        lin = problem.pool.linearize(w, samples)
         state = kkt.KktState(1.0 / 0.3, 0.5 * res.vjp(2.0 * res.value), lin, res)
         step = kkt.solve_step(state, SolverConfig(rtol=1e-8, max_iters=800))
         assert step.solution.status == "converged" and step.solution.iters <= 16

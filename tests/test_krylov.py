@@ -275,8 +275,12 @@ def test_an_overlong_iterate_drops_its_direction_in_every_sweep():
     # eigenvalue would take ||x|| past the norm cap, so with or without a
     # preconditioner the sweep stops there (flag 6) without taking it; x
     # keeps no component along that eigenvector, and its other one is 1 to
-    # within what the 1e-13 eigenvalue perturbs in the Lanczos basis
-    op = from_dense(np.diag([1e-13, 1.0]))
+    # within what the 1e-13 eigenvalue perturbs in the Lanczos basis.  The
+    # solve's singular_min_length certifies a least-squares solution at
+    # rtol, which this nonsingular B gives: ||B r|| = 1e-13 against
+    # rtol ||B|| ||r|| = 1e-8
+    B = np.diag([1e-13, 1.0])
+    op = from_dense(B)
     b = np.ones(2)
     for precond in (None, lambda r: np.array([2.0, 0.5]) * r):
         x, iters, flag, *_ = krylov._minres_qlp_pass(op, b, SolverConfig(), 12, precond)
@@ -285,6 +289,9 @@ def test_an_overlong_iterate_drops_its_direction_in_every_sweep():
         sol = minres_qlp(op, b, precond=precond)
         assert sol.status == SINGULAR_MIN_LENGTH
         assert np.all(np.isfinite(sol.x))
+        r = b - B @ sol.x
+        assert (np.linalg.norm(B @ r)
+                <= SolverConfig().rtol * np.linalg.norm(B, 2) * np.linalg.norm(r))
 
 
 def _counting(a):

@@ -382,10 +382,15 @@ def test_hard_sphere_step_gathers_the_centers_once_per_linearization(monkeypatch
     problem = bm.gen_spheres(50, 12, seed=2)
     w = problem.x0.copy()
     active = cs.select_random(problem.pool, 5, 0)
-    gather = cs.StackedConstraints.X
     gathers = []
-    monkeypatch.setattr(cs.StackedConstraints, "X",
-                        property(lambda rows: gathers.append("X") or gather.fget(rows)))
+
+    class CountedSamples(np.ndarray):
+        def __getitem__(self, key):
+            gathers.append(key)
+            return np.asarray(super().__getitem__(key))
+
+    problem.pool.sample_sq_norms  # the pool constant, computed before counting
+    problem.pool.samples = problem.pool.samples.view(CountedSamples)
     matvecs = _counting(monkeypatch, kkt, "kkt_matvec")
     seen = []
     for solver in SOLVER_BUDGETS:
@@ -468,7 +473,8 @@ def test_train_evaluates_the_pool_once_per_iterate(monkeypatch):
 
 class PoolProtocol:
     """A pool with only what the trainer may read: its sizes, its violation
-    matrix and its active rows, each delegated to the wrapped pool."""
+    matrix and the linearization of its active rows, each delegated to the
+    wrapped pool."""
 
     __slots__ = ("_pool",)
 
@@ -481,8 +487,8 @@ class PoolProtocol:
     def violation_matrix(self, w):
         return self._pool.violation_matrix(w)
 
-    def rows(self, samples):
-        return self._pool.rows(samples)
+    def linearize(self, w, samples):
+        return self._pool.linearize(w, samples)
 
 
 @pytest.mark.parametrize("method", [tr.HARD_SGD, tr.SOFT_SGD])

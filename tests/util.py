@@ -5,7 +5,7 @@ here once, whichever test modules use it.
 ``SphereHead`` and ``OffsetModel`` put the sphere family on the generic
 ``constraints.ConstraintPool`` (a head of a model's outputs), which
 ``constraints.SpherePool`` does without: a ``ConstraintPool`` of the two
-is the reference that ``constraints.SphereRows`` is checked against, and
+is the reference that ``SpherePool.linearize`` is checked against, and
 ``OffsetModel`` lets any head constrain w - x_k."""
 
 from typing import Sequence

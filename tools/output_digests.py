@@ -17,10 +17,10 @@ holds the output paths.  Criterion 1 is one digest over every solution's
 x bytes and ``repr((iters, status, residual_norm, acond))``.  The last
 line, ``pools``, digests what the CLI artifacts show only through medians
 and mined ranks: each pool family's violation matrix at two parameter
-vectors, and one 12-sample active set's value, jvp, vjp, scalar Gram and
-vector Gram.  Everything runs at one BLAS thread.  A run that does not
-exit 0 is named on stderr and makes the script exit 1 after printing every
-digest.
+vectors, and the value, jvp, vjp, scalar Gram and vector Gram of its
+``linearize`` over one 12-sample active set.  Everything runs at one BLAS
+thread.  A run that does not exit 0 is named on stderr and makes the
+script exit 1 after printing every digest.
 """
 
 import os
@@ -40,7 +40,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
-from hardtrain import autodiff as ad  # noqa: E402
 from hardtrain import benchmarks as bm  # noqa: E402
 from hardtrain import cli  # noqa: E402
 from hardtrain import constraints as cs  # noqa: E402
@@ -110,7 +109,7 @@ def criterion_1() -> None:
 def pools() -> None:
     """Print one digest over the sphere (d = 3000, 200 centers) and pose
     pools at seed 0: V at an initial point and at a perturbed one, and the
-    rows of 12 random samples linearized at the second."""
+    pool's linearization of 12 random samples at the second."""
     rng = np.random.default_rng(20261020)
     h = hashlib.sha256()
     spheres, pose = bm.gen_spheres(3000, 200, 0), bm.gen_toy_pose(0)
@@ -119,7 +118,7 @@ def pools() -> None:
         w = w0 + rng.normal(0.0, 0.1, len(w0))
         for at in (w0, w):
             h.update(pool.violation_matrix(at).tobytes())
-        lin = ad.linearize(pool.rows(cs.select_random(pool, 12, 0)), w)
+        lin = pool.linearize(w, cs.select_random(pool, 12, 0))
         v, u = rng.standard_normal(len(w)), rng.standard_normal(len(lin.value))
         d_inv = rng.uniform(0.5, 2.0, len(w))
         for out in (lin.value, lin.jvp(v), lin.vjp(u), lin.gram(0.3), lin.gram(d_inv)):
