@@ -204,7 +204,14 @@ class ConstraintPool(_Pool):
 @dataclass
 class SpherePool(_Pool):
     """Sphere residuals ||w - c_k|| - radius of the parameters w, one per
-    center c_k; the centers are the pool's samples."""
+    center c_k; the centers are the pool's samples.
+
+    The pool keeps two constants of its centers C, each computed on first
+    use: ||c_k||^2 and the Gram CC^T.  It keeps CC^T only when that array
+    is no larger than the centers, that is when n_samples <= n_params;
+    otherwise :meth:`linearize`'s scalar-D Gram comes from the active
+    centers alone.
+    """
 
     radius: float
     n_constraints = 1
@@ -220,6 +227,13 @@ class SpherePool(_Pool):
         """||c_k||^2 of every center: a constant of the pool, computed on
         first use."""
         return np.einsum("ij,ij->i", self.samples, self.samples)
+
+    @cached_property
+    def sample_gram(self) -> np.ndarray:
+        """CC^T, every c_j.c_k: a constant of the pool, computed on first
+        use, which only a scalar-D Gram of a pool with n_samples <= n_params
+        makes."""
+        return self.samples @ self.samples.T
 
     def violation_matrix(self, w: Vector) -> np.ndarray:
         """All residuals as an (n_samples, 1) matrix: one GEMV and
@@ -247,7 +261,9 @@ class SpherePool(_Pool):
         With a = u / n, jvp is (w.v - X v) / n, vjp is sum(a) w - a X, and
         the Gram matrix U D U^T is
         (X D X^T - p 1^T - 1 p^T + w^T D w) / (n_i n_j) with p = X D w,
-        D = diag(d_inv).
+        D = diag(d_inv).  For a scalar D = d I, X X^T is read from the
+        pool's :attr:`sample_gram` where the pool keeps it, and the Gram is
+        d times that of D = I.
         """
         samples = self._active(samples)
 
@@ -263,9 +279,9 @@ class SpherePool(_Pool):
                 return g
 
             def gram(d_inv):
-                scalar = np.ndim(d_inv) == 0
-                if scalar:
-                    K, p, wDw = X @ X.T, Xw, w @ w
+                from_pool = np.ndim(d_inv) == 0 and self.n_samples <= self.n_params
+                if from_pool:
+                    K, p, wDw = self.sample_gram[np.ix_(samples, samples)], Xw, w @ w
                 else:
                     Dw = d_inv * w
                     K, p, wDw = (X * d_inv) @ X.T, X @ Dw, w @ Dw
@@ -273,7 +289,7 @@ class SpherePool(_Pool):
                 K -= p
                 K += wDw
                 K /= np.multiply.outer(n, n)
-                return d_inv * K if scalar else K
+                return d_inv * K if from_pool else K
 
             return n - self.radius, lambda v: (w @ v - X @ v) / n, vjp, gram
 

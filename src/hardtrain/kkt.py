@@ -102,13 +102,16 @@ class KktState:
 
 def kkt_matvec(state: KktState, v: Vector) -> Vector:
     check_length(v, state.dim, "kkt operand")
-    v1, v2 = v[:state.n_params], v[state.n_params:]
-    top = state.diag * v1
+    n = state.n_params
+    v1, v2 = v[:n], v[n:]
+    out = np.empty(state.dim)
+    top = np.multiply(state.diag, v1, out=out[:n])
     if state.curvature is not None:
-        top = state.curvature.vjp(state.curvature.jvp(v1)) + top
-    if state.constraint is None:
-        return top
-    return np.concatenate([top + state.constraint.vjp(v2), state.constraint.jvp(v1)])
+        np.add(state.curvature.vjp(state.curvature.jvp(v1)), top, out=top)
+    if state.constraint is not None:
+        np.add(top, state.constraint.vjp(v2), out=top)
+        out[n:] = state.constraint.jvp(v1)
+    return out
 
 
 def kkt_operator(state: KktState) -> LinearOperator:
@@ -173,7 +176,14 @@ def schur_preconditioner(state: KktState):
             return None
         F = V.T / np.sqrt(np.where(lam > _EIG_CUTOFF * lam[-1], lam, lam[-1]))[:, None]
     n = state.n_params
-    return lambda r: np.concatenate([r[:n] * d_inv, F.T @ (F @ r[n:])])
+
+    def apply_inverse(r):
+        z = np.empty(r.shape[0])
+        np.multiply(r[:n], d_inv, out=z[:n])
+        z[n:] = F.T @ (F @ r[n:])
+        return z
+
+    return apply_inverse
 
 
 def solve_step(state: KktState, cfg: SolverConfig | None = None) -> KktStep:

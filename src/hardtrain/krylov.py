@@ -5,6 +5,10 @@ matvec-only operator abstraction: minimal-residual iterations that keep
 working when the operator is singular or severely ill-conditioned and then
 return the minimum-length least-squares solution.  Every sweep updates its
 iterate in QLP form; :func:`minres_qlp` says how a solve chains its sweeps.
+A sweep writes its vector updates into arrays it allocated, reusing the
+ones it frees, and never into a matvec's or preconditioner's operand or
+result.  It forms the iterate x only where x is read: at the
+preconditioned sweep's Euclidean residual check and on exit.
 
 The solver recomputes the true residual r = b - Bx on exit and classifies
 the result from that, so ``status == "converged"`` always means the
@@ -171,9 +175,11 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
     flag = 0
     iters = 0
 
-    # Lanczos state
+    # Lanczos state; r1 and r2 are the sweep's own buffers, while r3 is
+    # the latest matvec or preconditioner output, which it only reads
+    r1 = np.empty(n)
     r2 = b.copy()
-    r3 = z.copy()
+    r3 = z
     beta, betan = 0.0, beta1
 
     # left reflection state
@@ -195,31 +201,38 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
     anorm, acond = 0.0, 1.0
     xres = None
 
-    x = np.zeros(n)
-    wl = np.zeros(n)
+    # x = xl2 + wl ul + w u is formed only where it is read, into the
+    # scratch t; the direction buffers w, wl, wl2 and t rotate among four
+    # arrays, and wl2's is scratch too once xl2 has taken it in
+    x = None
     xl2 = np.zeros(n)
+    wl = np.zeros(n)
+    w, wl2, t = np.empty(n), np.empty(n), np.empty(n)
 
     while flag == 0 and iters < maxit:
         iters += 1
 
         # --- Lanczos step ---------------------------------------------
+        # v is fresh: a matvec may keep its operand, so it is never written
         betal = beta
         beta = betan
         v = r3 / beta
         r3 = apply(op, v)
         if iters > 1:
-            r3 = r3 - (beta / betal) * r1
+            np.multiply(r1, beta / betal, out=r1)
+            r3 = np.subtract(r3, r1, out=r1)
         alfa = float(r3 @ v)
-        r3 = r3 - (alfa / beta) * r2
-        r1 = r2
-        r2 = r3
+        np.multiply(r2, alfa / beta, out=t)
+        np.subtract(r3, t, out=r1)
+        r1, r2 = r2, r1
         r3 = precond(r2)
         betan = _precond_norm(r2, r3)
         if not (math.isfinite(alfa) and math.isfinite(betan)):
             raise _breakdown(iters)
         if iters == 1 and betan == 0.0:
             if alfa == 0.0:
-                break                      # B b = 0: x = 0 is minimum-length
+                x = np.zeros(n)            # B b = 0: x = 0 is minimum-length
+                break
             x = z / alfa                   # B z = alfa b
             flag = 1
             break
@@ -281,27 +294,45 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
         xl2norm = math.hypot(xl2norm, ul2)
         xnorm = math.sqrt(xl2norm * xl2norm + ul * ul + u * u)
 
-        # --- update w and x in QLP form -------------------------------
+        # --- update w and xl2 in QLP form -----------------------------
         # u = 0 on flag 6 or 9 drops the direction of a gamma at roundoff
-        # level or of an overlong step, which keeps x minimum-length
+        # level or of an overlong step, which keeps x minimum-length.
+        # Each product and sum is the one of the textbook update
+        # [wl2, wl, w] <- rotations of [wl, w, v], in its order.
         if iters == 1:
-            wl2 = wl
-            wl = v * sr1
-            w = -v * cr1
+            wl2, wl = wl, wl2
+            np.multiply(v, sr1, out=wl)
+            np.negative(v, out=w)
+            np.multiply(w, cr1, out=w)
         elif iters == 2:
-            wl2 = wl
-            wl = w * cr1 + v * sr1
-            w = w * sr1 - v * cr1
+            wl2, wl = wl, wl2
+            np.multiply(w, cr1, out=wl)
+            np.multiply(v, sr1, out=t)
+            np.add(wl, t, out=wl)
+            np.multiply(w, sr1, out=w)
+            np.multiply(v, cr1, out=t)
+            np.subtract(w, t, out=w)
         else:
-            wl2 = wl
-            wl = w
-            w = wl2 * sr2 - v * cr2
-            wl2 = wl2 * cr2 + v * sr2
-            v = wl * cr1 + w * sr1
-            w = wl * sr1 - w * cr1
-            wl = v
-        xl2 = xl2 + wl2 * ul2
-        x = xl2 + wl * ul + w * u
+            # P_{k-2,k} on [wl, v] gives wl2, into its freed buffer, and
+            # an interim w, into wl
+            np.multiply(wl, cr2, out=wl2)
+            np.multiply(v, sr2, out=t)
+            np.add(wl2, t, out=wl2)
+            np.multiply(wl, sr2, out=wl)
+            np.multiply(v, cr2, out=t)
+            np.subtract(wl, t, out=wl)
+        np.multiply(wl2, ul2, out=t)
+        np.add(xl2, t, out=xl2)
+        if iters > 2:
+            # P_{k-1,k} on [w, interim] gives wl, into t, and w, with
+            # wl2's buffer as scratch
+            np.multiply(w, cr1, out=t)
+            np.multiply(wl, sr1, out=wl2)
+            np.add(t, wl2, out=t)
+            np.multiply(w, sr1, out=w)
+            np.multiply(wl, cr1, out=wl)
+            np.subtract(w, wl, out=w)
+            wl, t = t, wl
 
         # --- next right reflection P_{k-1,k+1} ------------------------
         cr2, sr2, gamal = _sym_givens(gamal, eplnn)
@@ -344,15 +375,30 @@ def _minres_qlp_pass(op: LinearOperator, b: np.ndarray, cfg: SolverConfig, maxit
             if flag == 1 and preconditioned and iters < maxit:
                 # that test is in the P^-1-norm: continue, towards a
                 # tighter target, until the Euclidean residual meets rtol
+                x = _qlp_iterate(xl2, wl, ul, w, u, t, wl2)
                 xres = _residual_norm(op, b, x)
                 if not xres <= rtol * bnorm:
                     rtol_p *= 0.5 * rtol / (xres / bnorm)
                     flag = 0
-                    xres = None
+                    x = xres = None
+                    t = np.empty(n)        # the matvec may keep x, its operand
 
+    if x is None:
+        x = _qlp_iterate(xl2, wl, ul, w, u, t, wl2)
     if not np.all(np.isfinite(x)):
         raise _breakdown(iters)
     return x, iters, flag, max(anorm, _REALMIN), acond, xres
+
+
+def _qlp_iterate(xl2: np.ndarray, wl: np.ndarray, ul: float, w: np.ndarray, u: float,
+                 out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """x = xl2 + wl ul + w u in ``out``, rounded as that expression is
+    (floating-point addition commutes), with ``scratch`` for w u."""
+    x = np.multiply(wl, ul, out=out)
+    x += xl2
+    np.multiply(w, u, out=scratch)
+    x += scratch
+    return x
 
 
 def _breakdown(iters: int) -> FloatingPointError:

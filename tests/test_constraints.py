@@ -283,6 +283,31 @@ def test_sphere_rows_linearize_in_one_buffer_and_leave_the_pool_intact():
     np.testing.assert_allclose(lin.gram(D), (U * D) @ U.T, rtol=1e-12)
 
 
+@pytest.mark.parametrize("d", [3000, 120])
+def test_the_scalar_gram_reads_the_pool_gram_only_where_the_pool_keeps_it(d):
+    # 200 centers: at d = 3000 the pool keeps CC^T and forms it once, on the
+    # first scalar-D Gram; at d = 120 it would outgrow the centers, so the
+    # Gram comes from the active centers and the pool never forms it
+    problem = bm.gen_spheres(d, 200, 0)
+    pool = problem.pool
+    rng = np.random.default_rng(d)
+    w = problem.x0 + rng.normal(0.0, 0.5, d)
+    kept = []
+    for seed in range(3):
+        active = cs.select_random(pool, 20, seed)
+        lin = pool.linearize(w, active)
+        assert "sample_gram" not in pool.__dict__ or seed > 0
+        Y = w - pool.samples[active]
+        U = Y / np.linalg.norm(Y, axis=1)[:, None]
+        np.testing.assert_allclose(lin.gram(0.3), 0.3 * (U @ U.T), rtol=1e-12)
+        kept.append(pool.__dict__.get("sample_gram"))
+    assert all(K is kept[0] for K in kept)
+    if d > 200:
+        np.testing.assert_allclose(kept[0], pool.samples @ pool.samples.T, rtol=1e-12)
+    else:
+        assert kept[0] is None
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_sphere_rows_values_are_the_pool_rows_at_the_workload_shape(seed):
     # the benchmark's sphere shape, d = 1e4 and 200 centers, at the anchor

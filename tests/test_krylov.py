@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -383,3 +385,93 @@ def test_a_squared_sweep_done_in_one_iteration_divides_by_alpha():
     sol = minres_qlp(from_dense(np.diag([1e100, 0.0])), np.ones(2))
     assert sol.status == SINGULAR_MIN_LENGTH
     np.testing.assert_allclose(sol.x, [1e-100, 0.0], rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("preconditioned", [False, True])
+def test_a_sweeps_memory_does_not_grow_with_its_iterations(preconditioned):
+    # every sweep updates its vectors in the buffers it allocated and reuses
+    # the direction buffers it frees: the peak at 40 iterations per sweep is
+    # the peak at 10, both sweeps of an inconsistent system included
+    n = 200_000
+    rng = np.random.default_rng(17)
+    d = rng.uniform(1.0, 100.0, n) * rng.choice([-1.0, 1.0], n)
+    d[:10] = 0.0
+    b = rng.standard_normal(n)
+    op = linops.LinearOperator(n, lambda v: d * v)
+    p_inv = rng.uniform(0.5, 2.0, n) / np.maximum(np.abs(d), 1.0)
+    precond = (lambda r: p_inv * r) if preconditioned else None
+    peaks = []
+    for max_iters in (10, 40):
+        tracemalloc.start()
+        try:
+            sol = minres_qlp(op, b, SolverConfig(rtol=1e-14, max_iters=max_iters),
+                             precond=precond)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.iters == 2 * max_iters
+        peaks.append(round(peak / (8 * n)))
+    assert peaks[0] == peaks[1] <= 13
+
+
+class _PersistentOutput:
+    """diag(d) or P^-1 = diag(d) that writes every product into one array
+    it keeps, and checks on each call that no one wrote to it since."""
+
+    def __init__(self, d):
+        self.d = d
+        self.out = np.empty_like(d)
+        self.written = None
+
+    def __call__(self, v):
+        if self.written is not None:
+            np.testing.assert_array_equal(self.out, self.written)
+        np.multiply(self.d, v, out=self.out)
+        self.written = self.out.copy()
+        return self.out
+
+
+def test_a_sweep_writes_only_to_arrays_it_allocated():
+    # an operator that returns an array it keeps, and one that returns its
+    # operand, give the answer of one that returns a fresh array and find
+    # their arrays as they left them.  diag(d) has a zero, so the solve
+    # takes the squared-system sweep, whose operator returns B's own output;
+    # B = I with a diagonal P^-1 runs a sweep of several iterations
+    rng = np.random.default_rng(23)
+    n = 40
+    d = rng.uniform(0.5, 3.0, n) * rng.choice([-1.0, 1.0], n)
+    d[3] = 0.0
+    b = rng.standard_normal(n)
+    p = rng.uniform(0.5, 2.0, n)
+    cfg = SolverConfig(rtol=1e-12)
+    for precond in (None, _PersistentOutput(p)):
+        kept = _PersistentOutput(d)
+        sol = minres_qlp(linops.LinearOperator(n, kept), b, cfg, precond=precond)
+        fresh = minres_qlp(linops.LinearOperator(n, lambda v: d * v), b, cfg,
+                           precond=None if precond is None else (lambda r: p * r))
+        assert kept.written is not None and sol.iters > 2
+        np.testing.assert_array_equal(sol.x, fresh.x)
+        assert (sol.iters, sol.status) == (fresh.iters, fresh.status)
+
+    # this b and P^-1 fail the Euclidean residual check once and pass it
+    # once, so the sweep goes on past an iterate that a matvec has read
+    rng = np.random.default_rng(47)
+    b = rng.standard_normal(n)
+    p = rng.uniform(0.5, 2.0, n)
+    operands = []
+
+    def returns_operand(v):
+        operands.append((v, v.copy()))
+        return v
+
+    b_kept = b.copy()
+    sol = minres_qlp(linops.LinearOperator(n, returns_operand), b, cfg,
+                     precond=lambda r: p * r)
+    fresh = minres_qlp(linops.LinearOperator(n, lambda v: v.copy()), b, cfg,
+                       precond=lambda r: p * r)
+    assert len(operands) == sol.iters + 2
+    for v, copy in operands:
+        np.testing.assert_array_equal(v, copy)
+    np.testing.assert_array_equal(b, b_kept)
+    np.testing.assert_array_equal(sol.x, fresh.x)
+    assert (sol.iters, sol.status) == (fresh.iters, fresh.status)

@@ -33,7 +33,7 @@ def test_the_pools_digest_is_one_line_and_repeats(monkeypatch, capsys):
 def test_every_digested_config_parses(monkeypatch, tmp_path):
     tool = _tool(monkeypatch)
     configs = tool.configs(tmp_path)
-    assert len(configs) == 16
+    assert len(configs) == 17
     for name, text in configs.items():
         path = tmp_path / f"{name}.txt"
         path.write_text(text)

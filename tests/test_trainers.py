@@ -389,7 +389,8 @@ def test_hard_sphere_step_gathers_the_centers_once_per_linearization(monkeypatch
             gathers.append(key)
             return np.asarray(super().__getitem__(key))
 
-    problem.pool.sample_sq_norms  # the pool constant, computed before counting
+    problem.pool.sample_sq_norms  # the pool constants, computed before counting
+    problem.pool.sample_gram
     problem.pool.samples = problem.pool.samples.view(CountedSamples)
     matvecs = _counting(monkeypatch, kkt, "kkt_matvec")
     seen = []
@@ -401,6 +402,16 @@ def test_hard_sphere_step_gathers_the_centers_once_per_linearization(monkeypatch
         seen.append((len(matvecs), len(gathers)))
     assert seen[0][0] != seen[1][0]
     assert [n for _, n in seen] == [1, 1]
+
+
+def test_only_a_scalar_d_hard_step_forms_the_pool_gram():
+    # CC^T is read by the scalar-D Schur complement alone: soft steps and
+    # hard_adam's vector D leave the pool without it
+    for method in tr.METHODS:
+        problem = bm.gen_spheres(50, 12, seed=2)
+        cfg = tr.TrainConfig(method=method, lr=0.1, iterations=3, batch_constraints=5)
+        tr.train(cfg, problem)
+        assert ("sample_gram" in problem.pool.__dict__) == (method in (tr.HARD_SGD, tr.HARD_GN))
 
 
 SMALL_POSE = dict(seed=0, n_samples=60, n_pool=20, in_dim=8, hidden=(12,))

@@ -2,15 +2,17 @@
 
     python3 tools/output_digests.py > digests.txt
 
-It runs 16 CLI configs and the 200 solves of acceptance criterion 1 with
+It runs 17 CLI configs and the 200 solves of acceptance criterion 1 with
 the package and test helpers of the checkout that holds this file, and
-prints one ``sha256 name`` line per artifact, 82 in all.  Comparing two
+prints one ``sha256 name`` line per artifact, 87 in all.  Comparing two
 checkouts is then one ``diff`` of their outputs.
 
-The configs are the five methods on spheres (d = 3000, 40 iterations), a
-soft_adam pose baseline (20 epochs) and the five methods as 3-epoch pose
-fine-tunes from its ``best_params.bin``, on mined (12 samples) and on
-random (128 samples) active sets, all at seed 0.  Each run's
+The configs are the five methods on spheres (d = 3000, 40 iterations),
+hard_sgd on spheres at d = 120, fewer than the 200 centers, where the
+pool keeps no CC^T for the scalar-D Gram, a soft_adam pose baseline (20
+epochs) and the five methods as 3-epoch pose fine-tunes from its
+``best_params.bin``, on mined (12 samples) and on random (128 samples)
+active sets, all at seed 0.  Each run's
 ``metrics.csv``, ``params.bin``, ``best_params.bin``, ``problem.json`` and
 ``summary.json`` are digested; ``resolved_config.txt`` is not, since it
 holds the output paths.  Criterion 1 is one digest over every solution's
@@ -57,6 +59,8 @@ def configs(work: Path) -> dict:
     protocol's ``benchmarks.POSE_CONSTRAINED``."""
     out = {f"spheres_{m}": f"kind = spheres\nmethod = {m}\ndim = 3000\niterations = 40\n"
            for m in tr.METHODS}
+    out["spheres_hard_sgd_d120"] = ("kind = spheres\nmethod = hard_sgd\ndim = 120\n"
+                                    "iterations = 40\n")
     out["pose_base"] = "kind = toy_pose\nmethod = soft_adam\nsoft_lambda = 0.0\nepochs = 20\n"
     base = work / "pose_base" / "best_params.bin"
     for active, keys in (("mined", "mine = true\nn_mined = 12\n"),
